@@ -6,7 +6,7 @@ label-centric and overall P/R/F1), and fuses model scores by averaging.
 """
 
 from .augment import AugmentConfig, apply_mode, flip_horizontal, mixup_pair, random_resized_crop, resize_bilinear, rng_stream
-from .fusion import EnsembleSpec, fuse
+from .fusion import fuse
 from .io import DatasetManifest, read_csv_matrix, read_manifest, read_ppm, write_csv_matrix, write_manifest, write_ppm
 from .metrics import MetricsReport, evaluate, mean_ap, top_k_binarize
 from .model import Gradients, ModelParams, adaptive_avg_pool, backward, bce_loss, forward, init_params, load_params, save_params, sigmoid
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentConfig", "apply_mode", "flip_horizontal", "mixup_pair",
     "random_resized_crop", "resize_bilinear", "rng_stream",
-    "EnsembleSpec", "fuse",
+    "fuse",
     "DatasetManifest", "read_csv_matrix", "read_manifest", "read_ppm",
     "write_csv_matrix", "write_manifest", "write_ppm",
     "MetricsReport", "evaluate", "mean_ap", "top_k_binarize",

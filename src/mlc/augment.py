@@ -101,7 +101,7 @@ def random_resized_crop(image: Image, cfg: AugmentConfig, rng: np.random.Generat
         top = (in_h - h) // 2
         left = (in_w - w) // 2
         crop = data[top : top + h, left : left + w, :]
-    out = kernels.resize_bilinear(np.ascontiguousarray(crop), *cfg.target_size)
+    out = kernels.resize_bilinear(crop, *cfg.target_size)
     return Image(np.clip(out, 0.0, 1.0))
 
 

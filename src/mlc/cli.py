@@ -30,6 +30,17 @@ from .trainer import TrainConfig, load_dataset, predict, train
 from .types import Sample
 
 
+class _UsageError(Exception):
+    """A flag value that a config dataclass rejects."""
+
+
+def _config(factory, **fields):
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _size(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--size", nargs=2, type=int, default=[64, 64], metavar=("H", "W"),
@@ -102,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> None:
-    cfg = SynthConfig(
+    cfg = _config(
+        SynthConfig,
         num_images=args.num,
         image_size=(args.size[0], args.size[1]),
         num_classes=args.classes,
@@ -115,8 +127,8 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
-    cfg = TrainConfig(
+    cfg = _config(
+        TrainConfig,
         epochs=args.epochs,
         batch_size=args.batch_size,
         lr_head=args.lr_head,
@@ -130,6 +142,7 @@ def _cmd_train(args) -> None:
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),
         hidden=args.hidden,
     )
+    manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
     Path(args.out).write_text(save_params(report.params), encoding="ascii")
     print(
@@ -167,9 +180,9 @@ def _cmd_fuse(args) -> None:
 
 
 def _cmd_augment(args) -> None:
+    aug_cfg = _config(AugmentConfig, target_size=(args.size[0], args.size[1]))
     manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
     samples = load_dataset(manifest, Path(args.manifest).parent)
-    aug_cfg = AugmentConfig(target_size=(args.size[0], args.size[1]))
     augmented = []
     for i, sample in enumerate(samples):
         rng = rng_stream(args.seed, STREAM_AUG, 0, i)
@@ -209,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MlcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

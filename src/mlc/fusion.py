@@ -7,7 +7,6 @@ argsort-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,28 +14,6 @@ import numpy as np
 from .errors import EmptyInput, ShapeMismatch
 from .model import sigmoid
 from .types import ScoreMatrix
-
-ENSEMBLE_LABELS = ("ScaleEn", "DistrEn", "Custom")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A named ensemble: ScaleEn varies input size, DistrEn varies augmentation."""
-
-    members: tuple[ScoreMatrix, ...]
-    label: str = "Custom"
-
-    def __post_init__(self):
-        if self.label not in ENSEMBLE_LABELS:
-            raise ValueError(f"label must be one of {ENSEMBLE_LABELS}, got {self.label!r}")
-        if len(self.members) < 2:
-            raise EmptyInput("an ensemble needs at least two members")
-        shapes = {m.data.shape for m in self.members}
-        if len(shapes) != 1:
-            raise ShapeMismatch(f"members disagree on shape: {sorted(shapes)}")
-
-    def fuse(self) -> ScoreMatrix:
-        return fuse(list(self.members))
 
 
 def fuse(matrices: Sequence[ScoreMatrix], sigmoid_first: bool = False) -> ScoreMatrix:

@@ -24,8 +24,6 @@ from .errors import (
 )
 from .types import Image, LabelMatrix, ScoreMatrix
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
 
 def read_ppm(blob: bytes) -> Image:
     """Decode a binary (P6) PPM with maxval 255 into an Image.

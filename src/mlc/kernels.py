@@ -1,71 +1,63 @@
 """Hot per-pixel kernels: bilinear resize, adaptive pooling, shape painting.
 
-Each kernel ships in two implementations with identical arithmetic
-structure: a numba @njit loop version and a vectorized pure-numpy
-fallback. The active backend is picked once at import time; set
-MLC_DISABLE_NUMBA=1 to force the numpy path (the numba path is the
-default whenever numba imports). `benchmarks/bench_kernels.py` compares
-the two.
+One vectorized numpy implementation per kernel, so the bytes a run writes
+depend only on its flags and seed. `adaptive_pool` works on a whole
+(n, H, W, C) batch at once; `resize_bilinear` and `paint_shapes` work on
+one float64 (H, W, C) image.
 
-All kernels take float64 (H, W, C) arrays. Coordinates follow the
-half-pixel-center convention: source position of output pixel i is
-(i + 0.5) * (in / out) - 0.5, clamped to the image border.
+Coordinates follow the half-pixel-center convention: source position of
+output pixel i is (i + 0.5) * (in / out) - 0.5, clamped to the image border.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-_WANT_NUMBA = os.environ.get("MLC_DISABLE_NUMBA", "").strip().lower() not in {"1", "true", "yes"}
+BACKEND = "numpy"
 
 
-# -- pure-numpy fallbacks ------------------------------------------------------
-
-def resize_bilinear_numpy(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    in_h, in_w = src.shape[0], src.shape[1]
-    sy = in_h / out_h
-    sx = in_w / out_w
-    fy = np.maximum((np.arange(out_h, dtype=np.float64) + 0.5) * sy - 0.5, 0.0)
-    fx = np.maximum((np.arange(out_w, dtype=np.float64) + 0.5) * sx - 0.5, 0.0)
-    y0 = np.floor(fy).astype(np.int64)
-    x0 = np.floor(fx).astype(np.int64)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    # dy/dx forced to 0 at the clamped border so border rows reproduce exactly
-    dy = np.where(y1 == y0, 0.0, fy - y0)[:, None, None]
-    dx = np.where(x1 == x0, 0.0, fx - x0)[None, :, None]
-    a = src[y0[:, None], x0[None, :], :]
-    b = src[y0[:, None], x1[None, :], :]
-    c = src[y1[:, None], x0[None, :], :]
-    d = src[y1[:, None], x1[None, :], :]
-    top = a + dx * (b - a)
-    bot = c + dx * (d - c)
-    return top + dy * (bot - top)
+def _taps(size_in: int, size_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Low and high source index and the weight of the high one, per output index."""
+    f = np.maximum((np.arange(size_out, dtype=np.float64) + 0.5) * (size_in / size_out) - 0.5, 0.0)
+    lo = np.floor(f).astype(np.int64)
+    hi = np.minimum(lo + 1, size_in - 1)
+    # weight forced to 0 at the clamped border so border pixels reproduce exactly
+    return lo, hi, np.where(hi == lo, 0.0, f - lo)
 
 
-def adaptive_pool_numpy(src: np.ndarray, gh: int, gw: int) -> np.ndarray:
-    in_h, in_w = src.shape[0], src.shape[1]
-    out = np.empty((gh, gw, src.shape[2]), dtype=np.float64)
+def resize_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Separable bilinear resize: lerp every source row along x, then the rows along y."""
+    y0, y1, dy = _taps(src.shape[0], out_h)
+    x0, x1, dx = _taps(src.shape[1], out_w)
+    left = src[:, x0]
+    rows = left + dx[:, None] * (src[:, x1] - left)
+    top = rows[y0]
+    return top + dy[:, None, None] * (rows[y1] - top)
+
+
+def adaptive_pool(src: np.ndarray, gh: int, gw: int) -> np.ndarray:
+    """Average-pool an (n, H, W, C) batch to (n, gh, gw, C).
+
+    Bin (i, j) covers rows [floor(i*H/gh), ceil((i+1)*H/gh)) and columns
+    analogously. When the bins divide the image evenly they tile it and a
+    reshape pools every bin at once; otherwise each bin is pooled over the
+    whole batch in turn. Both sum each bin in the same order.
+    """
+    n, in_h, in_w, nc = src.shape
+    if in_h % gh == 0 and in_w % gw == 0:
+        return src.reshape(n, gh, in_h // gh, gw, in_w // gw, nc).mean(axis=(2, 4))
+    out = np.empty((n, gh, gw, nc), dtype=np.float64)
     for i in range(gh):
         r0 = (i * in_h) // gh
         r1 = ((i + 1) * in_h + gh - 1) // gh
         for j in range(gw):
             c0 = (j * in_w) // gw
             c1 = ((j + 1) * in_w + gw - 1) // gw
-            out[i, j, :] = src[r0:r1, c0:c1, :].mean(axis=(0, 1))
+            out[:, i, j, :] = src[:, r0:r1, c0:c1, :].mean(axis=(1, 2))
     return out
 
 
-def paint_shapes_numpy(canvas, kinds, cys, cxs, halves, colors) -> None:
+def paint_shapes(canvas, kinds, cys, cxs, halves, colors) -> None:
     """Paint filled shapes onto `canvas` in order (later shapes occlude).
 
     kind 0: axis-aligned square of half-extent h; kind 1: disk of radius h;
@@ -84,100 +76,3 @@ def paint_shapes_numpy(canvas, kinds, cys, cxs, halves, colors) -> None:
             t = rr - (cy - h)
             mask = (t >= 0.0) & (t <= 2.0 * h) & (np.abs(cc - cx) <= 0.5 * t)
         canvas[mask] = colors[s]
-
-
-# -- numba loop kernels --------------------------------------------------------
-
-def _resize_bilinear_loops(src, out_h, out_w):
-    in_h, in_w, nc = src.shape
-    out = np.empty((out_h, out_w, nc), dtype=np.float64)
-    sy = in_h / out_h
-    sx = in_w / out_w
-    for i in range(out_h):
-        fy = (i + 0.5) * sy - 0.5
-        if fy < 0.0:
-            fy = 0.0
-        y0 = int(np.floor(fy))
-        y1 = y0 + 1
-        if y1 > in_h - 1:
-            y1 = in_h - 1
-        dy = 0.0 if y1 == y0 else fy - y0
-        for j in range(out_w):
-            fx = (j + 0.5) * sx - 0.5
-            if fx < 0.0:
-                fx = 0.0
-            x0 = int(np.floor(fx))
-            x1 = x0 + 1
-            if x1 > in_w - 1:
-                x1 = in_w - 1
-            dx = 0.0 if x1 == x0 else fx - x0
-            for ch in range(nc):
-                a = src[y0, x0, ch]
-                b = src[y0, x1, ch]
-                c = src[y1, x0, ch]
-                d = src[y1, x1, ch]
-                top = a + dx * (b - a)
-                bot = c + dx * (d - c)
-                out[i, j, ch] = top + dy * (bot - top)
-    return out
-
-
-def _adaptive_pool_loops(src, gh, gw):
-    in_h, in_w, nc = src.shape
-    out = np.empty((gh, gw, nc), dtype=np.float64)
-    for i in range(gh):
-        r0 = (i * in_h) // gh
-        r1 = ((i + 1) * in_h + gh - 1) // gh
-        for j in range(gw):
-            c0 = (j * in_w) // gw
-            c1 = ((j + 1) * in_w + gw - 1) // gw
-            area = (r1 - r0) * (c1 - c0)
-            for ch in range(nc):
-                acc = 0.0
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        acc += src[r, c, ch]
-                out[i, j, ch] = acc / area
-    return out
-
-
-def _paint_shapes_loops(canvas, kinds, cys, cxs, halves, colors):
-    hgt, wid, nc = canvas.shape
-    for s in range(kinds.shape[0]):
-        kind = kinds[s]
-        cy = cys[s]
-        cx = cxs[s]
-        h = halves[s]
-        for r in range(hgt):
-            for c in range(wid):
-                if kind == 0:
-                    inside = abs(r - cy) <= h and abs(c - cx) <= h
-                elif kind == 1:
-                    inside = (r - cy) ** 2 + (c - cx) ** 2 <= h * h
-                else:
-                    t = r - (cy - h)
-                    inside = 0.0 <= t <= 2.0 * h and abs(c - cx) <= 0.5 * t
-                if inside:
-                    for ch in range(nc):
-                        canvas[r, c, ch] = colors[s, ch]
-
-
-if HAS_NUMBA:
-    resize_bilinear_numba = njit(cache=True)(_resize_bilinear_loops)
-    adaptive_pool_numba = njit(cache=True)(_adaptive_pool_loops)
-    paint_shapes_numba = njit(cache=True)(_paint_shapes_loops)
-else:
-    resize_bilinear_numba = None
-    adaptive_pool_numba = None
-    paint_shapes_numba = None
-
-if HAS_NUMBA and _WANT_NUMBA:
-    BACKEND = "numba"
-    resize_bilinear = resize_bilinear_numba
-    adaptive_pool = adaptive_pool_numba
-    paint_shapes = paint_shapes_numba
-else:
-    BACKEND = "numpy"
-    resize_bilinear = resize_bilinear_numpy
-    adaptive_pool = adaptive_pool_numpy
-    paint_shapes = paint_shapes_numpy

@@ -17,8 +17,6 @@ import numpy as np
 from .errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
 from .types import LabelMatrix, ScoreMatrix, validate_pair
 
-PANEL_FIELDS = ("map", "lp", "lr", "lf1", "op", "or_", "of1")
-
 
 @dataclass(frozen=True)
 class MetricsReport:

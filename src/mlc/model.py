@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .augment import STREAM_INIT, rng_stream
-from .errors import GridTooLarge, ParseError, ShapeMismatch
+from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
 from .types import Image, LabelVector
 
 CHECKPOINT_HEADER = "mlc-params v1"
@@ -46,7 +46,7 @@ class ModelParams:
             )
         for arr in (self.W1, self.b1, self.W2, self.b2):
             if not np.all(np.isfinite(arr)):
-                raise ShapeMismatch("parameters contain non-finite values")
+                raise NonFinite("parameters contain non-finite values")
 
     @property
     def num_classes(self) -> int:
@@ -91,17 +91,29 @@ def init_params(
     )
 
 
+def check_pool_grid(pool_grid: tuple[int, int], size: tuple[int, int]) -> None:
+    """Raise GridTooLarge unless a gh x gw grid fits an H x W image."""
+    (gh, gw), (height, width) = pool_grid, size
+    if gh < 1 or gw < 1 or gh > height or gw > width:
+        raise GridTooLarge(f"pool grid {gh}x{gw} invalid for {height}x{width} image")
+
+
 def adaptive_avg_pool(image: Image, gh: int, gw: int) -> np.ndarray:
     """Average-pool to a gh x gw x 3 grid whose bins scale with input size.
 
     Bin (i, j) covers rows [floor(i*H/gh), ceil((i+1)*H/gh)) and columns
     analogously, so every pixel lands in at least one bin.
     """
-    if gh < 1 or gw < 1 or gh > image.height or gw > image.width:
-        raise GridTooLarge(
-            f"pool grid {gh}x{gw} invalid for {image.height}x{image.width} image"
-        )
-    return kernels.adaptive_pool(image.data, gh, gw)
+    check_pool_grid((gh, gw), (image.height, image.width))
+    return kernels.adaptive_pool(image.data[None], gh, gw)[0]
+
+
+def pooled_batch(pixels: np.ndarray, pool_grid: tuple[int, int]) -> np.ndarray:
+    """Flattened pooled features (n, gh*gw*3) of an (n, H, W, 3) pixel batch."""
+    n, height, width, channels = pixels.shape
+    check_pool_grid(pool_grid, (height, width))
+    gh, gw = pool_grid
+    return kernels.adaptive_pool(pixels, gh, gw).reshape(n, gh * gw * channels)
 
 
 def pooled_features(image: Image, pool_grid: tuple[int, int]) -> np.ndarray:
@@ -119,13 +131,18 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
+def _bce_sum(s: np.ndarray, y: np.ndarray) -> float:
+    """Binary cross-entropy on sigmoid(s), summed over every entry, in log-sum form."""
+    return float(np.sum(np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))))
+
+
 def bce_loss(scores, labels) -> float:
     """Sum over classes of binary cross-entropy on sigmoid(score)."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels.data if isinstance(labels, LabelVector) else labels, dtype=np.float64)
     if s.shape != y.shape:
         raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
-    return float(np.sum(np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))))
+    return _bce_sum(s, y)
 
 
 def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -159,7 +176,7 @@ def backward_features(
     hidden = np.maximum(z1, 0.0)
     scores = hidden @ params.W2 + params.b2
 
-    loss = float(np.sum(np.maximum(scores, 0.0) - scores * y + np.log1p(np.exp(-np.abs(scores)))))
+    loss = _bce_sum(scores, y)
     d_scores = sigmoid(scores) - y
     d_hidden = d_scores @ params.W2.T
     d_z1 = np.where(z1 > 0.0, d_hidden, 0.0)

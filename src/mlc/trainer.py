@@ -36,9 +36,10 @@ from .io import DatasetManifest, read_ppm
 from .model import (
     ModelParams,
     backward_features,
+    check_pool_grid,
     forward_features,
     init_params,
-    pooled_features,
+    pooled_batch,
 )
 from .types import Sample, ScoreMatrix
 
@@ -121,7 +122,8 @@ def _augmented_batch(
     aug_cfg: AugmentConfig,
     epoch: int,
     batch_no: int,
-) -> list[Sample]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked pixels (n, H, W, 3) and labels (n, C) of one augmented batch."""
     batch = []
     for i in indices:
         rng = rng_stream(cfg.seed, STREAM_AUG, epoch, int(i))
@@ -137,7 +139,7 @@ def _augmented_batch(
         if len(batch) % 2 == 1:
             mixed.append(batch[perm[-1]])
         batch = mixed
-    return batch
+    return np.stack([s.image.data for s in batch]), np.stack([s.labels.data for s in batch])
 
 
 def train(
@@ -149,6 +151,7 @@ def train(
 ) -> TrainReport:
     """Run the full SGD schedule and return losses plus final parameters."""
     start = time.perf_counter()
+    check_pool_grid(cfg.pool_grid, cfg.input_size)
     samples = load_dataset(manifest, root)
     n = len(samples)
     aug_cfg = AugmentConfig(target_size=cfg.input_size)
@@ -164,18 +167,19 @@ def train(
         if schedule_observer is not None:
             schedule_observer(epoch, lr_head, lr_body)
         order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
+        # validated once per epoch; the SGD steps below update its arrays in place
+        params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
 
         loss_sum = 0.0
         row_count = 0
         for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
-            batch = _augmented_batch(
+            pixels, targets = _augmented_batch(
                 samples, order[lo : lo + cfg.batch_size], cfg, aug_cfg, epoch, batch_no
             )
-            features = np.stack([pooled_features(s.image, cfg.pool_grid) for s in batch])
-            targets = np.stack([s.labels.data for s in batch])
-            params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
-            batch_loss, grads = backward_features(params, features, targets)
-            rows = len(batch)
+            batch_loss, grads = backward_features(
+                params, pooled_batch(pixels, cfg.pool_grid), targets
+            )
+            rows = len(targets)
             w1 -= (lr_body / rows) * grads.W1
             b1 -= (lr_body / rows) * grads.b1
             w2 -= (lr_head / rows) * grads.W2
@@ -207,11 +211,9 @@ def predict(
     root: str | Path = ".",
 ) -> ScoreMatrix:
     """Raw logits per image: plain resize to input_size, no augmentation."""
+    check_pool_grid(params.pool_grid, input_size)
     samples = load_dataset(manifest, root)
-    features = np.stack(
-        [
-            pooled_features(resize_bilinear(s.image, *input_size), params.pool_grid)
-            for s in samples
-        ]
-    )
-    return ScoreMatrix(forward_features(params, features))
+    pixels = np.empty((len(samples), *input_size, 3), dtype=np.float64)
+    for i, s in enumerate(samples):
+        pixels[i] = resize_bilinear(s.image, *input_size).data
+    return ScoreMatrix(forward_features(params, pooled_batch(pixels, params.pool_grid)))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     NonBinaryLabel,
     NonFinite,
     PixelOutOfRange,
@@ -132,13 +131,6 @@ class Sample:
 
     image: Image
     labels: LabelVector
-
-    def with_labels_width(self, num_classes: int) -> "Sample":
-        if self.labels.num_classes != num_classes:
-            raise DimensionMismatch(
-                f"sample has {self.labels.num_classes} classes, dataset has {num_classes}"
-            )
-        return self
 
 
 def validate_pair(scores: ScoreMatrix | np.ndarray, labels: LabelMatrix | np.ndarray) -> None:

@@ -139,6 +139,31 @@ class TestExitCodes:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_gen_config_error_is_usage_error(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "g"), "--num", "3", "--size", "8", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "16" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "g").exists()
+
+    def test_train_zero_epochs_is_usage_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "x.params"
+        assert main([
+            "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--out", str(out), "--epochs", "0",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epochs" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_augment_config_error_is_usage_error(self, dataset, tmp_path, capsys):
+        assert main([
+            "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--out-dir", str(tmp_path / "aug"), "--size", "0", "24",
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_help_exits_zero(self):
         for sub in ("gen", "train", "predict", "evaluate", "fuse", "augment"):
             with pytest.raises(SystemExit) as exc:

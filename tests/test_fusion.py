@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlc.errors import EmptyInput, ShapeMismatch
-from mlc.fusion import EnsembleSpec, fuse
+from mlc.fusion import fuse
 from mlc.model import sigmoid
 from mlc.types import ScoreMatrix
 
@@ -67,26 +67,3 @@ class TestFuse:
         members = [ScoreMatrix(np.full((2, 2), v)) for v in (1.0, 2.0, 6.0)]
         np.testing.assert_allclose(fuse(members).data, 3.0, atol=1e-15)
 
-
-class TestEnsembleSpec:
-    def test_requires_two_members(self, rng):
-        s = ScoreMatrix(rng.random((2, 2)))
-        with pytest.raises(EmptyInput):
-            EnsembleSpec(members=(s,), label="DistrEn")
-
-    def test_rejects_unknown_label(self, rng):
-        s = ScoreMatrix(rng.random((2, 2)))
-        with pytest.raises(ValueError):
-            EnsembleSpec(members=(s, s), label="Other")
-
-    def test_rejects_mismatched_members(self, rng):
-        a = ScoreMatrix(rng.random((2, 2)))
-        b = ScoreMatrix(rng.random((2, 3)))
-        with pytest.raises(ShapeMismatch):
-            EnsembleSpec(members=(a, b), label="ScaleEn")
-
-    def test_fuse_matches_function(self, rng):
-        a = ScoreMatrix(rng.random((2, 2)))
-        b = ScoreMatrix(rng.random((2, 2)))
-        spec = EnsembleSpec(members=(a, b), label="DistrEn")
-        np.testing.assert_array_equal(spec.fuse().data, fuse([a, b]).data)

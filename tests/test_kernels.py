@@ -1,45 +1,107 @@
-"""Backend parity and hand-derived values for the hot kernels.
+"""Hand-derived values and loop-reference properties for the hot kernels.
 
-Every kernel must agree between the numba and numpy implementations to
-float64 noise; the numbered cases were evaluated by hand from the
-half-pixel-center bilinear formula and the floor/ceil pooling bins.
+The numbered cases were evaluated by hand from the half-pixel-center
+bilinear formula and the floor/ceil pooling bins. The property tests hold
+the vectorized kernels bit for bit to plain per-pixel loops that sum and
+interpolate in the obvious order.
 """
 
 import numpy as np
-import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mlc import kernels
 
-NEEDS_NUMBA = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _random_src(rng, h, w):
     return rng.random((h, w, 3))
 
 
+def _pool(src, gh, gw):
+    """Pool one (H, W, 3) image through the batch kernel."""
+    return kernels.adaptive_pool(src[None], gh, gw)[0]
+
+
+def resize_reference(src, out_h, out_w):
+    in_h, in_w, nc = src.shape
+    out = np.empty((out_h, out_w, nc))
+    sy = in_h / out_h
+    sx = in_w / out_w
+    for i in range(out_h):
+        fy = max((i + 0.5) * sy - 0.5, 0.0)
+        y0 = int(np.floor(fy))
+        y1 = min(y0 + 1, in_h - 1)
+        dy = 0.0 if y1 == y0 else fy - y0
+        for j in range(out_w):
+            fx = max((j + 0.5) * sx - 0.5, 0.0)
+            x0 = int(np.floor(fx))
+            x1 = min(x0 + 1, in_w - 1)
+            dx = 0.0 if x1 == x0 else fx - x0
+            for ch in range(nc):
+                a, b = src[y0, x0, ch], src[y0, x1, ch]
+                c, d = src[y1, x0, ch], src[y1, x1, ch]
+                top = a + dx * (b - a)
+                bot = c + dx * (d - c)
+                out[i, j, ch] = top + dy * (bot - top)
+    return out
+
+
+def pool_reference(batch, gh, gw):
+    n, in_h, in_w, nc = batch.shape
+    out = np.empty((n, gh, gw, nc))
+    for k in range(n):
+        for i in range(gh):
+            r0 = (i * in_h) // gh
+            r1 = ((i + 1) * in_h + gh - 1) // gh
+            for j in range(gw):
+                c0 = (j * in_w) // gw
+                c1 = ((j + 1) * in_w + gw - 1) // gw
+                for ch in range(nc):
+                    acc = 0.0
+                    for r in range(r0, r1):
+                        for c in range(c0, c1):
+                            acc += batch[k, r, c, ch]
+                    out[k, i, j, ch] = acc / ((r1 - r0) * (c1 - c0))
+    return out
+
+
 class TestResizeBilinear:
     def test_hand_derived_1x2_to_1x4(self):
         src = np.zeros((1, 2, 3))
         src[0, 1] = 1.0
-        out = kernels.resize_bilinear_numpy(src, 1, 4)
+        out = kernels.resize_bilinear(src, 1, 4)
         np.testing.assert_array_equal(out[0, :, 0], [0.0, 0.25, 0.75, 1.0])
 
     def test_identity_when_same_size(self, rng):
         src = _random_src(rng, 5, 7)
-        np.testing.assert_array_equal(kernels.resize_bilinear_numpy(src, 5, 7), src)
+        np.testing.assert_array_equal(kernels.resize_bilinear(src, 5, 7), src)
 
     def test_constant_stays_constant(self):
         src = np.full((3, 4, 3), 0.3)
-        out = kernels.resize_bilinear_numpy(src, 7, 2)
+        out = kernels.resize_bilinear(src, 7, 2)
         np.testing.assert_array_equal(out, np.full((7, 2, 3), 0.3))
 
-    @NEEDS_NUMBA
-    def test_backend_parity(self, rng):
-        for h, w, oh, ow in [(1, 2, 1, 4), (5, 5, 5, 5), (8, 6, 3, 11), (2, 9, 16, 4)]:
-            src = _random_src(rng, h, w)
-            a = kernels.resize_bilinear_numba(src, oh, ow)
-            b = kernels.resize_bilinear_numpy(src, oh, ow)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        in_h=st.integers(1, 20), in_w=st.integers(1, 20),
+        out_h=st.integers(1, 20), out_w=st.integers(1, 20),
+    )
+    def test_equals_per_pixel_loop(self, seed, in_h, in_w, out_h, out_w):
+        src = np.random.default_rng(seed).random((in_h, in_w, 3))
+        np.testing.assert_array_equal(
+            kernels.resize_bilinear(src, out_h, out_w), resize_reference(src, out_h, out_w)
+        )
+
+    def test_strided_view_matches_copy(self, rng):
+        src = _random_src(rng, 12, 10)
+        view = src[2:9, 1:8]
+        np.testing.assert_array_equal(
+            kernels.resize_bilinear(view, 11, 5),
+            kernels.resize_bilinear(np.ascontiguousarray(view), 11, 5),
+        )
 
 
 class TestAdaptivePool:
@@ -47,46 +109,61 @@ class TestAdaptivePool:
         # single value pattern 1..16 / 16 replicated over channels
         vals = np.arange(1, 17, dtype=np.float64).reshape(4, 4) / 16.0
         src = np.ascontiguousarray(np.repeat(vals[:, :, None], 3, axis=2))
-        out = kernels.adaptive_pool_numpy(src, 2, 2)
+        out = _pool(src, 2, 2)
         np.testing.assert_array_equal(out[:, :, 0] * 16.0, [[3.5, 5.5], [11.5, 13.5]])
 
     def test_identity_at_full_grid(self, rng):
         src = _random_src(rng, 4, 5)
-        np.testing.assert_array_equal(kernels.adaptive_pool_numpy(src, 4, 5), src)
+        np.testing.assert_array_equal(_pool(src, 4, 5), src)
 
     def test_global_mean(self, rng):
         src = _random_src(rng, 6, 7)
-        out = kernels.adaptive_pool_numpy(src, 1, 1)
+        out = _pool(src, 1, 1)
         np.testing.assert_allclose(out[0, 0], src.mean(axis=(0, 1)), atol=1e-12)
 
     def test_uneven_bins_cover_all_pixels(self):
         # 5 rows into 2 bins: [0,3) and [2,5) -- overlapping middle row
         src = np.zeros((5, 1, 3))
         src[2] = 1.0
-        out = kernels.adaptive_pool_numpy(src, 2, 1)
+        out = _pool(src, 2, 1)
         np.testing.assert_allclose(out[:, 0, 0], [1 / 3, 1 / 3])
 
-    @NEEDS_NUMBA
-    def test_backend_parity(self, rng):
-        for h, w, gh, gw in [(4, 4, 2, 2), (7, 5, 3, 2), (16, 16, 16, 16), (9, 11, 1, 1)]:
-            src = _random_src(rng, h, w)
-            a = kernels.adaptive_pool_numba(src, gh, gw)
-            b = kernels.adaptive_pool_numpy(src, gh, gw)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS, n=st.integers(1, 17),
+        gh=st.integers(1, 6), gw=st.integers(1, 6), bh=st.integers(1, 4), bw=st.integers(1, 4),
+    )
+    def test_even_bins_equal_per_pixel_loop(self, seed, n, gh, gw, bh, bw):
+        batch = np.random.default_rng(seed).random((n, gh * bh, gw * bw, 3))
+        np.testing.assert_array_equal(
+            kernels.adaptive_pool(batch, gh, gw), pool_reference(batch, gh, gw)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS, n=st.integers(1, 17),
+        in_h=st.integers(1, 14), in_w=st.integers(1, 14), data=st.data(),
+    )
+    def test_uneven_bins_equal_per_pixel_loop(self, seed, n, in_h, in_w, data):
+        gh = data.draw(st.integers(1, in_h))
+        gw = data.draw(st.integers(1, in_w))
+        assume(in_h % gh or in_w % gw)
+        batch = np.random.default_rng(seed).random((n, in_h, in_w, 3))
+        np.testing.assert_array_equal(
+            kernels.adaptive_pool(batch, gh, gw), pool_reference(batch, gh, gw)
+        )
+
+    def test_batch_rows_are_independent(self, rng):
+        batch = rng.random((5, 9, 7, 3))
+        pooled = kernels.adaptive_pool(batch, 4, 3)
+        for k in range(5):
+            np.testing.assert_array_equal(pooled[k], _pool(batch[k], 4, 3))
 
 
 class TestPaintShapes:
-    def _shapes(self):
-        kinds = np.array([0, 1, 2], dtype=np.int64)
-        cys = np.array([5.0, 12.0, 18.0])
-        cxs = np.array([6.0, 13.0, 7.0])
-        halves = np.array([3.0, 4.0, 5.0])
-        colors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        return kinds, cys, cxs, halves, colors
-
     def test_square_extent(self):
         canvas = np.zeros((10, 10, 3))
-        kernels.paint_shapes_numpy(
+        kernels.paint_shapes(
             canvas,
             np.array([0], dtype=np.int64),
             np.array([4.0]),
@@ -103,12 +180,12 @@ class TestPaintShapes:
         kinds = np.array([0, 0], dtype=np.int64)
         args = (np.array([4.0, 4.0]), np.array([4.0, 4.0]), np.array([2.0, 2.0]))
         colors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        kernels.paint_shapes_numpy(canvas, kinds, *args, colors)
+        kernels.paint_shapes(canvas, kinds, *args, colors)
         assert (canvas[4, 4] == [0.0, 1.0, 0.0]).all()
 
     def test_triangle_narrows_toward_apex(self):
         canvas = np.zeros((16, 16, 3))
-        kernels.paint_shapes_numpy(
+        kernels.paint_shapes(
             canvas,
             np.array([2], dtype=np.int64),
             np.array([8.0]),
@@ -119,20 +196,3 @@ class TestPaintShapes:
         widths = (canvas[:, :, 0] == 1.0).sum(axis=1)
         rows = np.flatnonzero(widths)
         assert widths[rows[0]] <= widths[rows[-1]]
-
-    @NEEDS_NUMBA
-    def test_backend_parity(self):
-        base = np.full((24, 24, 3), 0.5)
-        a, b = base.copy(), base.copy()
-        kinds, cys, cxs, halves, colors = self._shapes()
-        kernels.paint_shapes_numba(a, kinds, cys, cxs, halves, colors)
-        kernels.paint_shapes_numpy(b, kinds, cys, cxs, halves, colors)
-        np.testing.assert_array_equal(a, b)
-
-
-def test_active_backend_consistent():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.BACKEND == "numba":
-        assert kernels.resize_bilinear is kernels.resize_bilinear_numba
-    else:
-        assert kernels.resize_bilinear is kernels.resize_bilinear_numpy

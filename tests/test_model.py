@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlc.errors import GridTooLarge, ParseError, ShapeMismatch
+from mlc.errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
 from mlc.model import (
     Gradients,
     ModelParams,
@@ -215,6 +215,15 @@ class TestCheckpoint:
 def test_params_shape_validation():
     with pytest.raises(ShapeMismatch):
         ModelParams((2, 2), np.zeros((11, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_nonfinite_validation(name, bad):
+    arrays = {"W1": np.zeros((12, 4)), "b1": np.zeros(4), "W2": np.zeros((4, 3)), "b2": np.zeros(3)}
+    arrays[name].flat[-1] = bad
+    with pytest.raises(NonFinite):
+        ModelParams((2, 2), **arrays)
 
 
 def test_gradients_container_shapes(rng):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from mlc.errors import DataLoadError
+from mlc import kernels
+from mlc.errors import DataLoadError, GridTooLarge
 from mlc.io import DatasetManifest
 from mlc.model import ModelParams, save_params
 from mlc.synthgen import SynthConfig, generate
@@ -129,6 +132,34 @@ class TestTrain:
         epoch, lr, loss = lines[0].split()
         assert epoch == "0" and float(lr) == 0.1 and float(loss) > 0
 
+    @pytest.mark.parametrize(
+        "input_size, digest",
+        [
+            # even 6 px pool bins
+            ((24, 24), "e75019d3d56f2a8c88f2132c065b195b49b751235d367c3dc5701da139b6e59b"),
+            # uneven 5.5 px pool bins
+            ((22, 22), "ab4b0771be312d16e5811d2fa7e705e8e75c061812eae55dc7e302cd2ec2999f"),
+        ],
+    )
+    def test_m3_checkpoint_golden(self, small_dataset, input_size, digest):
+        # the batched pooling must reproduce the per-image checkpoints bit for
+        # bit; digests recorded with numpy 2.4 and OpenBLAS on x86-64, and
+        # another BLAS build may round the matmuls differently
+        manifest, root = small_dataset
+        cfg = small_cfg(epochs=2, lr_decay_epoch=1, mode="M3", input_size=input_size)
+        text = save_params(train(manifest, cfg, root=root).params)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    def test_grid_larger_than_input_raises_before_any_kernel(self, small_dataset, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("kernel ran before the grid check")
+
+        monkeypatch.setattr(kernels, "resize_bilinear", no_kernel)
+        monkeypatch.setattr(kernels, "adaptive_pool", no_kernel)
+        manifest, root = small_dataset
+        with pytest.raises(GridTooLarge):
+            train(manifest, small_cfg(pool_grid=(25, 4)), root=root)
+
     def test_missing_image_raises_data_load_error(self, tmp_path):
         manifest = DatasetManifest((("missing.ppm", (0,)),), 2)
         with pytest.raises(DataLoadError):
@@ -152,6 +183,14 @@ class TestPredict:
         report = train(manifest, small_cfg(), root=root)
         scores = predict(report.params, dup, (24, 24), root=tmp_path)
         np.testing.assert_array_equal(scores.data[0], scores.data[1])
+
+    def test_grid_larger_than_input_raises(self, small_dataset):
+        manifest, root = small_dataset
+        params = ModelParams(
+            (8, 8), np.zeros((192, 4)), np.zeros(4), np.zeros((4, 6)), np.zeros(6)
+        )
+        with pytest.raises(GridTooLarge):
+            predict(params, manifest, (6, 24), root=root)
 
     def test_zero_weights_give_bias_rows(self, small_dataset):
         manifest, root = small_dataset

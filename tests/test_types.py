@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlc.errors import NonBinaryLabel, NonFinite, PixelOutOfRange, ShapeMismatch
-from mlc.types import Image, LabelMatrix, LabelVector, Sample, ScoreMatrix, validate_pair
+from mlc.types import Image, LabelMatrix, LabelVector, ScoreMatrix, validate_pair
 
 
 class TestImage:
@@ -97,11 +97,3 @@ class TestValidatePair:
     def test_accepts_wrapper_types(self):
         validate_pair(ScoreMatrix(np.zeros((2, 2))), LabelMatrix(np.ones((2, 2), dtype=int)))
 
-
-def test_sample_width_check():
-    from mlc.errors import DimensionMismatch
-
-    sample = Sample(Image(np.zeros((2, 2, 3))), LabelVector(np.array([1, 0])))
-    assert sample.with_labels_width(2) is sample
-    with pytest.raises(DimensionMismatch):
-        sample.with_labels_width(3)
