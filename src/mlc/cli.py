@@ -19,6 +19,7 @@ from .io import (
     DatasetManifest,
     read_csv_matrix,
     read_manifest,
+    write_atomic,
     write_csv_matrix,
     write_manifest,
     write_ppm,
@@ -144,7 +145,7 @@ def _cmd_train(args) -> None:
     )
     manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
-    Path(args.out).write_text(save_params(report.params), encoding="ascii")
+    write_atomic(args.out, save_params(report.params))
     print(
         f"trained {args.mode} for {cfg.epochs} epochs in {report.wall_time_s:.1f}s; "
         f"first/last epoch loss {report.epoch_losses[0]:.4f}/{report.epoch_losses[-1]:.4f}; "
@@ -153,11 +154,11 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_predict(args) -> None:
-    params = load_params(Path(args.params).read_text(encoding="ascii"))
+    params = load_params(Path(args.params).read_bytes())
     manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
     scores = predict(params, manifest, (args.size[0], args.size[1]),
                      root=Path(args.manifest).parent)
-    Path(args.out).write_text(write_csv_matrix(scores), encoding="ascii")
+    write_atomic(args.out, write_csv_matrix(scores))
     print(f"wrote {scores.num_rows}x{scores.num_classes} scores to {args.out}")
 
 
@@ -175,7 +176,7 @@ def _cmd_fuse(args) -> None:
         for path in args.inputs
     ]
     fused = fuse(members, sigmoid_first=args.sigmoid_first)
-    Path(args.out).write_text(write_csv_matrix(fused), encoding="ascii")
+    write_atomic(args.out, write_csv_matrix(fused))
     print(f"fused {len(members)} matrices into {args.out}")
 
 
@@ -201,10 +202,10 @@ def _cmd_augment(args) -> None:
     entries = []
     for i, sample in enumerate(augmented):
         name = f"aug_{i:05d}.ppm"
-        (out_dir / name).write_bytes(write_ppm(sample.image))
+        write_atomic(out_dir / name, write_ppm(sample.image))
         entries.append((name, tuple(int(j) for j in np.flatnonzero(sample.labels.data))))
     out_manifest = DatasetManifest(tuple(entries), manifest.num_classes)
-    (out_dir / "manifest.tsv").write_text(write_manifest(out_manifest), encoding="ascii")
+    write_atomic(out_dir / "manifest.tsv", write_manifest(out_manifest))
     print(f"wrote {len(augmented)} augmented samples to {out_dir}")
 
 

@@ -1,12 +1,15 @@
 """Bit-exact file formats: binary PPM images, CSV matrices, TSV manifests.
 
 All readers/writers are pure functions over bytes or text, so callers own
-every path decision and parallel per-file reads are safe.
+every path decision and parallel per-file reads are safe. `write_atomic`
+is the one way the toolkit puts those bytes on disk.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +26,30 @@ from .errors import (
     UnsupportedMaxval,
 )
 from .types import Image, LabelMatrix, ScoreMatrix
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Write `data` (str is encoded as ASCII) to `path` through a temp file.
+
+    The bytes go to a fresh temp file in the target's directory, which then
+    replaces the target with `os.replace`. On any exception, interrupts
+    included, the temp file is removed, so a reader sees either the old file
+    or the complete new one. There is no fsync: this protects against a
+    killed process, not against power loss.
+    """
+    path = Path(path)
+    blob = data.encode("ascii") if isinstance(data, str) else data
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    # opened before the try: if the name clashes, "x" fails and the other
+    # writer's file is left alone
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_ppm(blob: bytes) -> Image:

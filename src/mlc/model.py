@@ -21,7 +21,8 @@ from .augment import STREAM_INIT, rng_stream
 from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
 from .types import Image, LabelVector
 
-CHECKPOINT_HEADER = "mlc-params v1"
+CHECKPOINT_V1 = "mlc-params v1"
+CHECKPOINT_V2 = "mlc-params v2"
 
 
 @dataclass(frozen=True)
@@ -196,30 +197,84 @@ def backward(params: ModelParams, image: Image, labels: LabelVector) -> tuple[fl
 
 
 # -- checkpoint format ---------------------------------------------------------
-# line 1: "mlc-params v1"; line 2: "gh gw hidden classes"; then b1, b2, the
-# rows of W1 and the rows of W2 as comma-separated repr() floats.
+# v2 (written): the ASCII lines "mlc-params v2" and "gh gw hidden classes",
+# each ending in "\n", then the raw little-endian float64 bytes of b1, b2,
+# W1 (row-major) and W2, and nothing after them. The bytes depend only on
+# the weights, so equal weights give equal files on every host.
+# v1 (still read): line 1 "mlc-params v1"; line 2 "gh gw hidden classes";
+# then b1, b2, the rows of W1 and the rows of W2 as comma-separated repr()
+# floats.
+
+_V2_MAGIC = (CHECKPOINT_V2 + "\n").encode("ascii")
 
 
-def save_params(params: ModelParams) -> str:
+def save_params(params: ModelParams) -> bytes:
+    """Encode params as an `mlc-params v2` checkpoint."""
     gh, gw = params.pool_grid
-    lines = [CHECKPOINT_HEADER, f"{gh} {gw} {params.hidden} {params.num_classes}"]
-    lines.append(",".join(repr(float(v)) for v in params.b1))
-    lines.append(",".join(repr(float(v)) for v in params.b2))
-    for row in params.W1:
-        lines.append(",".join(repr(float(v)) for v in row))
-    for row in params.W2:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    header = f"{CHECKPOINT_V2}\n{gh} {gw} {params.hidden} {params.num_classes}\n"
+    chunks = [header.encode("ascii")]
+    for a in (params.b1, params.b2, params.W1, params.W2):
+        chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return b"".join(chunks)
 
 
-def load_params(text: str) -> ModelParams:
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ParseError(f"missing checkpoint header {CHECKPOINT_HEADER!r}")
+def load_params(blob: bytes) -> ModelParams:
+    """Decode a v2 or a v1 checkpoint, chosen by its first line.
+
+    Fails only with ParseError, or with NonFinite from the ModelParams checks.
+    """
+    if blob.startswith(_V2_MAGIC):
+        return _load_v2(blob)
     try:
-        gh, gw, hidden, classes = (int(tok) for tok in lines[1].split())
-    except (IndexError, ValueError):
+        text = blob.decode("ascii")
+    except UnicodeDecodeError:
+        raise ParseError(f"not an {CHECKPOINT_V2!r} or ASCII {CHECKPOINT_V1!r} checkpoint") from None
+    return _load_v1(text)
+
+
+def _dimensions(line: str | bytes) -> tuple[int, int, int, int]:
+    """Parse the "gh gw hidden classes" line; all four must be positive."""
+    try:
+        dims = tuple(int(tok) for tok in line.split())
+    except ValueError:
         raise ParseError("bad checkpoint dimension line") from None
+    if len(dims) != 4 or min(dims) < 1:
+        raise ParseError("checkpoint dimensions must be four positive integers")
+    return dims
+
+
+def _load_v2(blob: bytes) -> ModelParams:
+    line_end = blob.find(b"\n", len(_V2_MAGIC))
+    if line_end < 0:
+        raise ParseError("v2 checkpoint has no dimension line")
+    gh, gw, hidden, classes = _dimensions(blob[len(_V2_MAGIC) : line_end])
+    d = gh * gw * 3
+    counts = (hidden, classes, d * hidden, hidden * classes)
+    offset = line_end + 1
+    expected = 8 * sum(counts)
+    if len(blob) - offset != expected:
+        raise ParseError(
+            f"v2 checkpoint has {len(blob) - offset} payload bytes, expected {expected}"
+        )
+    arrays = []
+    for count in counts:
+        arrays.append(
+            np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64)
+        )
+        offset += 8 * count
+    b1, b2, w1, w2 = arrays
+    return ModelParams(
+        pool_grid=(gh, gw), W1=w1.reshape(d, hidden), b1=b1, W2=w2.reshape(hidden, classes), b2=b2
+    )
+
+
+def _load_v1(text: str) -> ModelParams:
+    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
+    if not lines or lines[0] != CHECKPOINT_V1:
+        raise ParseError(f"missing checkpoint header {CHECKPOINT_V2!r} or {CHECKPOINT_V1!r}")
+    if len(lines) < 2:
+        raise ParseError("bad checkpoint dimension line")
+    gh, gw, hidden, classes = _dimensions(lines[1])
     d = gh * gw * 3
     expected = 2 + 2 + d + hidden
     if len(lines) != expected:

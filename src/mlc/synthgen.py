@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .augment import STREAM_GEN, rng_stream
 from .errors import IoError
-from .io import DatasetManifest, write_manifest, write_ppm
+from .io import DatasetManifest, write_atomic, write_manifest, write_ppm
 from .types import Image
 
 # saturated RGB corners, then half-intensity corners; all byte-exact
@@ -128,13 +128,13 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> DatasetManifest:
         image, labels = render(cfg, index)
         name = f"img_{index:05d}.ppm"
         try:
-            (out_dir / name).write_bytes(write_ppm(image))
+            write_atomic(out_dir / name, write_ppm(image))
         except OSError as exc:
             raise IoError(f"cannot write {out_dir / name}: {exc}") from exc
         entries.append((name, labels))
     manifest = DatasetManifest(tuple(entries), cfg.num_classes)
     try:
-        (out_dir / "manifest.tsv").write_text(write_manifest(manifest), encoding="ascii")
+        write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))
     except OSError as exc:
         raise IoError(f"cannot write manifest: {exc}") from exc
     return manifest

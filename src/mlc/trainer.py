@@ -31,8 +31,8 @@ from .augment import (
     resize_bilinear,
     rng_stream,
 )
-from .errors import DataLoadError, DivergedLoss, MlcError
-from .io import DatasetManifest, read_ppm
+from .errors import DataLoadError, DivergedLoss, EmptyInput, MlcError
+from .io import DatasetManifest, read_ppm, write_atomic
 from .model import (
     ModelParams,
     backward_features,
@@ -152,6 +152,8 @@ def train(
     """Run the full SGD schedule and return losses plus final parameters."""
     start = time.perf_counter()
     check_pool_grid(cfg.pool_grid, cfg.input_size)
+    if len(manifest) == 0:
+        raise EmptyInput("manifest lists no images to train on")
     samples = load_dataset(manifest, root)
     n = len(samples)
     aug_cfg = AugmentConfig(target_size=cfg.input_size)
@@ -195,7 +197,7 @@ def train(
         log_lines.append(f"{epoch} {lr_head:g} {mean_loss:.9g}")
 
     if log_path is not None:
-        Path(log_path).write_text("\n".join(log_lines) + "\n", encoding="ascii")
+        write_atomic(log_path, "\n".join(log_lines) + "\n")
     return TrainReport(
         epoch_losses=tuple(epoch_losses),
         epoch_lrs=tuple(epoch_lrs),

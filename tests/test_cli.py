@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mlc.cli import main
 from mlc.io import read_csv_matrix, read_manifest
+
+# written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
+V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +72,41 @@ class TestTrainPredictEvaluate:
         params = _train(dataset, tmp_path)
         from mlc.model import load_params
 
-        loaded = load_params(params.read_text())
+        loaded = load_params(params.read_bytes())
         assert loaded.num_classes == 6
+
+    def test_predict_reads_v1_and_v2_alike(self, dataset, tmp_path):
+        from mlc.model import init_params, save_params
+
+        v2 = tmp_path / "model.v2.params"
+        v2.write_bytes(save_params(init_params(3, pool_grid=(2, 2), hidden=5, seed=0)))
+        outputs = []
+        for params in (V1_FIXTURE, v2):
+            out = tmp_path / f"{params.name}.csv"
+            assert main([
+                "predict", "--params", str(params), "--manifest", str(dataset / "manifest.tsv"),
+                "--size", "24", "24", "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 12
+
+    def test_failed_write_keeps_old_scores(self, dataset, tmp_path, monkeypatch):
+        import os
+
+        out = tmp_path / "scores.csv"
+        out.write_bytes(b"old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main([
+            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "--size", "24", "24", "--out", str(out),
+        ]) == 1
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
 
 
 class TestFuse:
@@ -106,7 +144,8 @@ class TestAugment:
         ]) == 0
         manifest = read_manifest((out_dir / "manifest.tsv").read_text())
         assert len(manifest) == 12
-        assert (out_dir / manifest.entries[0][0]).exists()
+        names = [name for name, _ in manifest.entries] + ["manifest.tsv"]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
 
     def test_m3_mixes_pairs(self, dataset, tmp_path):
         out_dir = tmp_path / "aug3"
@@ -156,6 +195,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and "epochs" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_train_empty_manifest_is_runtime_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("#classes=3\n")
+        out = tmp_path / "x.params"
+        assert main([
+            "train", "--manifest", str(manifest), "--mode", "M1", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_predict_non_ascii_checkpoint_is_runtime_error(self, dataset, tmp_path, capsys):
+        params = tmp_path / "bad.params"
+        params.write_bytes(b"\xff\xfe not a checkpoint")
+        assert main([
+            "predict", "--params", str(params), "--manifest", str(dataset / "manifest.tsv"),
+            "--size", "24", "24", "--out", str(tmp_path / "s.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_augment_config_error_is_usage_error(self, dataset, tmp_path, capsys):
         assert main([

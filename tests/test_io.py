@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mlc.io import (
     read_csv_matrix,
     read_manifest,
     read_ppm,
+    write_atomic,
     write_csv_matrix,
     write_manifest,
     write_ppm,
@@ -144,3 +147,42 @@ class TestManifest:
         np.testing.assert_array_equal(
             shuffled.label_matrix().data, man.label_matrix().data[perm]
         )
+
+
+class TestWriteAtomic:
+    def test_writes_bytes_and_ascii_text(self, tmp_path):
+        write_atomic(tmp_path / "a.bin", b"\x00\xff")
+        write_atomic(tmp_path / "b.txt", "1,2\n")
+        assert (tmp_path / "a.bin").read_bytes() == b"\x00\xff"
+        assert (tmp_path / "b.txt").read_bytes() == b"1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.txt"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old")
+        write_atomic(target, b"new")
+        assert target.read_bytes() == b"new"
+
+    @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
+    def test_failure_leaves_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch, exc):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old")
+
+        def fail(src, dst):
+            assert os.path.dirname(src) == str(tmp_path)
+            raise exc
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(type(exc)):
+            write_atomic(target, b"new" * 1000)
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_non_ascii_text_writes_nothing(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(tmp_path / "x.txt", "\u00e9")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_is_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            write_atomic(tmp_path / "no" / "x.txt", "1\n")

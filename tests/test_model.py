@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlc.errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
+from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMismatch
 from mlc.model import (
     Gradients,
     ModelParams,
@@ -19,6 +22,9 @@ from mlc.model import (
 from mlc.types import Image, LabelVector
 
 from conftest import random_image
+
+# written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
+V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
 
 
 def tiny_params(rng, pool_grid=(2, 2), hidden=4, classes=3, scale=0.5):
@@ -191,14 +197,84 @@ class TestCheckpoint:
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
 
+    def test_v2_layout(self, rng):
+        params = tiny_params(rng, pool_grid=(1, 2), hidden=3, classes=2)
+        raw = b"".join(
+            np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for a in (params.b1, params.b2, params.W1, params.W2)
+        )
+        assert save_params(params) == b"mlc-params v2\n1 2 3 2\n" + raw
+
+    def test_loaded_arrays_are_native_and_writable(self, rng):
+        loaded = load_params(save_params(tiny_params(rng)))
+        for arr in (loaded.W1, loaded.b1, loaded.W2, loaded.b2):
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.writeable and arr.flags.c_contiguous
+
+    def test_v1_fixture_loads_to_the_same_model(self):
+        params = init_params(3, pool_grid=(2, 2), hidden=5, seed=0)
+        from_v1 = load_params(V1_FIXTURE.read_bytes())
+        from_v2 = load_params(save_params(params))
+        for name in ("W1", "b1", "W2", "b2"):
+            np.testing.assert_array_equal(getattr(from_v1, name), getattr(params, name))
+            np.testing.assert_array_equal(getattr(from_v2, name), getattr(params, name))
+        assert save_params(from_v1) == save_params(params)
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
-            load_params("not-a-checkpoint\n1 1 1 1\n")
+            load_params(b"not-a-checkpoint\n1 1 1 1\n")
+
+    def test_non_ascii_is_parse_error(self):
+        with pytest.raises(ParseError):
+            load_params("mlc-params v1\n1 1 1 1\n\u00e9\n".encode("utf-8"))
 
     def test_truncated_body(self, rng):
-        text = save_params(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))
+        blob = save_params(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))
         with pytest.raises(ParseError):
-            load_params("\n".join(text.splitlines()[:-1]) + "\n")
+            load_params(blob[:-1])
+        with pytest.raises(ParseError):
+            load_params(blob + b"\0")
+        text = V1_FIXTURE.read_text(encoding="ascii")
+        with pytest.raises(ParseError):
+            load_params(("\n".join(text.splitlines()[:-1]) + "\n").encode("ascii"))
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            # each body has the length its dimensions imply
+            b"mlc-params v2\n0 1 1 1\n" + bytes(8 * 3),
+            b"mlc-params v2\n1 1 1 0\n" + bytes(8 * 4),
+            b"mlc-params v2\n-1 -1 1 1\n" + bytes(8 * 6),
+            b"mlc-params v1\n0 1 1 1\n0\n0\n0\n",
+            b"mlc-params v1\n-1 -1 1 1\n0\n0\n0\n0\n0\n0\n",
+            b"mlc-params v2\n1 1 1\n",
+        ],
+        ids=["v2-zero-gh", "v2-zero-classes", "v2-negative-grid", "v1-zero-gh",
+             "v1-negative-grid", "v2-three-dims"],
+    )
+    def test_nonpositive_dimensions_rejected(self, blob):
+        with pytest.raises(ParseError):
+            load_params(blob)
+
+    def test_nonfinite_weight_rejected_on_load(self):
+        params = ModelParams((1, 1), np.zeros((3, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        blob = bytearray(save_params(params))
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        with pytest.raises(NonFinite):
+            load_params(bytes(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.sampled_from([b"", b"mlc-params v1\n", b"mlc-params v2\n"]),
+        dims=st.sampled_from([b"", b"1 1 1 1\n", b"1 1 2 1\n"]),
+        body=st.binary(max_size=200)
+        | st.text(alphabet="0123456789.,-+einfa \r\n", max_size=200).map(str.encode),
+    )
+    def test_fuzz_raises_only_mlc_errors(self, prefix, dims, body):
+        try:
+            load_params(prefix + dims + body)
+        except MlcError:
+            pass
 
     def test_init_is_seed_deterministic(self):
         a = init_params(4, pool_grid=(2, 2), hidden=5, seed=3)

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from mlc.errors import IoError
 from mlc.io import read_manifest, read_ppm
 from mlc.synthgen import SynthConfig, census, generate, palette, render
 
@@ -58,8 +61,17 @@ class TestGenerate:
         assert len(manifest) == 10
         text = (tmp_path / "manifest.tsv").read_text()
         assert read_manifest(text) == manifest
-        for name, _ in manifest.entries:
-            assert (tmp_path / name).exists()
+        names = [name for name, _ in manifest.entries] + ["manifest.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    def test_failed_write_is_io_error_without_temp_files(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoError):
+            generate(SynthConfig(num_images=2, image_size=(24, 24), seed=1), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = SynthConfig(num_images=5, image_size=(24, 24), seed=4)

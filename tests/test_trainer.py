@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlc import kernels
-from mlc.errors import DataLoadError, GridTooLarge
+from mlc.errors import DataLoadError, EmptyInput, GridTooLarge
 from mlc.io import DatasetManifest
 from mlc.model import ModelParams, save_params
 from mlc.synthgen import SynthConfig, generate
@@ -136,19 +136,28 @@ class TestTrain:
         "input_size, digest",
         [
             # even 6 px pool bins
-            ((24, 24), "e75019d3d56f2a8c88f2132c065b195b49b751235d367c3dc5701da139b6e59b"),
+            ((24, 24), "adbd0aa47df0687127dd49e6ea598a1abf69b7a5bb9c4d53ea3c099f4571742e"),
             # uneven 5.5 px pool bins
-            ((22, 22), "ab4b0771be312d16e5811d2fa7e705e8e75c061812eae55dc7e302cd2ec2999f"),
+            ((22, 22), "2916b6781eaeb24689852c68b13470c0728fa687b08f2c66dddb417bc5dfb005"),
         ],
+        ids=["even-bins", "uneven-bins"],
     )
     def test_m3_checkpoint_golden(self, small_dataset, input_size, digest):
-        # the batched pooling must reproduce the per-image checkpoints bit for
-        # bit; digests recorded with numpy 2.4 and OpenBLAS on x86-64, and
-        # another BLAS build may round the matmuls differently
+        # sha256 of b1, b2, W1, W2 as little-endian float64: training must
+        # reproduce the per-image pooling's weights bit for bit; digests
+        # recorded with numpy 2.4 and OpenBLAS on x86-64, and another BLAS
+        # build may round the matmuls differently
         manifest, root = small_dataset
         cfg = small_cfg(epochs=2, lr_decay_epoch=1, mode="M3", input_size=input_size)
-        text = save_params(train(manifest, cfg, root=root).params)
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        params = train(manifest, cfg, root=root).params
+        arrays = (params.b1, params.b2, params.W1, params.W2)
+        raw = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+        assert hashlib.sha256(raw).hexdigest() == digest
+        assert save_params(params).endswith(raw)
+
+    def test_empty_manifest_raises_empty_input(self, tmp_path):
+        with pytest.raises(EmptyInput):
+            train(DatasetManifest((), 3), small_cfg(), root=tmp_path)
 
     def test_grid_larger_than_input_raises_before_any_kernel(self, small_dataset, monkeypatch):
         def no_kernel(*args):
