@@ -11,18 +11,27 @@ output pixel i is (i + 0.5) * (in / out) - 0.5, clamped to the image border.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 BACKEND = "numpy"
 
 
+@functools.lru_cache(maxsize=1024)
 def _taps(size_in: int, size_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Low and high source index and the weight of the high one, per output index."""
+    """Low and high source index and the weight of the high one, per output index.
+
+    Cached per size pair; the arrays are read-only because callers share them.
+    """
     f = np.maximum((np.arange(size_out, dtype=np.float64) + 0.5) * (size_in / size_out) - 0.5, 0.0)
     lo = np.floor(f).astype(np.int64)
     hi = np.minimum(lo + 1, size_in - 1)
     # weight forced to 0 at the clamped border so border pixels reproduce exactly
-    return lo, hi, np.where(hi == lo, 0.0, f - lo)
+    taps = (lo, hi, np.where(hi == lo, 0.0, f - lo))
+    for a in taps:
+        a.setflags(write=False)
+    return taps
 
 
 def resize_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

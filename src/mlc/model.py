@@ -146,15 +146,57 @@ def bce_loss(scores, labels) -> float:
     return _bce_sum(s, y)
 
 
-def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Logits for a (n, D) feature batch; returns (n, C)."""
+def _forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activations z1, hidden activations and logits of a (n, D) feature batch."""
     if features.shape[-1] != params.feature_dim:
         raise ShapeMismatch(
             f"feature dim {features.shape[-1]} != expected {params.feature_dim}"
         )
     z1 = features @ params.W1 + params.b1
     hidden = np.maximum(z1, 0.0)
-    return hidden @ params.W2 + params.b2
+    return z1, hidden, hidden @ params.W2 + params.b2
+
+
+def _loss_and_deltas(
+    params: ModelParams, z1: np.ndarray, scores: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Summed loss, dL/dscores and dL/dz1 of a batch.
+
+    dL/ds = sigmoid(s) - y at the output, chained through W2 and the relu.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != scores.shape:
+        raise ShapeMismatch(f"labels {y.shape} incompatible with scores {scores.shape}")
+    d_scores = sigmoid(scores) - y
+    d_z1 = np.where(z1 > 0.0, d_scores @ params.W2.T, 0.0)
+    return _bce_sum(scores, y), d_scores, d_z1
+
+
+# W1's gradient is formed this many bytes of rows at a time (64 rows at
+# hidden 4096), so a block is still in L2 when the SGD step subtracts it.
+_W1_BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def _w1_grad_blocks(features: np.ndarray, d_z1: np.ndarray):
+    """Yield (lo, hi, block) with block = features[:, lo:hi].T @ d_z1, the
+    summed gradient of W1[lo:hi], in one buffer reused for every block.
+
+    The only definition of W1's gradient: a row block need not round like
+    the whole product, so every caller takes the same blocks.
+    """
+    d, hidden = features.shape[1], d_z1.shape[1]
+    step = max(1, _W1_BLOCK_BYTES // (8 * hidden))
+    buf = np.empty((min(step, d), hidden), dtype=np.float64)
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        block = buf[: hi - lo]
+        np.matmul(features[:, lo:hi].T, d_z1, out=block)
+        yield lo, hi, block
+
+
+def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Logits for a (n, D) feature batch; returns (n, C)."""
+    return _forward(params, features)[2]
 
 
 def forward(params: ModelParams, image: Image) -> np.ndarray:
@@ -167,27 +209,47 @@ def backward_features(
 ) -> tuple[float, Gradients]:
     """Summed loss and summed gradients over a (n, D) feature batch.
 
-    dL/ds = sigmoid(s) - y at the output, chained through the affine/relu
-    stack. Callers divide by n for mean-gradient SGD.
+    Callers divide by n for mean-gradient SGD.
     """
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != features.shape[0] or y.shape[1] != params.num_classes:
-        raise ShapeMismatch(f"labels {y.shape} incompatible with features {features.shape}")
-    z1 = features @ params.W1 + params.b1
-    hidden = np.maximum(z1, 0.0)
-    scores = hidden @ params.W2 + params.b2
-
-    loss = _bce_sum(scores, y)
-    d_scores = sigmoid(scores) - y
-    d_hidden = d_scores @ params.W2.T
-    d_z1 = np.where(z1 > 0.0, d_hidden, 0.0)
+    z1, hidden, scores = _forward(params, features)
+    loss, d_scores, d_z1 = _loss_and_deltas(params, z1, scores, labels)
+    w1 = np.empty_like(params.W1)
+    for lo, hi, block in _w1_grad_blocks(features, d_z1):
+        w1[lo:hi] = block
     grads = Gradients(
-        W1=features.T @ d_z1,
+        W1=w1,
         b1=d_z1.sum(axis=0),
         W2=hidden.T @ d_scores,
         b2=d_scores.sum(axis=0),
     )
     return loss, grads
+
+
+def sgd_step(
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    lr_head: float,
+    lr_body: float,
+) -> float:
+    """One mean-gradient SGD step on a (n, D) feature batch, in place on
+    params' arrays; returns the batch's summed loss before the step.
+
+    Each element is updated as `w -= (lr / n) * g` with g from
+    `backward_features`, bit for bit; W1's gradient is applied block by
+    block and never built whole.
+    """
+    z1, hidden, scores = _forward(params, features)
+    loss, d_scores, d_z1 = _loss_and_deltas(params, z1, scores, labels)
+    rows = features.shape[0]
+    w1, b1, w2, b2 = params.W1, params.b1, params.W2, params.b2
+    for lo, hi, block in _w1_grad_blocks(features, d_z1):
+        np.multiply(block, lr_body / rows, out=block)
+        np.subtract(w1[lo:hi], block, out=w1[lo:hi])
+    b1 -= (lr_body / rows) * d_z1.sum(axis=0)
+    w2 -= (lr_head / rows) * (hidden.T @ d_scores)
+    b2 -= (lr_head / rows) * d_scores.sum(axis=0)
+    return loss
 
 
 def backward(params: ModelParams, image: Image, labels: LabelVector) -> tuple[float, Gradients]:

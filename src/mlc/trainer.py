@@ -4,7 +4,9 @@ Modes: M1 = random flip only, M2 = flip + random-resized-crop, M3 = the M2
 pipeline plus mixup on alternating epochs (random disjoint pairs within
 each batch; an odd leftover passes through unmixed). The learning rate of
 each parameter group is multiplied by lr_decay_factor from lr_decay_epoch
-on; W2/b2 form the head group, W1/b1 the body group.
+on; W2/b2 form the head group, W1/b1 the body group. Training stops with
+DivergedLoss at the first batch whose mean loss is not finite or exceeds
+DIVERGENCE_FACTOR times the first batch's.
 
 Everything random is keyed off (seed, stream, epoch, index) Philox
 streams, and batches reduce in a fixed order, so a (seed, config) pair
@@ -35,15 +37,19 @@ from .errors import DataLoadError, DivergedLoss, EmptyInput, MlcError
 from .io import DatasetManifest, read_ppm, write_atomic
 from .model import (
     ModelParams,
-    backward_features,
     check_pool_grid,
     forward_features,
     init_params,
     pooled_batch,
+    sgd_step,
 )
 from .types import Sample, ScoreMatrix
 
 ScheduleObserver = Callable[[int, float, float], None]
+
+# a batch whose mean loss exceeds this multiple of the run's first batch's
+# mean loss ends training as diverged
+DIVERGENCE_FACTOR = 1000.0
 
 
 @dataclass(frozen=True)
@@ -164,12 +170,13 @@ def train(
     log_lines = []
     epoch_losses = []
     epoch_lrs = []
+    first_loss = None
     for epoch in range(cfg.epochs):
         lr_head, lr_body = effective_lrs(cfg, epoch)
         if schedule_observer is not None:
             schedule_observer(epoch, lr_head, lr_body)
         order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        # validated once per epoch; the SGD steps below update its arrays in place
+        # validated once per epoch; sgd_step updates its arrays in place
         params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
 
         loss_sum = 0.0
@@ -178,20 +185,22 @@ def train(
             pixels, targets = _augmented_batch(
                 samples, order[lo : lo + cfg.batch_size], cfg, aug_cfg, epoch, batch_no
             )
-            batch_loss, grads = backward_features(
-                params, pooled_batch(pixels, cfg.pool_grid), targets
+            batch_loss = sgd_step(
+                params, pooled_batch(pixels, cfg.pool_grid), targets, lr_head, lr_body
             )
             rows = len(targets)
-            w1 -= (lr_body / rows) * grads.W1
-            b1 -= (lr_body / rows) * grads.b1
-            w2 -= (lr_head / rows) * grads.W2
-            b2 -= (lr_head / rows) * grads.b2
+            batch_mean = batch_loss / rows
+            if first_loss is None:
+                first_loss = batch_mean
+            if not (np.isfinite(batch_mean) and batch_mean <= DIVERGENCE_FACTOR * first_loss):
+                raise DivergedLoss(
+                    f"training diverged at epoch {epoch} batch {batch_no}: mean loss "
+                    f"{batch_mean:g}, first batch {first_loss:g}"
+                )
             loss_sum += batch_loss
             row_count += rows
 
         mean_loss = loss_sum / row_count
-        if not np.isfinite(mean_loss):
-            raise DivergedLoss(f"epoch {epoch} mean loss is {mean_loss}")
         epoch_losses.append(mean_loss)
         epoch_lrs.append((lr_head, lr_body))
         log_lines.append(f"{epoch} {lr_head:g} {mean_loss:.9g}")

@@ -35,9 +35,11 @@ class Image:
         data = _frozen(self.data, np.float64)
         if data.ndim != 3 or data.shape[2] != 3 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ShapeMismatch(f"expected (H, W, 3) pixel array, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise NonFinite("image contains NaN or infinite pixels")
-        if data.min() < 0.0 or data.max() > 1.0:
+        # NaN and +/-inf fail this test too, so the finiteness pass runs only
+        # on a rejected image, to pick the error
+        if not (data.min() >= 0.0 and data.max() <= 1.0):
+            if not np.all(np.isfinite(data)):
+                raise NonFinite("image contains NaN or infinite pixels")
             raise PixelOutOfRange("pixel values must lie in [0, 1]")
         object.__setattr__(self, "data", data)
 

@@ -207,6 +207,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_train_divergence_is_runtime_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "x.params"
+        assert main([
+            "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--size", "24", "24", "--epochs", "3", "--decay-epoch", "2",
+            "--pool-grid", "4", "4", "--hidden", "16",
+            "--lr-head", "1e6", "--lr-body", "1e6", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "diverged" in err
+        assert not out.exists()
+
     def test_predict_non_ascii_checkpoint_is_runtime_error(self, dataset, tmp_path, capsys):
         params = tmp_path / "bad.params"
         params.write_bytes(b"\xff\xfe not a checkpoint")

@@ -103,6 +103,12 @@ class TestResizeBilinear:
             kernels.resize_bilinear(np.ascontiguousarray(view), 11, 5),
         )
 
+    def test_cached_taps_are_read_only(self):
+        taps = kernels._taps(7, 5)
+        assert kernels._taps(7, 5) is taps
+        for a in taps:
+            assert not a.flags.writeable
+
 
 class TestAdaptivePool:
     def test_hand_derived_quadrants(self):

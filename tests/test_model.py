@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMismatch
@@ -12,11 +13,13 @@ from mlc.model import (
     ModelParams,
     adaptive_avg_pool,
     backward,
+    backward_features,
     bce_loss,
     forward,
     init_params,
     load_params,
     save_params,
+    sgd_step,
     sigmoid,
 )
 from mlc.types import Image, LabelVector
@@ -187,6 +190,62 @@ class TestBackward:
         labels = LabelVector(np.array([0, 1, 1]))
         loss, _ = backward(params, img, labels)
         assert loss == pytest.approx(bce_loss(forward(params, img), labels), abs=1e-12)
+
+
+def _copy(params):
+    return ModelParams(
+        params.pool_grid, params.W1.copy(), params.b1.copy(), params.W2.copy(), params.b2.copy()
+    )
+
+
+class TestSgdStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 17),
+        grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        hidden=st.sampled_from([1, 7, 300, 4096]),
+        classes=st.integers(1, 5),
+    )
+    # W1 row blocks of 64 + 64 + 1 at hidden 4096, and a remainder block at 300
+    @example(seed=1, rows=3, grid=(1, 43), hidden=4096, classes=4)
+    @example(seed=2, rows=17, grid=(17, 18), hidden=300, classes=5)
+    def test_equals_backward_then_update(self, seed, rows, grid, hidden, classes):
+        rng = np.random.default_rng(seed)
+        params = init_params(classes, grid, hidden, seed=seed % 1000)
+        features = rng.random((rows, params.feature_dim))
+        labels = (rng.random((rows, classes)) < 0.4).astype(np.float64)
+        lr_head, lr_body = 0.1, 0.01
+
+        loss, grads = backward_features(params, features, labels)
+        w1, b1 = params.W1.copy(), params.b1.copy()
+        w2, b2 = params.W2.copy(), params.b2.copy()
+        w1 -= (lr_body / rows) * grads.W1
+        b1 -= (lr_body / rows) * grads.b1
+        w2 -= (lr_head / rows) * grads.W2
+        b2 -= (lr_head / rows) * grads.b2
+
+        stepped = _copy(params)
+        assert sgd_step(stepped, features, labels, lr_head, lr_body) == loss
+        for got, want in zip((stepped.W1, stepped.b1, stepped.W2, stepped.b2), (w1, b1, w2, b2)):
+            assert np.array_equal(got, want)
+
+    def test_never_builds_w1_gradient_whole(self, rng):
+        params = init_params(20, (16, 16), 4096, seed=0)
+        features = rng.random((16, params.feature_dim))
+        labels = (rng.random((16, 20)) < 0.2).astype(np.float64)
+        tracemalloc.start()
+        try:
+            sgd_step(params, features, labels, 0.1, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.W1.nbytes / 4
+
+    def test_label_shape_mismatch(self, rng):
+        params = tiny_params(rng)
+        with pytest.raises(ShapeMismatch):
+            sgd_step(params, rng.random((2, 12)), np.zeros((2, 4)), 0.1, 0.01)
 
 
 class TestCheckpoint:

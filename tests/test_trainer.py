@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mlc import kernels
-from mlc.errors import DataLoadError, EmptyInput, GridTooLarge
+from mlc import kernels, trainer
+from mlc.errors import DataLoadError, DivergedLoss, EmptyInput, GridTooLarge
 from mlc.io import DatasetManifest
 from mlc.model import ModelParams, save_params
 from mlc.synthgen import SynthConfig, generate
@@ -168,6 +168,44 @@ class TestTrain:
         manifest, root = small_dataset
         with pytest.raises(GridTooLarge):
             train(manifest, small_cfg(pool_grid=(25, 4)), root=root)
+
+    def test_huge_learning_rates_diverge(self, small_dataset, tmp_path):
+        # finite but exploding batch losses: the ratio to the first batch stops them
+        manifest, root = small_dataset
+        log = tmp_path / "train.log"
+        cfg = small_cfg(lr_head=1e6, lr_body=1e6)
+        with pytest.raises(DivergedLoss, match=r"epoch \d+ batch \d+") as err:
+            train(manifest, cfg, root=root, log_path=log)
+        assert "nan" not in str(err.value) and "inf" not in str(err.value)
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "later, diverges",
+        [
+            (999.0, False),
+            (1001.0, True),
+            (float("nan"), True),
+            (float("inf"), True),
+        ],
+    )
+    def test_divergence_guard_per_batch(self, small_dataset, monkeypatch, later, diverges):
+        # the first batch's mean loss is 1.0; the third batch returns `later` times it
+        calls = []
+
+        def fake_step(params, features, labels, lr_head, lr_body):
+            calls.append(len(labels))
+            return len(labels) * (later if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(trainer, "sgd_step", fake_step)
+        manifest, root = small_dataset
+        cfg = small_cfg(epochs=2, lr_decay_epoch=1)
+        if diverges:
+            with pytest.raises(DivergedLoss, match="epoch 0 batch 2"):
+                train(manifest, cfg, root=root)
+            assert len(calls) == 3
+        else:
+            train(manifest, cfg, root=root)
+            assert len(calls) == 6
 
     def test_missing_image_raises_data_load_error(self, tmp_path):
         manifest = DatasetManifest((("missing.ppm", (0,)),), 2)

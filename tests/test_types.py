@@ -31,6 +31,24 @@ class TestImage:
         with pytest.raises(PixelOutOfRange):
             Image(np.full((2, 2, 3), -0.1))
 
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([np.nan], NonFinite),
+            ([np.inf], NonFinite),
+            ([-np.inf], NonFinite),
+            ([-0.1], PixelOutOfRange),
+            ([1.5], PixelOutOfRange),
+            ([np.nan, -0.1], NonFinite),
+            ([1.5, np.inf], NonFinite),
+        ],
+    )
+    def test_error_class_per_bad_pixel(self, values, error):
+        data = np.full((2, 3, 3), 0.5)
+        data.flat[: len(values)] = values
+        with pytest.raises(error):
+            Image(data)
+
     def test_immutable(self):
         img = Image(np.zeros((2, 2, 3)))
         with pytest.raises(ValueError):
