@@ -172,9 +172,10 @@ def _loss_and_deltas(
     return _bce_sum(scores, y), d_scores, d_z1
 
 
-# W1's gradient is formed this many bytes of rows at a time (64 rows at
-# hidden 4096), so a block is still in L2 when the SGD step subtracts it.
-_W1_BLOCK_BYTES = 2 * 1024 * 1024
+# W1's gradient is formed this many bytes of rows at a time (16 rows at
+# hidden 4096), so a block and the W1 rows it is subtracted from fit in a
+# 2 MiB L2 together while the SGD step applies it.
+_W1_BLOCK_BYTES = 512 * 1024
 
 
 def _w1_grad_blocks(features: np.ndarray, d_z1: np.ndarray):

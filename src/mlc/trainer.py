@@ -11,14 +11,24 @@ DIVERGENCE_FACTOR times the first batch's.
 Everything random is keyed off (seed, stream, epoch, index) Philox
 streams, and batches reduce in a fixed order, so a (seed, config) pair
 replays to bitwise-identical parameters.
+
+Batches never depend on the weights, so one worker thread builds them
+(augmentation, mixup and pooling) one batch ahead, across epoch boundaries
+too, while the calling thread runs the SGD step on the batch before. For
+the duration of `train` the loaded OpenBLAS, if any, is held to one thread,
+leaving the second core to the worker; its thread count is restored on
+every exit. Neither changes a computed bit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
+from pathlib import Path, PurePath
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,8 +114,16 @@ def mixup_active(cfg: TrainConfig, epoch: int) -> bool:
 
 
 def load_dataset(manifest: DatasetManifest, root: str | Path) -> list[Sample]:
-    """Read every manifest image; row order is manifest order."""
+    """Read every manifest image; row order is manifest order.
+
+    Entry paths are relative to `root` and must stay under it: an absolute
+    path or a `..` component is a DataLoadError, raised before any read.
+    """
     root = Path(root)
+    for rel_path, _ in manifest.entries:
+        pure = PurePath(rel_path)
+        if pure.is_absolute() or ".." in pure.parts:
+            raise DataLoadError(f"manifest entry {rel_path!r} leaves the dataset root")
     labels = manifest.label_matrix()
     samples = []
     for i, (rel_path, _) in enumerate(manifest.entries):
@@ -148,6 +166,120 @@ def _augmented_batch(
     return np.stack([s.image.data for s in batch]), np.stack([s.labels.data for s in batch])
 
 
+def _training_batches(
+    samples: list[Sample], cfg: TrainConfig, aug_cfg: AugmentConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pooled features (n, D) and targets (n, C) of every batch of the run, in order."""
+    n = len(samples)
+    for epoch in range(cfg.epochs):
+        order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
+        for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
+            pixels, targets = _augmented_batch(
+                samples, order[lo : lo + cfg.batch_size], cfg, aug_cfg, epoch, batch_no
+            )
+            yield pooled_batch(pixels, cfg.pool_grid), targets
+
+
+class _OneAhead:
+    """Runs an iterator on one worker thread, one item ahead of the caller.
+
+    The worker builds item k+1 while the caller uses item k, then waits for
+    the caller to take it. An exception raised while building an item is
+    raised, as itself, by the `next` that would have returned that item.
+    Leaving the `with` block stops and joins the worker on every exit path;
+    at most the item being built is finished first.
+    """
+
+    def __init__(self, items: Iterator):
+        self._items = items
+        self._free = threading.Semaphore(1)  # the worker may build one more item
+        self._ready = threading.Semaphore(0)  # the slot holds an item or an error
+        self._slot: tuple = (None, None)
+        self._stop = False
+        self._thread = threading.Thread(target=self._work, name="mlc-batches")
+
+    def _work(self) -> None:
+        while True:
+            self._free.acquire()
+            if self._stop:
+                return
+            try:
+                self._slot = (next(self._items), None)
+            except BaseException as exc:  # re-raised by the caller's next()
+                self._slot = (None, exc)
+                self._ready.release()
+                return
+            self._ready.release()
+
+    def __enter__(self) -> "_OneAhead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+
+    def __next__(self):
+        self._ready.acquire()
+        item, error = self._slot
+        if error is not None:
+            raise error
+        self._free.release()
+        return item
+
+
+# (get, set) symbol pairs of the OpenBLAS builds numpy ships or links
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the loaded OpenBLAS's thread count, or None when none is found.
+
+    Libraries are found through Linux's /proc/self/maps; elsewhere this is None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib_path in libs:
+        try:
+            lib = ctypes.CDLL(lib_path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold the loaded OpenBLAS to one thread inside the block; no-op without one.
+
+    The count is process-wide, so BLAS calls on other threads see it too.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def train(
     manifest: DatasetManifest,
     cfg: TrainConfig,
@@ -161,7 +293,7 @@ def train(
     if len(manifest) == 0:
         raise EmptyInput("manifest lists no images to train on")
     samples = load_dataset(manifest, root)
-    n = len(samples)
+    num_batches = len(range(0, len(samples), cfg.batch_size))
     aug_cfg = AugmentConfig(target_size=cfg.input_size)
     init = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
     w1, b1 = init.W1.copy(), init.b1.copy()
@@ -171,39 +303,35 @@ def train(
     epoch_losses = []
     epoch_lrs = []
     first_loss = None
-    for epoch in range(cfg.epochs):
-        lr_head, lr_body = effective_lrs(cfg, epoch)
-        if schedule_observer is not None:
-            schedule_observer(epoch, lr_head, lr_body)
-        order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        # validated once per epoch; sgd_step updates its arrays in place
-        params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
+    with _one_blas_thread(), _OneAhead(_training_batches(samples, cfg, aug_cfg)) as batches:
+        for epoch in range(cfg.epochs):
+            lr_head, lr_body = effective_lrs(cfg, epoch)
+            if schedule_observer is not None:
+                schedule_observer(epoch, lr_head, lr_body)
+            # validated once per epoch; sgd_step updates its arrays in place
+            params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
 
-        loss_sum = 0.0
-        row_count = 0
-        for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
-            pixels, targets = _augmented_batch(
-                samples, order[lo : lo + cfg.batch_size], cfg, aug_cfg, epoch, batch_no
-            )
-            batch_loss = sgd_step(
-                params, pooled_batch(pixels, cfg.pool_grid), targets, lr_head, lr_body
-            )
-            rows = len(targets)
-            batch_mean = batch_loss / rows
-            if first_loss is None:
-                first_loss = batch_mean
-            if not (np.isfinite(batch_mean) and batch_mean <= DIVERGENCE_FACTOR * first_loss):
-                raise DivergedLoss(
-                    f"training diverged at epoch {epoch} batch {batch_no}: mean loss "
-                    f"{batch_mean:g}, first batch {first_loss:g}"
-                )
-            loss_sum += batch_loss
-            row_count += rows
+            loss_sum = 0.0
+            row_count = 0
+            for batch_no in range(num_batches):
+                features, targets = next(batches)
+                batch_loss = sgd_step(params, features, targets, lr_head, lr_body)
+                rows = len(targets)
+                batch_mean = batch_loss / rows
+                if first_loss is None:
+                    first_loss = batch_mean
+                if not (np.isfinite(batch_mean) and batch_mean <= DIVERGENCE_FACTOR * first_loss):
+                    raise DivergedLoss(
+                        f"training diverged at epoch {epoch} batch {batch_no}: mean loss "
+                        f"{batch_mean:g}, first batch {first_loss:g}"
+                    )
+                loss_sum += batch_loss
+                row_count += rows
 
-        mean_loss = loss_sum / row_count
-        epoch_losses.append(mean_loss)
-        epoch_lrs.append((lr_head, lr_body))
-        log_lines.append(f"{epoch} {lr_head:g} {mean_loss:.9g}")
+            mean_loss = loss_sum / row_count
+            epoch_losses.append(mean_loss)
+            epoch_lrs.append((lr_head, lr_body))
+            log_lines.append(f"{epoch} {lr_head:g} {mean_loss:.9g}")
 
     if log_path is not None:
         write_atomic(log_path, "\n".join(log_lines) + "\n")

@@ -207,6 +207,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", ["../outside.ppm", "ABSOLUTE"])
+    def test_train_entry_outside_root_is_runtime_error(self, dataset, tmp_path, capsys, entry):
+        manifest = read_manifest((dataset / "manifest.tsv").read_text())
+        outside = tmp_path / "outside.ppm"
+        outside.write_bytes((dataset / manifest.entries[0][0]).read_bytes())
+        (tmp_path / "ds").mkdir()
+        entry = str(outside) if entry == "ABSOLUTE" else entry
+        (tmp_path / "ds" / "manifest.tsv").write_text(f"#classes=6\n{entry}\t0 1\n")
+        out = tmp_path / "x.params"
+        assert main([
+            "train", "--manifest", str(tmp_path / "ds" / "manifest.tsv"), "--mode", "M1",
+            "--size", "24", "24", "--epochs", "1", "--decay-epoch", "0",
+            "--pool-grid", "4", "4", "--hidden", "16", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "leaves the dataset root" in err
+        assert not out.exists()
+
     def test_train_divergence_is_runtime_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "x.params"
         assert main([

@@ -2,12 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlc.errors import (
     BadHeader,
     BadMagic,
     IndexOutOfRange,
     MissingClassHeader,
+    MlcError,
     NonBinaryLabel,
     ParseError,
     RaggedRows,
@@ -186,3 +189,41 @@ class TestWriteAtomic:
     def test_missing_directory_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             write_atomic(tmp_path / "no" / "x.txt", "1\n")
+
+
+class TestReadersFuzz:
+    """Each reader fails on arbitrary input only with an MlcError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from([b"", b"P6", b"P6\n", b"P6\n2 1\n255\n", b"P6 1 1 255 "]),
+        body=st.binary(max_size=64),
+    )
+    def test_read_ppm(self, header, body):
+        try:
+            read_ppm(header + body)
+        except MlcError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["scores", "labels"]),
+        text=st.text(max_size=120)
+        | st.text(alphabet="0123456789.,-+einfa_ \r\n", max_size=120),
+    )
+    def test_read_csv_matrix(self, kind, text):
+        try:
+            read_csv_matrix(text, kind)
+        except MlcError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from(["", "#classes=", "#classes=3\n", "#classes=0\n", "#classes=-2\n"]),
+        body=st.text(max_size=120) | st.text(alphabet="ab./\t0123456789- \r\n", max_size=120),
+    )
+    def test_read_manifest(self, header, body):
+        try:
+            read_manifest(header + body)
+        except MlcError:
+            pass

@@ -207,7 +207,7 @@ class TestSgdStep:
         hidden=st.sampled_from([1, 7, 300, 4096]),
         classes=st.integers(1, 5),
     )
-    # W1 row blocks of 64 + 64 + 1 at hidden 4096, and a remainder block at 300
+    # W1 row blocks of 8 x 16 + 1 at hidden 4096, and 4 x 218 + 46 at hidden 300
     @example(seed=1, rows=3, grid=(1, 43), hidden=4096, classes=4)
     @example(seed=2, rows=17, grid=(17, 18), hidden=300, classes=5)
     def test_equals_backward_then_update(self, seed, rows, grid, hidden, classes):

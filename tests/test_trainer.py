@@ -1,10 +1,21 @@
 import hashlib
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlc import kernels, trainer
-from mlc.errors import DataLoadError, DivergedLoss, EmptyInput, GridTooLarge
+from mlc.errors import (
+    DataLoadError,
+    DivergedLoss,
+    EmptyInput,
+    GridTooLarge,
+    PixelOutOfRange,
+)
 from mlc.io import DatasetManifest
 from mlc.model import ModelParams, save_params
 from mlc.synthgen import SynthConfig, generate
@@ -211,6 +222,123 @@ class TestTrain:
         manifest = DatasetManifest((("missing.ppm", (0,)),), 2)
         with pytest.raises(DataLoadError):
             load_dataset(manifest, tmp_path)
+
+    @pytest.mark.parametrize("entry", ["../outside.ppm", "sub/../../outside.ppm", "ABSOLUTE"])
+    def test_entries_outside_the_root_rejected_before_reading(
+        self, small_dataset, tmp_path, monkeypatch, entry
+    ):
+        manifest, root = small_dataset
+        outside = tmp_path / "outside.ppm"
+        outside.write_bytes((root / manifest.entries[0][0]).read_bytes())
+        dataset_root = tmp_path / "ds"
+        dataset_root.mkdir()
+        entry = str(outside) if entry == "ABSOLUTE" else entry
+        escaping = DatasetManifest((manifest.entries[0], (entry, (0,))), manifest.num_classes)
+
+        def no_read(blob):
+            raise AssertionError("an image was read before the path check")
+
+        monkeypatch.setattr(trainer, "read_ppm", no_read)
+        with pytest.raises(DataLoadError, match="leaves the dataset root"):
+            load_dataset(escaping, dataset_root)
+
+
+def _blas_threads():
+    calls = trainer._openblas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+def _fail_at_epoch_1_batch_3(monkeypatch):
+    # batch_size 4 on 24 images: 6 batches of 4 images per epoch
+    calls = []
+    apply_mode = trainer.apply_mode
+
+    def failing(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == 6 * 4 + 3 * 4 + 1:
+            raise PixelOutOfRange("injected at epoch 1 batch 3")
+        return apply_mode(*args)
+
+    monkeypatch.setattr(trainer, "apply_mode", failing)
+    return calls
+
+
+class TestPipeline:
+    """train builds batches on one worker thread and holds OpenBLAS to one
+    thread; neither outlives train on any exit path."""
+
+    @pytest.mark.parametrize("exit_path", ["return", "diverged", "worker-error", "interrupt"])
+    def test_nothing_outlives_train(self, small_dataset, monkeypatch, exit_path):
+        manifest, root = small_dataset
+        cfg = small_cfg(mode="M3", batch_size=4)
+        threads, blas = threading.active_count(), _blas_threads()
+        steps = []
+        sgd_step = trainer.sgd_step
+
+        def step(*args):
+            steps.append(_blas_threads())
+            if exit_path == "interrupt" and len(steps) == 3:
+                raise KeyboardInterrupt
+            return sgd_step(*args)
+
+        monkeypatch.setattr(trainer, "sgd_step", step)
+        if exit_path == "return":
+            train(manifest, cfg, root=root)
+            assert len(steps) == 3 * 6
+        elif exit_path == "diverged":
+            with pytest.raises(DivergedLoss):
+                train(manifest, small_cfg(mode="M3", batch_size=4, lr_head=1e6, lr_body=1e6),
+                      root=root)
+        elif exit_path == "worker-error":
+            built = _fail_at_epoch_1_batch_3(monkeypatch)
+            with pytest.raises(PixelOutOfRange, match="injected"):
+                train(manifest, cfg, root=root)
+            assert threading.main_thread() not in built
+            assert len(steps) == 6 + 3
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                train(manifest, cfg, root=root)
+        assert threading.active_count() == threads
+        assert _blas_threads() == blas
+        if blas is not None:
+            assert set(steps) == {1}
+
+    def test_builds_at_most_one_batch_ahead(self, small_dataset, monkeypatch):
+        manifest, root = small_dataset
+        events = []
+        augmented_batch = trainer._augmented_batch
+        sgd_step = trainer.sgd_step
+
+        def build(*args):
+            events.append("build")
+            return augmented_batch(*args)
+
+        def step(*args):
+            # while step k runs, batches 0..k+1 at most have been started
+            assert events.count("build") <= events.count("step") + 2
+            events.append("step")
+            return sgd_step(*args)
+
+        monkeypatch.setattr(trainer, "_augmented_batch", build)
+        monkeypatch.setattr(trainer, "sgd_step", step)
+        train(manifest, small_cfg(mode="M3", batch_size=4), root=root)
+        assert events.count("step") == 3 * 6 and events.count("build") == 3 * 6
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, small_dataset, tmp_path):
+        manifest, root = small_dataset
+        src = Path(trainer.__file__).parents[1]
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.params"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            subprocess.run(
+                [sys.executable, "-m", "mlc.cli", "train", "--manifest", str(root / "manifest.tsv"),
+                 "--mode", "M3", "--size", "24", "24", "--epochs", "1", "--decay-epoch", "0",
+                 "--hidden", "4096", "--seed", "5", "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestPredict:
