@@ -9,7 +9,7 @@ from .augment import AugmentConfig, apply_mode, flip_horizontal, mixup_pair, ran
 from .fusion import fuse
 from .io import DatasetManifest, read_csv_matrix, read_manifest, read_ppm, write_csv_matrix, write_manifest, write_ppm
 from .metrics import MetricsReport, evaluate, mean_ap, top_k_binarize
-from .model import Gradients, ModelParams, adaptive_avg_pool, backward, bce_loss, forward, init_params, load_params, save_params, sigmoid
+from .model import Gradients, ModelParams, bce_loss, init_params, load_params, save_params, sigmoid
 from .synthgen import SynthConfig, census, generate
 from .trainer import TrainConfig, TrainReport, predict, train
 from .types import Image, LabelMatrix, LabelVector, Sample, ScoreMatrix, validate_pair
@@ -23,8 +23,8 @@ __all__ = [
     "DatasetManifest", "read_csv_matrix", "read_manifest", "read_ppm",
     "write_csv_matrix", "write_manifest", "write_ppm",
     "MetricsReport", "evaluate", "mean_ap", "top_k_binarize",
-    "Gradients", "ModelParams", "adaptive_avg_pool", "backward", "bce_loss",
-    "forward", "init_params", "load_params", "save_params", "sigmoid",
+    "Gradients", "ModelParams", "bce_loss", "init_params", "load_params", "save_params",
+    "sigmoid",
     "SynthConfig", "census", "generate",
     "TrainConfig", "TrainReport", "predict", "train",
     "Image", "LabelMatrix", "LabelVector", "Sample", "ScoreMatrix", "validate_pair",

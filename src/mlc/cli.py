@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import MODES, STREAM_AUG, AugmentConfig, apply_mode, mixup_pair, rng_stream
-from .errors import MlcError
+from .augment import MODES, AugmentConfig
+from .errors import IoError, MlcError, ParseError
 from .fusion import fuse
 from .io import (
     DatasetManifest,
@@ -27,8 +27,8 @@ from .io import (
 from .metrics import evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
-from .trainer import TrainConfig, load_dataset, predict, train
-from .types import Sample
+from .trainer import TrainConfig, _augmented_batch, load_dataset, predict, train
+from .types import Image
 
 
 class _UsageError(Exception):
@@ -40,6 +40,14 @@ def _config(factory, **fields):
         return factory(**fields)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _read_text(path: str) -> str:
+    """The ASCII text of the file at `path`; other bytes are a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
 def _size(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +151,10 @@ def _cmd_train(args) -> None:
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),
         hidden=args.hidden,
     )
-    manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
+    for target in (args.out, args.log):
+        if target is not None and not Path(target).parent.is_dir():
+            raise IoError(f"cannot write {target}: {Path(target).parent} is not a directory")
+    manifest = read_manifest(_read_text(args.manifest))
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
     write_atomic(args.out, save_params(report.params))
     print(
@@ -155,7 +166,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_predict(args) -> None:
     params = load_params(Path(args.params).read_bytes())
-    manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
+    manifest = read_manifest(_read_text(args.manifest))
     scores = predict(params, manifest, (args.size[0], args.size[1]),
                      root=Path(args.manifest).parent)
     write_atomic(args.out, write_csv_matrix(scores))
@@ -163,18 +174,15 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
-    scores = read_csv_matrix(Path(args.scores).read_text(encoding="ascii"), kind="scores")
-    labels = read_csv_matrix(Path(args.labels).read_text(encoding="ascii"), kind="labels")
+    scores = read_csv_matrix(_read_text(args.scores), kind="scores")
+    labels = read_csv_matrix(_read_text(args.labels), kind="labels")
     report = evaluate(scores, labels, k=args.k)
     print(format_report(report))
     print(machine_line(report))
 
 
 def _cmd_fuse(args) -> None:
-    members = [
-        read_csv_matrix(Path(path).read_text(encoding="ascii"), kind="scores")
-        for path in args.inputs
-    ]
+    members = [read_csv_matrix(_read_text(path), kind="scores") for path in args.inputs]
     fused = fuse(members, sigmoid_first=args.sigmoid_first)
     write_atomic(args.out, write_csv_matrix(fused))
     print(f"fused {len(members)} matrices into {args.out}")
@@ -182,31 +190,27 @@ def _cmd_fuse(args) -> None:
 
 def _cmd_augment(args) -> None:
     aug_cfg = _config(AugmentConfig, target_size=(args.size[0], args.size[1]))
-    manifest = read_manifest(Path(args.manifest).read_text(encoding="ascii"))
+    manifest = read_manifest(_read_text(args.manifest))
     samples = load_dataset(manifest, Path(args.manifest).parent)
-    augmented = []
-    for i, sample in enumerate(samples):
-        rng = rng_stream(args.seed, STREAM_AUG, 0, i)
-        augmented.append(Sample(apply_mode(sample.image, args.mode, aug_cfg, rng), sample.labels))
-    if args.mode == "M3":
-        mixed = [
-            mixup_pair(augmented[2 * p], augmented[2 * p + 1])
-            for p in range(len(augmented) // 2)
-        ]
-        if len(augmented) % 2 == 1:
-            mixed.append(augmented[-1])
-        augmented = mixed
+    # training's batch function over the whole set: epoch-0 streams and,
+    # for M3, mixup of consecutive pairs
+    n = len(samples)
+    mix_order = np.arange(n) if args.mode == "M3" else None
+    pixels, labels = (
+        _augmented_batch(samples, np.arange(n), args.mode, aug_cfg, args.seed, 0, mix_order)
+        if n else ((), ())  # np.stack needs at least one image
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, sample in enumerate(augmented):
+    for i, (image, row) in enumerate(zip(pixels, labels)):
         name = f"aug_{i:05d}.ppm"
-        write_atomic(out_dir / name, write_ppm(sample.image))
-        entries.append((name, tuple(int(j) for j in np.flatnonzero(sample.labels.data))))
+        write_atomic(out_dir / name, write_ppm(Image(image)))
+        entries.append((name, tuple(int(j) for j in np.flatnonzero(row))))
     out_manifest = DatasetManifest(tuple(entries), manifest.num_classes)
     write_atomic(out_dir / "manifest.tsv", write_manifest(out_manifest))
-    print(f"wrote {len(augmented)} augmented samples to {out_dir}")
+    print(f"wrote {len(entries)} augmented samples to {out_dir}")
 
 
 _COMMANDS = {

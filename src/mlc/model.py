@@ -6,8 +6,8 @@ The loss over C classes is the sum of per-class binary cross-entropies on
 sigmoid(logit), evaluated in the log-sum form max(s,0) - s*y +
 log(1 + exp(-|s|)) so large |s| never hits log(0).
 
-Batch helpers operate on a feature matrix (rows = pooled, flattened
-images); the per-sample operations wrap them. relu'(0) is taken as 0.
+Every pass operates on a feature matrix (rows = pooled, flattened
+images, from `pooled_batch`). relu'(0) is taken as 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .augment import STREAM_INIT, rng_stream
 from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
-from .types import Image, LabelVector
+from .types import LabelVector
 
 CHECKPOINT_V1 = "mlc-params v1"
 CHECKPOINT_V2 = "mlc-params v2"
@@ -99,26 +99,12 @@ def check_pool_grid(pool_grid: tuple[int, int], size: tuple[int, int]) -> None:
         raise GridTooLarge(f"pool grid {gh}x{gw} invalid for {height}x{width} image")
 
 
-def adaptive_avg_pool(image: Image, gh: int, gw: int) -> np.ndarray:
-    """Average-pool to a gh x gw x 3 grid whose bins scale with input size.
-
-    Bin (i, j) covers rows [floor(i*H/gh), ceil((i+1)*H/gh)) and columns
-    analogously, so every pixel lands in at least one bin.
-    """
-    check_pool_grid((gh, gw), (image.height, image.width))
-    return kernels.adaptive_pool(image.data[None], gh, gw)[0]
-
-
 def pooled_batch(pixels: np.ndarray, pool_grid: tuple[int, int]) -> np.ndarray:
     """Flattened pooled features (n, gh*gw*3) of an (n, H, W, 3) pixel batch."""
     n, height, width, channels = pixels.shape
     check_pool_grid(pool_grid, (height, width))
     gh, gw = pool_grid
     return kernels.adaptive_pool(pixels, gh, gw).reshape(n, gh * gw * channels)
-
-
-def pooled_features(image: Image, pool_grid: tuple[int, int]) -> np.ndarray:
-    return adaptive_avg_pool(image, *pool_grid).ravel()
 
 
 def sigmoid(x):
@@ -200,11 +186,6 @@ def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return _forward(params, features)[2]
 
 
-def forward(params: ModelParams, image: Image) -> np.ndarray:
-    """Logits (C,) for one image; deterministic."""
-    return forward_features(params, pooled_features(image, params.pool_grid)[None, :])[0]
-
-
 def backward_features(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, Gradients]:
@@ -251,12 +232,6 @@ def sgd_step(
     w2 -= (lr_head / rows) * (hidden.T @ d_scores)
     b2 -= (lr_head / rows) * d_scores.sum(axis=0)
     return loss
-
-
-def backward(params: ModelParams, image: Image, labels: LabelVector) -> tuple[float, Gradients]:
-    """Loss and gradients for a single (image, labels) example."""
-    features = pooled_features(image, params.pool_grid)[None, :]
-    return backward_features(params, features, labels.data[None, :])
 
 
 # -- checkpoint format ---------------------------------------------------------

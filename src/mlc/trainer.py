@@ -12,19 +12,23 @@ Everything random is keyed off (seed, stream, epoch, index) Philox
 streams, and batches reduce in a fixed order, so a (seed, config) pair
 replays to bitwise-identical parameters.
 
-Batches never depend on the weights, so one worker thread builds them
-(augmentation, mixup and pooling) one batch ahead, across epoch boundaries
-too, while the calling thread runs the SGD step on the batch before. For
-the duration of `train` the loaded OpenBLAS, if any, is held to one thread,
-leaving the second core to the worker; its thread count is restored on
-every exit. Neither changes a computed bit.
+Batches never depend on the weights, so a one-thread ThreadPoolExecutor
+builds them (augmentation, mixup and pooling) one batch ahead, across epoch
+boundaries too: the calling thread takes batch k's future, submits batch
+k+1 and then runs the SGD step on batch k. A build error is re-raised, as
+itself, by the `result()` that would have returned that batch, and leaving
+the executor's block joins the worker on every exit path. For the duration
+of `train` the loaded OpenBLAS, if any, is held to one thread, leaving the
+second core to the worker; its thread count is restored on every exit.
+Neither changes a computed bit.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
+import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path, PurePath
@@ -55,8 +59,6 @@ from .model import (
 )
 from .types import Sample, ScoreMatrix
 
-ScheduleObserver = Callable[[int, float, float], None]
-
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
@@ -82,8 +84,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr_head <= 0 or self.lr_body <= 0 or self.lr_decay_factor <= 0:
-            raise ValueError("learning rates and decay factor must be > 0")
+        for rate in (self.lr_head, self.lr_body, self.lr_decay_factor):
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError("learning rates and decay factor must be finite and > 0")
         if not 0 <= self.lr_decay_epoch < self.epochs:
             raise ValueError(f"lr_decay_epoch must be in [0, epochs), got {self.lr_decay_epoch}")
         if self.mode not in MODES:
@@ -142,26 +145,31 @@ def load_dataset(manifest: DatasetManifest, root: str | Path) -> list[Sample]:
 def _augmented_batch(
     samples: list[Sample],
     indices: np.ndarray,
-    cfg: TrainConfig,
+    mode: str,
     aug_cfg: AugmentConfig,
+    seed: int,
     epoch: int,
-    batch_no: int,
+    mix_order: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked pixels (n, H, W, 3) and labels (n, C) of one augmented batch."""
+    """Stacked pixels (n, H, W, 3) and labels (n, C) of one augmented batch.
+
+    Sample `indices[j]` is augmented on its (seed, STREAM_AUG, epoch, index)
+    stream. With a `mix_order`, positions `mix_order[2p]` and
+    `mix_order[2p + 1]` are mixed into row p, and an odd last position
+    passes through unmixed.
+    """
     batch = []
     for i in indices:
-        rng = rng_stream(cfg.seed, STREAM_AUG, epoch, int(i))
-        image = apply_mode(samples[i].image, cfg.mode, aug_cfg, rng)
+        rng = rng_stream(seed, STREAM_AUG, epoch, int(i))
+        image = apply_mode(samples[i].image, mode, aug_cfg, rng)
         batch.append(Sample(image, samples[i].labels))
-    if mixup_active(cfg, epoch):
-        mix_rng = rng_stream(cfg.seed, STREAM_MIX, epoch, batch_no)
-        perm = mix_rng.permutation(len(batch))
+    if mix_order is not None:
         mixed = [
-            mixup_pair(batch[perm[2 * p]], batch[perm[2 * p + 1]])
+            mixup_pair(batch[mix_order[2 * p]], batch[mix_order[2 * p + 1]])
             for p in range(len(batch) // 2)
         ]
         if len(batch) % 2 == 1:
-            mixed.append(batch[perm[-1]])
+            mixed.append(batch[mix_order[-1]])
         batch = mixed
     return np.stack([s.image.data for s in batch]), np.stack([s.labels.data for s in batch])
 
@@ -174,59 +182,15 @@ def _training_batches(
     for epoch in range(cfg.epochs):
         order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
         for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
+            indices = order[lo : lo + cfg.batch_size]
+            mix_order = None
+            if mixup_active(cfg, epoch):
+                mix_rng = rng_stream(cfg.seed, STREAM_MIX, epoch, batch_no)
+                mix_order = mix_rng.permutation(len(indices))
             pixels, targets = _augmented_batch(
-                samples, order[lo : lo + cfg.batch_size], cfg, aug_cfg, epoch, batch_no
+                samples, indices, cfg.mode, aug_cfg, cfg.seed, epoch, mix_order
             )
             yield pooled_batch(pixels, cfg.pool_grid), targets
-
-
-class _OneAhead:
-    """Runs an iterator on one worker thread, one item ahead of the caller.
-
-    The worker builds item k+1 while the caller uses item k, then waits for
-    the caller to take it. An exception raised while building an item is
-    raised, as itself, by the `next` that would have returned that item.
-    Leaving the `with` block stops and joins the worker on every exit path;
-    at most the item being built is finished first.
-    """
-
-    def __init__(self, items: Iterator):
-        self._items = items
-        self._free = threading.Semaphore(1)  # the worker may build one more item
-        self._ready = threading.Semaphore(0)  # the slot holds an item or an error
-        self._slot: tuple = (None, None)
-        self._stop = False
-        self._thread = threading.Thread(target=self._work, name="mlc-batches")
-
-    def _work(self) -> None:
-        while True:
-            self._free.acquire()
-            if self._stop:
-                return
-            try:
-                self._slot = (next(self._items), None)
-            except BaseException as exc:  # re-raised by the caller's next()
-                self._slot = (None, exc)
-                self._ready.release()
-                return
-            self._ready.release()
-
-    def __enter__(self) -> "_OneAhead":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()
-        self._thread.join()
-
-    def __next__(self):
-        self._ready.acquire()
-        item, error = self._slot
-        if error is not None:
-            raise error
-        self._free.release()
-        return item
 
 
 # (get, set) symbol pairs of the OpenBLAS builds numpy ships or links
@@ -285,7 +249,6 @@ def train(
     cfg: TrainConfig,
     root: str | Path = ".",
     log_path: str | Path | None = None,
-    schedule_observer: ScheduleObserver | None = None,
 ) -> TrainReport:
     """Run the full SGD schedule and return losses plus final parameters."""
     start = time.perf_counter()
@@ -303,18 +266,19 @@ def train(
     epoch_losses = []
     epoch_lrs = []
     first_loss = None
-    with _one_blas_thread(), _OneAhead(_training_batches(samples, cfg, aug_cfg)) as batches:
+    batches = _training_batches(samples, cfg, aug_cfg)
+    with _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-batches") as worker:
+        pending = worker.submit(next, batches, None)
         for epoch in range(cfg.epochs):
             lr_head, lr_body = effective_lrs(cfg, epoch)
-            if schedule_observer is not None:
-                schedule_observer(epoch, lr_head, lr_body)
             # validated once per epoch; sgd_step updates its arrays in place
             params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
 
             loss_sum = 0.0
             row_count = 0
             for batch_no in range(num_batches):
-                features, targets = next(batches)
+                features, targets = pending.result()
+                pending = worker.submit(next, batches, None)
                 batch_loss = sgd_step(params, features, targets, lr_head, lr_body)
                 rows = len(targets)
                 batch_mean = batch_loss / rows

@@ -85,13 +85,6 @@ class LabelMatrix:
             raise NonBinaryLabel("label entries must be 0 or 1")
         object.__setattr__(self, "data", _frozen(raw, np.int8))
 
-    @classmethod
-    def from_rows(cls, rows: list[LabelVector]) -> "LabelMatrix":
-        widths = {r.num_classes for r in rows}
-        if len(widths) != 1:
-            raise ShapeMismatch(f"label rows disagree on C: {sorted(widths)}")
-        return cls(np.stack([r.data for r in rows]))
-
     @property
     def num_rows(self) -> int:
         return self.data.shape[0]

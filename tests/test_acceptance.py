@@ -10,7 +10,7 @@ import pytest
 from mlc.augment import MODES, mixup_pair
 from mlc.fusion import fuse
 from mlc.metrics import average_precision, evaluate, harmonic_f1, machine_line, top_k_binarize
-from mlc.model import ModelParams, backward_features, bce_loss, pooled_features, save_params
+from mlc.model import ModelParams, backward_features, bce_loss, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import TrainConfig, predict, train
 from mlc.types import Image, LabelMatrix, LabelVector, Sample, ScoreMatrix
@@ -89,7 +89,7 @@ def _random_instance(rng):
             b2=rng.uniform(-0.6, 0.6, classes),
         )
         image = Image(rng.random((int(rng.integers(gh, gh + 6)), int(rng.integers(gw, gw + 6)), 3)))
-        features = pooled_features(image, (gh, gw))[None, :]
+        features = pooled_batch(image.data[None], (gh, gw))
         labels = (rng.random((1, classes)) < 0.5).astype(np.int8)
         z1 = features @ params.W1 + params.b1
         # central differences are invalid across the relu kink; eps=1e-4

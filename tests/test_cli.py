@@ -1,10 +1,12 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlc import cli, trainer
 from mlc.cli import main
-from mlc.io import read_csv_matrix, read_manifest
+from mlc.io import DatasetManifest, read_csv_matrix, read_manifest, write_manifest
 
 # written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
 V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
@@ -156,6 +158,49 @@ class TestAugment:
         manifest = read_manifest((out_dir / "manifest.tsv").read_text())
         assert len(manifest) == 6  # disjoint pairs of 12 inputs
 
+    def test_empty_manifest_writes_empty_manifest(self, tmp_path):
+        src = tmp_path / "manifest.tsv"
+        src.write_text("#classes=3\n")
+        out_dir = tmp_path / "aug"
+        assert main([
+            "augment", "--manifest", str(src), "--mode", "M3", "--out-dir", str(out_dir),
+        ]) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["manifest.tsv"]
+        assert (out_dir / "manifest.tsv").read_text() == "#classes=3\n"
+
+    @pytest.mark.parametrize(
+        "mode, files, digest",
+        [
+            ("M1", 12, "e5552e2e538167c83ddef201137e538e85109140c3d243028d304d2920d7d996"),
+            ("M2", 12, "59ea38290311a278d5eabf92906c619d7d5a6c8757df959eb3a437e80f2deaec"),
+            # 5 mixed pairs plus the unmixed 11th image, and the manifest
+            ("M3", 7, "4bc6e615da180d60a465c8068cdc00677b17834a8d162811a31b4267d800c76e"),
+        ],
+    )
+    def test_output_bytes_golden(self, dataset, tmp_path, mode, files, digest):
+        # sha256 over "name sha256(file)" lines of every file written, from
+        # the first 11 fixture images so M3 has an odd leftover
+        manifest = read_manifest((dataset / "manifest.tsv").read_text())
+        entries = manifest.entries[:11]
+        src = tmp_path / "odd"
+        src.mkdir()
+        for name, _ in entries:
+            (src / name).write_bytes((dataset / name).read_bytes())
+        (src / "manifest.tsv").write_text(
+            write_manifest(DatasetManifest(entries, manifest.num_classes))
+        )
+        out_dir = tmp_path / "aug"
+        assert main([
+            "augment", "--manifest", str(src / "manifest.tsv"), "--mode", mode,
+            "--seed", "1", "--out-dir", str(out_dir), "--size", "20", "18",
+        ]) == 0
+        written = sorted(out_dir.iterdir())
+        lines = "".join(
+            f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in written
+        )
+        assert len(written) == files
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
 
 class TestExitCodes:
     def test_unknown_mode_is_usage_error(self, dataset, tmp_path):
@@ -238,6 +283,63 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "diverged" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "fuse", "train", "predict", "augment"])
+    def test_non_ascii_input_is_runtime_error(self, dataset, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"#classes=6\n0.5,caf\xe9\n")
+        good = tmp_path / "good.csv"
+        good.write_text("0.5,1.0\n")
+        manifest = ["--manifest", str(bad)]
+        argv = {
+            "evaluate": ["evaluate", "--scores", str(bad), "--labels", str(good)],
+            "fuse": ["fuse", str(good), str(bad), "--out", str(tmp_path / "f.csv")],
+            "train": ["train", *manifest, "--mode", "M1", "--out", str(tmp_path / "x.params")],
+            "predict": ["predict", "--params", str(V1_FIXTURE), *manifest,
+                        "--out", str(tmp_path / "s.csv")],
+            "augment": ["augment", *manifest, "--mode", "M3", "--out-dir", str(tmp_path / "a")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(bad) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.csv"]
+
+    @pytest.mark.parametrize("flag, value", [("--lr-head", "nan"), ("--lr-body", "inf")])
+    def test_train_nonfinite_rate_is_usage_error(
+        self, dataset, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        def no_read(blob):
+            raise AssertionError("an image was read before the config check")
+
+        monkeypatch.setattr(trainer, "read_ppm", no_read)
+        out = tmp_path / "x.params"
+        assert main([
+            "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--out", str(out), flag, value,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_missing_out_dir_fails_before_training(
+        self, dataset, tmp_path, capsys, monkeypatch, flag
+    ):
+        def no_train(*args, **kwargs):
+            raise AssertionError("train ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "train", no_train)
+        paths = {"--out": tmp_path / "x.params", "--log": tmp_path / "train.log"}
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        assert main([
+            "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--out", str(paths["--out"]), "--log", str(paths["--log"]),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(paths[flag]) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_predict_non_ascii_checkpoint_is_runtime_error(self, dataset, tmp_path, capsys):
         params = tmp_path / "bad.params"

@@ -11,13 +11,12 @@ from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMisma
 from mlc.model import (
     Gradients,
     ModelParams,
-    adaptive_avg_pool,
-    backward,
     backward_features,
     bce_loss,
-    forward,
+    forward_features,
     init_params,
     load_params,
+    pooled_batch,
     save_params,
     sgd_step,
     sigmoid,
@@ -41,36 +40,53 @@ def tiny_params(rng, pool_grid=(2, 2), hidden=4, classes=3, scale=0.5):
     )
 
 
+def features_of(img, grid):
+    """Pooled features (1, gh*gw*3) of one image."""
+    return pooled_batch(img.data[None], grid)
+
+
+def pool(img, gh, gw):
+    return features_of(img, (gh, gw)).reshape(gh, gw, 3)
+
+
+def logits(params, img):
+    return forward_features(params, features_of(img, params.pool_grid))[0]
+
+
+def backward_one(params, img, labels):
+    return backward_features(params, features_of(img, params.pool_grid), labels.data[None])
+
+
 class TestAdaptivePool:
     def test_global_average(self, rng):
         img = random_image(rng, 6, 7)
-        out = adaptive_avg_pool(img, 1, 1)
+        out = pool(img, 1, 1)
         np.testing.assert_allclose(out[0, 0], img.data.mean(axis=(0, 1)), atol=1e-12)
 
     def test_identity_grid(self, rng):
         img = random_image(rng, 4, 5)
-        np.testing.assert_array_equal(adaptive_avg_pool(img, 4, 5), img.data)
+        np.testing.assert_array_equal(pool(img, 4, 5), img.data)
 
     def test_hand_derived_quadrants(self):
         vals = np.arange(1, 17, dtype=np.float64).reshape(4, 4) / 16.0
         img = Image(np.repeat(vals[:, :, None], 3, axis=2))
-        out = adaptive_avg_pool(img, 2, 2)
+        out = pool(img, 2, 2)
         np.testing.assert_array_equal(out[:, :, 1] * 16.0, [[3.5, 5.5], [11.5, 13.5]])
 
     def test_constant_image_constant_bins(self):
         img = Image(np.full((5, 5, 3), 0.25))
-        out = adaptive_avg_pool(img, 3, 2)
+        out = pool(img, 3, 2)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_grid_too_large(self, rng):
         with pytest.raises(GridTooLarge):
-            adaptive_avg_pool(random_image(rng, 4, 4), 5, 2)
+            pool(random_image(rng, 4, 4), 5, 2)
 
 
 class TestForward:
     def test_zero_params_zero_logits(self, rng):
         params = ModelParams((2, 2), np.zeros((12, 4)), np.zeros(4), np.zeros((4, 3)), np.zeros(3))
-        np.testing.assert_array_equal(forward(params, random_image(rng, 4, 4)), np.zeros(3))
+        np.testing.assert_array_equal(logits(params, random_image(rng, 4, 4)), np.zeros(3))
 
     def test_final_layer_linearity(self, rng):
         params = tiny_params(rng)
@@ -79,7 +95,7 @@ class TestForward:
             params.pool_grid, params.W1, params.b1, 2.0 * params.W2, 2.0 * params.b2
         )
         np.testing.assert_allclose(
-            forward(doubled, img), 2.0 * forward(params, img), atol=1e-12
+            logits(doubled, img), 2.0 * logits(params, img), atol=1e-12
         )
 
     def test_zero_image_zero_b1_gives_b2(self, rng):
@@ -88,17 +104,15 @@ class TestForward:
             params.pool_grid, params.W1, np.zeros_like(params.b1), params.W2, params.b2
         )
         img = Image(np.zeros((4, 4, 3)))
-        np.testing.assert_array_equal(forward(params, img), params.b2)
+        np.testing.assert_array_equal(logits(params, img), params.b2)
 
     def test_deterministic_bitwise(self, rng):
         params = tiny_params(rng)
         img = random_image(rng, 5, 5)
-        np.testing.assert_array_equal(forward(params, img), forward(params, img))
+        np.testing.assert_array_equal(logits(params, img), logits(params, img))
 
     def test_feature_dim_mismatch(self, rng):
         params = tiny_params(rng, pool_grid=(2, 2))
-        from mlc.model import forward_features
-
         with pytest.raises(ShapeMismatch):
             forward_features(params, np.zeros((1, 5)))
 
@@ -154,7 +168,7 @@ class TestBackward:
         # with zero weights scores = b2 = 0, so dL/db2 = sigmoid(0) - y
         params = ModelParams((1, 1), np.zeros((3, 2)), np.zeros(2), np.zeros((2, 3)), np.zeros(3))
         img = random_image(rng, 3, 3)
-        _, grads = backward(params, img, LabelVector(np.array([1, 0, 1])))
+        _, grads = backward_one(params, img, LabelVector(np.array([1, 0, 1])))
         np.testing.assert_allclose(grads.b2, [-0.5, 0.5, -0.5], atol=1e-12)
 
     def test_dead_units_get_zero_gradient(self, rng):
@@ -164,7 +178,7 @@ class TestBackward:
         b1[1] = -100.0
         params = ModelParams(params.pool_grid, params.W1, b1, params.W2, params.b2)
         img = random_image(rng, 4, 4)
-        _, grads = backward(params, img, LabelVector(np.array([1, 0, 0])))
+        _, grads = backward_one(params, img, LabelVector(np.array([1, 0, 0])))
         np.testing.assert_array_equal(grads.W1[:, 1], 0.0)
         assert grads.b1[1] == 0.0
 
@@ -172,14 +186,14 @@ class TestBackward:
         params = tiny_params(rng)
         img = random_image(rng, 5, 5)
         labels = LabelVector(np.array([1, 0, 1]))
-        loss, grads = backward(params, img, labels)
+        loss, grads = backward_one(params, img, labels)
         eps = 1e-6
         w2 = params.W2.copy()
         for idx in [(0, 0), (2, 1), (3, 2)]:
             w2[idx] += eps
-            up = bce_loss(forward(ModelParams(params.pool_grid, params.W1, params.b1, w2, params.b2), img), labels)
+            up = bce_loss(logits(ModelParams(params.pool_grid, params.W1, params.b1, w2, params.b2), img), labels)
             w2[idx] -= 2 * eps
-            down = bce_loss(forward(ModelParams(params.pool_grid, params.W1, params.b1, w2, params.b2), img), labels)
+            down = bce_loss(logits(ModelParams(params.pool_grid, params.W1, params.b1, w2, params.b2), img), labels)
             w2[idx] += eps
             fd = (up - down) / (2 * eps)
             assert grads.W2[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -188,8 +202,8 @@ class TestBackward:
         params = tiny_params(rng)
         img = random_image(rng, 4, 6)
         labels = LabelVector(np.array([0, 1, 1]))
-        loss, _ = backward(params, img, labels)
-        assert loss == pytest.approx(bce_loss(forward(params, img), labels), abs=1e-12)
+        loss, _ = backward_one(params, img, labels)
+        assert loss == pytest.approx(bce_loss(logits(params, img), labels), abs=1e-12)
 
 
 def _copy(params):
@@ -364,7 +378,7 @@ def test_params_nonfinite_validation(name, bad):
 def test_gradients_container_shapes(rng):
     params = tiny_params(rng)
     img = random_image(rng, 4, 4)
-    _, grads = backward(params, img, LabelVector(np.array([1, 1, 0])))
+    _, grads = backward_one(params, img, LabelVector(np.array([1, 1, 0])))
     assert isinstance(grads, Gradients)
     assert grads.W1.shape == params.W1.shape
     assert grads.b1.shape == params.b1.shape

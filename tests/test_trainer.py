@@ -63,9 +63,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(mixup_phase="never")
 
-    def test_nonpositive_rates(self):
-        with pytest.raises(ValueError):
-            small_cfg(lr_head=0.0)
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])
+    def test_nonpositive_rates(self, value):
+        for field in ("lr_head", "lr_body", "lr_decay_factor"):
+            with pytest.raises(ValueError):
+                small_cfg(**{field: value})
 
 
 class TestSchedule:
@@ -77,15 +79,14 @@ class TestSchedule:
             assert head == pytest.approx(cfg.lr_head * factor)
             assert body == pytest.approx(cfg.lr_body * factor)
 
-    def test_observer_sees_decay(self, small_dataset):
+    def test_report_sees_decay(self, small_dataset):
         manifest, root = small_dataset
-        seen = []
         cfg = small_cfg(epochs=3, lr_decay_epoch=1)
-        train(manifest, cfg, root=root, schedule_observer=lambda e, h, b: seen.append((e, h, b)))
-        assert [e for e, _, _ in seen] == [0, 1, 2]
-        assert seen[0][1] == pytest.approx(0.1)
-        assert seen[1][1] == pytest.approx(0.01)
-        assert seen[2][2] == pytest.approx(0.001)
+        lrs = train(manifest, cfg, root=root).epoch_lrs
+        assert len(lrs) == 3
+        assert lrs[0][0] == pytest.approx(0.1)
+        assert lrs[1][0] == pytest.approx(0.01)
+        assert lrs[2][1] == pytest.approx(0.001)
 
     def test_mixup_phase(self):
         cfg = small_cfg(mode="M3", mixup_phase="even")

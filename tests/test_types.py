@@ -68,16 +68,6 @@ class TestLabels:
         with pytest.raises(NonBinaryLabel):
             LabelMatrix(np.array([[1, 0], [0, 2]]))
 
-    def test_from_rows_rejects_ragged(self):
-        rows = [LabelVector(np.array([0, 1])), LabelVector(np.array([0, 1, 1]))]
-        with pytest.raises(ShapeMismatch):
-            LabelMatrix.from_rows(rows)
-
-    def test_from_rows_preserves_order(self):
-        rows = [LabelVector(np.array([0, 1])), LabelVector(np.array([1, 1]))]
-        mat = LabelMatrix.from_rows(rows)
-        assert mat.num_rows == 2
-        np.testing.assert_array_equal(mat.row(1).data, [1, 1])
 
 
 class TestScoreMatrix:
