@@ -1,10 +1,14 @@
-"""Image-space augmentation: flip, bilinear resize, random-resized-crop, mixup.
+"""Augmentation on float64 pixel arrays: flip, bilinear resize,
+random-resized-crop and mixup.
 
-Randomized ops take an explicit numpy Generator so every transform is a
-pure function of (inputs, rng stream). Streams come from `rng_stream`,
-which keys a counter-based Philox generator off (seed, stream path);
-identical seed and call sequence always replays identical outputs, and
-disjoint paths give independent streams for parallel use.
+`apply_mode` maps one (H, W, 3) image to `cfg.target_size`, and `mixup`
+pairs the rows of a whole (n, H, W, 3) batch. Their inputs are decoded
+`Image` pixels and every step keeps values in [0, 1], so nothing is
+wrapped or checked again. Randomized ops take an explicit numpy Generator
+so every transform is a pure function of (inputs, rng stream). Streams come
+from `rng_stream`, which keys a counter-based Philox generator off (seed,
+stream path): the same seed and calls replay the same outputs, and
+disjoint paths give independent streams.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch
-from .types import Image, LabelVector, Sample
 
 # stream path tags; first element of every spawn key
 STREAM_INIT = 0
@@ -57,33 +59,23 @@ class AugmentConfig:
             raise ValueError("crop_attempts must be >= 1")
 
 
-def flip_horizontal(image: Image) -> Image:
-    """Mirror columns: output(r, c) = input(r, width-1-c)."""
-    return Image(np.ascontiguousarray(image.data[:, ::-1, :]))
+def resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Resize an (H, W, 3) array with half-pixel-center bilinear interpolation."""
+    # interpolation can overshoot [0, 1] by one ulp; clamp it back
+    return np.clip(kernels.resize_bilinear(data, out_h, out_w), 0.0, 1.0)
 
 
-def resize_bilinear(image: Image, out_h: int, out_w: int) -> Image:
-    """Resize with half-pixel-center bilinear interpolation."""
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
-    out = kernels.resize_bilinear(image.data, out_h, out_w)
-    # interpolation can overshoot [0, 1] by one ulp; clamp before wrapping
-    return Image(np.clip(out, 0.0, 1.0))
-
-
-def random_resized_crop(image: Image, cfg: AugmentConfig, rng: np.random.Generator) -> Image:
-    """Crop a random area/aspect patch and resize it to cfg.target_size.
+def _random_crop(data: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+    """A random area/aspect window of `data`, as a view.
 
     Samples the area fraction uniformly in crop_scale_range and the aspect
     ratio log-uniformly in crop_aspect_range, retrying up to crop_attempts
     times; on failure falls back to the largest centered crop whose aspect
     is the in-range value closest to 1.
     """
-    data = image.data
-    in_h, in_w = image.height, image.width
+    in_h, in_w = data.shape[0], data.shape[1]
     slo, shi = cfg.crop_scale_range
     alo, ahi = cfg.crop_aspect_range
-    crop = None
     for _ in range(cfg.crop_attempts):
         area = rng.uniform(slo, shi) * in_h * in_w
         aspect = math.exp(rng.uniform(math.log(alo), math.log(ahi)))
@@ -92,45 +84,40 @@ def random_resized_crop(image: Image, cfg: AugmentConfig, rng: np.random.Generat
         if 0 < w <= in_w and 0 < h <= in_h:
             top = int(rng.integers(0, in_h - h + 1))
             left = int(rng.integers(0, in_w - w + 1))
-            crop = data[top : top + h, left : left + w, :]
-            break
-    if crop is None:
-        aspect = min(max(1.0, alo), ahi)
-        h = max(1, min(in_h, int(in_w / aspect)))
-        w = max(1, min(in_w, int(h * aspect)))
-        top = (in_h - h) // 2
-        left = (in_w - w) // 2
-        crop = data[top : top + h, left : left + w, :]
-    out = kernels.resize_bilinear(crop, *cfg.target_size)
-    return Image(np.clip(out, 0.0, 1.0))
+            return data[top : top + h, left : left + w, :]
+    aspect = min(max(1.0, alo), ahi)
+    h = max(1, min(in_h, int(in_w / aspect)))
+    w = max(1, min(in_w, int(h * aspect)))
+    top = (in_h - h) // 2
+    left = (in_w - w) // 2
+    return data[top : top + h, left : left + w, :]
 
 
-def mixup_pair(a: Sample, b: Sample) -> Sample:
-    """Blend two samples: pixel-wise average image, elementwise OR labels."""
-    if a.image.data.shape != b.image.data.shape:
-        raise DimensionMismatch(
-            f"mixup needs equal image shapes, got {a.image.data.shape} vs {b.image.data.shape}"
-        )
-    if a.labels.num_classes != b.labels.num_classes:
-        raise DimensionMismatch(
-            f"mixup needs equal label widths, got {a.labels.num_classes} vs {b.labels.num_classes}"
-        )
-    image = Image((a.image.data + b.image.data) / 2.0)
-    labels = LabelVector(a.labels.data | b.labels.data)
-    return Sample(image, labels)
+def apply_mode(data: np.ndarray, mode: str, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+    """Run one (H, W, 3) array through the augmentation pipeline of a training mode.
 
-
-def apply_mode(image: Image, mode: str, cfg: AugmentConfig, rng: np.random.Generator) -> Image:
-    """Run one sample through the augmentation pipeline for a training mode.
-
-    M1 flips then resizes; M2 and M3 flip then random-resized-crop. Mixup
-    (the extra M3 step) pairs samples within a batch, so it lives in the
-    trainer, not here.
+    M1 flips then resizes to cfg.target_size; M2 and M3 flip, then crop a
+    random window and resize it. The flip and the crop are views, so the
+    resize makes the only copy. Mixup, the extra M3 step, is `mixup`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if rng.random() < cfg.flip_probability:
-        image = flip_horizontal(image)
-    if mode == "M1":
-        return resize_bilinear(image, *cfg.target_size)
-    return random_resized_crop(image, cfg, rng)
+        data = data[:, ::-1, :]
+    if mode != "M1":
+        data = _random_crop(data, cfg, rng)
+    return resize(data, *cfg.target_size)
+
+
+def mixup(pixels: np.ndarray, labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mix a batch in pairs: rows `order[2p]` and `order[2p + 1]` become row p.
+
+    Pixels are averaged as (a + b) / 2 and labels ORed. With an odd count
+    the row `order[-1]` passes through unmixed as the last row.
+    """
+    first, second = order[0::2], order[1::2]
+    pairs = len(second)
+    mixed_pixels, mixed_labels = pixels[first], labels[first]
+    mixed_pixels[:pairs] = (mixed_pixels[:pairs] + pixels[second]) / 2.0
+    mixed_labels[:pairs] |= labels[second]
+    return mixed_pixels, mixed_labels

@@ -151,8 +151,10 @@ def _cmd_train(args) -> None:
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),
         hidden=args.hidden,
     )
-    for target in (args.out, args.log):
-        if target is not None and not Path(target).parent.is_dir():
+    for target in filter(None, (args.out, args.log)):
+        if Path(target).is_dir():
+            raise IoError(f"cannot write {target}: it is a directory")
+        if not Path(target).parent.is_dir():
             raise IoError(f"cannot write {target}: {Path(target).parent} is not a directory")
     manifest = read_manifest(_read_text(args.manifest))
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
@@ -174,6 +176,8 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
+    if args.k < 1:
+        raise _UsageError(f"--k must be >= 1, got {args.k}")
     scores = read_csv_matrix(_read_text(args.scores), kind="scores")
     labels = read_csv_matrix(_read_text(args.labels), kind="labels")
     report = evaluate(scores, labels, k=args.k)
@@ -191,20 +195,19 @@ def _cmd_fuse(args) -> None:
 def _cmd_augment(args) -> None:
     aug_cfg = _config(AugmentConfig, target_size=(args.size[0], args.size[1]))
     manifest = read_manifest(_read_text(args.manifest))
-    samples = load_dataset(manifest, Path(args.manifest).parent)
+    images, labels = load_dataset(manifest, Path(args.manifest).parent)
     # training's batch function over the whole set: epoch-0 streams and,
     # for M3, mixup of consecutive pairs
-    n = len(samples)
-    mix_order = np.arange(n) if args.mode == "M3" else None
-    pixels, labels = (
-        _augmented_batch(samples, np.arange(n), args.mode, aug_cfg, args.seed, 0, mix_order)
-        if n else ((), ())  # np.stack needs at least one image
+    everything = np.arange(len(images))
+    mix_order = everything if args.mode == "M3" else None
+    pixels, targets = _augmented_batch(
+        images, labels, everything, args.mode, aug_cfg, args.seed, 0, mix_order
     )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, (image, row) in enumerate(zip(pixels, labels)):
+    for i, (image, row) in enumerate(zip(pixels, targets)):
         name = f"aug_{i:05d}.ppm"
         write_atomic(out_dir / name, write_ppm(Image(image)))
         entries.append((name, tuple(int(j) for j in np.flatnonzero(row))))

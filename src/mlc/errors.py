@@ -27,10 +27,6 @@ class PixelOutOfRange(MlcError):
     """A pixel value lies outside [0, 1]."""
 
 
-class DimensionMismatch(MlcError):
-    """Paired images or label vectors have incompatible dimensions."""
-
-
 # -- file format errors ------------------------------------------------------
 
 class BadMagic(MlcError):
@@ -94,7 +90,7 @@ class DataLoadError(MlcError):
 
 
 class DivergedLoss(MlcError):
-    """Training produced a non-finite epoch loss."""
+    """A training batch's mean loss is non-finite or over 1000x the first batch's."""
 
 
 class IoError(MlcError):

@@ -17,6 +17,7 @@ from .errors import (
     BadHeader,
     BadMagic,
     IndexOutOfRange,
+    IoError,
     MissingClassHeader,
     NonBinaryLabel,
     ParseError,
@@ -34,22 +35,26 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     The bytes go to a fresh temp file in the target's directory, which then
     replaces the target with `os.replace`. On any exception, interrupts
     included, the temp file is removed, so a reader sees either the old file
-    or the complete new one. There is no fsync: this protects against a
-    killed process, not against power loss.
+    or the complete new one. An OSError becomes an IoError naming `path`.
+    There is no fsync: this protects against a killed process, not against
+    power loss.
     """
     path = Path(path)
     blob = data.encode("ascii") if isinstance(data, str) else data
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    # opened before the try: if the name clashes, "x" fails and the other
-    # writer's file is left alone
-    handle = open(tmp, "xb")
     try:
-        with handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        # opened before the inner try: if the name clashes, "x" fails and
+        # the other writer's file is left alone
+        handle = open(tmp, "xb")
+        try:
+            with handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_ppm(blob: bytes) -> Image:

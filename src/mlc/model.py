@@ -19,7 +19,6 @@ import numpy as np
 from . import kernels
 from .augment import STREAM_INIT, rng_stream
 from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
-from .types import LabelVector
 
 CHECKPOINT_V1 = "mlc-params v1"
 CHECKPOINT_V2 = "mlc-params v2"
@@ -118,18 +117,13 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def _bce_sum(s: np.ndarray, y: np.ndarray) -> float:
-    """Binary cross-entropy on sigmoid(s), summed over every entry, in log-sum form."""
-    return float(np.sum(np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))))
-
-
 def bce_loss(scores, labels) -> float:
-    """Sum over classes of binary cross-entropy on sigmoid(score)."""
+    """Binary cross-entropy on sigmoid(score), summed over every entry, in log-sum form."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels.data if isinstance(labels, LabelVector) else labels, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
     if s.shape != y.shape:
         raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
-    return _bce_sum(s, y)
+    return float(np.sum(np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))))
 
 
 def _forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,7 +149,7 @@ def _loss_and_deltas(
         raise ShapeMismatch(f"labels {y.shape} incompatible with scores {scores.shape}")
     d_scores = sigmoid(scores) - y
     d_z1 = np.where(z1 > 0.0, d_scores @ params.W2.T, 0.0)
-    return _bce_sum(scores, y), d_scores, d_z1
+    return bce_loss(scores, y), d_scores, d_z1
 
 
 # W1's gradient is formed this many bytes of rows at a time (16 rows at

@@ -127,14 +127,8 @@ def generate(cfg: SynthConfig, out_dir: str | Path) -> DatasetManifest:
     for index in range(cfg.num_images):
         image, labels = render(cfg, index)
         name = f"img_{index:05d}.ppm"
-        try:
-            write_atomic(out_dir / name, write_ppm(image))
-        except OSError as exc:
-            raise IoError(f"cannot write {out_dir / name}: {exc}") from exc
+        write_atomic(out_dir / name, write_ppm(image))
         entries.append((name, labels))
     manifest = DatasetManifest(tuple(entries), cfg.num_classes)
-    try:
-        write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))
-    except OSError as exc:
-        raise IoError(f"cannot write manifest: {exc}") from exc
+    write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))
     return manifest

@@ -12,6 +12,10 @@ Everything random is keyed off (seed, stream, epoch, index) Philox
 streams, and batches reduce in a fixed order, so a (seed, config) pair
 replays to bitwise-identical parameters.
 
+A batch is built on arrays: `augment.apply_mode` writes each decoded
+image into one (n, H, W, 3) array, its labels are rows of the label
+matrix, and `augment.mixup` pairs the whole batch's rows at once.
+
 Batches never depend on the weights, so a one-thread ThreadPoolExecutor
 builds them (augmentation, mixup and pooling) one batch ahead, across epoch
 boundaries too: the calling thread takes batch k's future, submits batch
@@ -43,8 +47,8 @@ from .augment import (
     STREAM_SHUFFLE,
     AugmentConfig,
     apply_mode,
-    mixup_pair,
-    resize_bilinear,
+    mixup,
+    resize,
     rng_stream,
 )
 from .errors import DataLoadError, DivergedLoss, EmptyInput, MlcError
@@ -57,7 +61,7 @@ from .model import (
     pooled_batch,
     sgd_step,
 )
-from .types import Sample, ScoreMatrix
+from .types import Image, LabelMatrix, ScoreMatrix
 
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
@@ -116,8 +120,8 @@ def mixup_active(cfg: TrainConfig, epoch: int) -> bool:
     return epoch % 2 == (0 if cfg.mixup_phase == "even" else 1)
 
 
-def load_dataset(manifest: DatasetManifest, root: str | Path) -> list[Sample]:
-    """Read every manifest image; row order is manifest order.
+def load_dataset(manifest: DatasetManifest, root: str | Path) -> tuple[list[Image], LabelMatrix]:
+    """Every manifest image and the (n, C) label matrix; row order is manifest order.
 
     Entry paths are relative to `root` and must stay under it: an absolute
     path or a `..` component is a DataLoadError, raised before any read.
@@ -127,23 +131,22 @@ def load_dataset(manifest: DatasetManifest, root: str | Path) -> list[Sample]:
         pure = PurePath(rel_path)
         if pure.is_absolute() or ".." in pure.parts:
             raise DataLoadError(f"manifest entry {rel_path!r} leaves the dataset root")
-    labels = manifest.label_matrix()
-    samples = []
-    for i, (rel_path, _) in enumerate(manifest.entries):
+    images = []
+    for rel_path, _ in manifest.entries:
         try:
             blob = (root / rel_path).read_bytes()
         except OSError as exc:
             raise DataLoadError(f"cannot read {root / rel_path}: {exc}") from exc
         try:
-            image = read_ppm(blob)
+            images.append(read_ppm(blob))
         except MlcError as exc:
             raise DataLoadError(f"{root / rel_path}: {exc}") from exc
-        samples.append(Sample(image, labels.row(i)))
-    return samples
+    return images, manifest.label_matrix()
 
 
 def _augmented_batch(
-    samples: list[Sample],
+    images: list[Image],
+    labels: LabelMatrix,
     indices: np.ndarray,
     mode: str,
     aug_cfg: AugmentConfig,
@@ -151,34 +154,26 @@ def _augmented_batch(
     epoch: int,
     mix_order: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked pixels (n, H, W, 3) and labels (n, C) of one augmented batch.
+    """Pixels (n, H, W, 3) and labels (n, C) of one augmented batch.
 
-    Sample `indices[j]` is augmented on its (seed, STREAM_AUG, epoch, index)
-    stream. With a `mix_order`, positions `mix_order[2p]` and
-    `mix_order[2p + 1]` are mixed into row p, and an odd last position
-    passes through unmixed.
+    Image `indices[j]` is augmented on its (seed, STREAM_AUG, epoch, index)
+    stream into row j. With a `mix_order`, the rows are then paired by
+    `mixup`, so positions `mix_order[2p]` and `mix_order[2p + 1]` become
+    row p and an odd last position passes through unmixed.
     """
-    batch = []
-    for i in indices:
+    pixels = np.empty((len(indices), *aug_cfg.target_size, 3), dtype=np.float64)
+    for j, i in enumerate(indices):
         rng = rng_stream(seed, STREAM_AUG, epoch, int(i))
-        image = apply_mode(samples[i].image, mode, aug_cfg, rng)
-        batch.append(Sample(image, samples[i].labels))
-    if mix_order is not None:
-        mixed = [
-            mixup_pair(batch[mix_order[2 * p]], batch[mix_order[2 * p + 1]])
-            for p in range(len(batch) // 2)
-        ]
-        if len(batch) % 2 == 1:
-            mixed.append(batch[mix_order[-1]])
-        batch = mixed
-    return np.stack([s.image.data for s in batch]), np.stack([s.labels.data for s in batch])
+        pixels[j] = apply_mode(images[i].data, mode, aug_cfg, rng)
+    targets = labels.data[indices]
+    return (pixels, targets) if mix_order is None else mixup(pixels, targets, mix_order)
 
 
 def _training_batches(
-    samples: list[Sample], cfg: TrainConfig, aug_cfg: AugmentConfig
+    images: list[Image], labels: LabelMatrix, cfg: TrainConfig, aug_cfg: AugmentConfig
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Pooled features (n, D) and targets (n, C) of every batch of the run, in order."""
-    n = len(samples)
+    n = len(images)
     for epoch in range(cfg.epochs):
         order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(n)
         for batch_no, lo in enumerate(range(0, n, cfg.batch_size)):
@@ -188,7 +183,7 @@ def _training_batches(
                 mix_rng = rng_stream(cfg.seed, STREAM_MIX, epoch, batch_no)
                 mix_order = mix_rng.permutation(len(indices))
             pixels, targets = _augmented_batch(
-                samples, indices, cfg.mode, aug_cfg, cfg.seed, epoch, mix_order
+                images, labels, indices, cfg.mode, aug_cfg, cfg.seed, epoch, mix_order
             )
             yield pooled_batch(pixels, cfg.pool_grid), targets
 
@@ -255,8 +250,8 @@ def train(
     check_pool_grid(cfg.pool_grid, cfg.input_size)
     if len(manifest) == 0:
         raise EmptyInput("manifest lists no images to train on")
-    samples = load_dataset(manifest, root)
-    num_batches = len(range(0, len(samples), cfg.batch_size))
+    images, labels = load_dataset(manifest, root)
+    num_batches = len(range(0, len(images), cfg.batch_size))
     aug_cfg = AugmentConfig(target_size=cfg.input_size)
     init = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
     w1, b1 = init.W1.copy(), init.b1.copy()
@@ -266,7 +261,7 @@ def train(
     epoch_losses = []
     epoch_lrs = []
     first_loss = None
-    batches = _training_batches(samples, cfg, aug_cfg)
+    batches = _training_batches(images, labels, cfg, aug_cfg)
     with _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-batches") as worker:
         pending = worker.submit(next, batches, None)
         for epoch in range(cfg.epochs):
@@ -315,8 +310,8 @@ def predict(
 ) -> ScoreMatrix:
     """Raw logits per image: plain resize to input_size, no augmentation."""
     check_pool_grid(params.pool_grid, input_size)
-    samples = load_dataset(manifest, root)
-    pixels = np.empty((len(samples), *input_size, 3), dtype=np.float64)
-    for i, s in enumerate(samples):
-        pixels[i] = resize_bilinear(s.image, *input_size).data
+    images, _ = load_dataset(manifest, root)
+    pixels = np.empty((len(images), *input_size, 3), dtype=np.float64)
+    for i, image in enumerate(images):
+        pixels[i] = resize(image.data, *input_size)
     return ScoreMatrix(forward_features(params, pooled_batch(pixels, params.pool_grid)))

@@ -53,25 +53,6 @@ class Image:
 
 
 @dataclass(frozen=True)
-class LabelVector:
-    """Binary presence vector over C classes."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.data)
-        if raw.ndim != 1 or raw.shape[0] < 1:
-            raise ShapeMismatch(f"expected 1-d label vector, got shape {raw.shape}")
-        if not np.isin(raw, (0, 1)).all():
-            raise NonBinaryLabel("label entries must be 0 or 1")
-        object.__setattr__(self, "data", _frozen(raw, np.int8))
-
-    @property
-    def num_classes(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True)
 class LabelMatrix:
     """n x C binary ground-truth matrix; rows share one C."""
 
@@ -84,17 +65,6 @@ class LabelMatrix:
         if not np.isin(raw, (0, 1)).all():
             raise NonBinaryLabel("label entries must be 0 or 1")
         object.__setattr__(self, "data", _frozen(raw, np.int8))
-
-    @property
-    def num_rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.data.shape[1]
-
-    def row(self, i: int) -> LabelVector:
-        return LabelVector(self.data[i])
 
 
 @dataclass(frozen=True)
@@ -118,14 +88,6 @@ class ScoreMatrix:
     @property
     def num_classes(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training example: an image and its label vector."""
-
-    image: Image
-    labels: LabelVector
 
 
 def validate_pair(scores: ScoreMatrix | np.ndarray, labels: LabelMatrix | np.ndarray) -> None:

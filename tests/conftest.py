@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlc.types import Image, LabelVector, Sample
+from mlc.types import Image
 
 
 @pytest.fixture
@@ -13,6 +13,9 @@ def random_image(rng: np.random.Generator, height: int = 8, width: int = 8) -> I
     return Image(rng.random((height, width, 3)))
 
 
-def random_sample(rng: np.random.Generator, height: int = 8, width: int = 8, num_classes: int = 6) -> Sample:
+def random_sample(
+    rng: np.random.Generator, height: int = 8, width: int = 8, num_classes: int = 6
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (H, W, 3) and int8 labels (C,) of one random training example."""
     labels = (rng.random(num_classes) < 0.4).astype(np.int8)
-    return Sample(random_image(rng, height, width), LabelVector(labels))
+    return random_image(rng, height, width).data, labels

@@ -7,13 +7,13 @@ run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import numpy as np
 import pytest
 
-from mlc.augment import MODES, mixup_pair
+from mlc.augment import MODES, mixup
 from mlc.fusion import fuse
 from mlc.metrics import average_precision, evaluate, harmonic_f1, machine_line, top_k_binarize
 from mlc.model import ModelParams, backward_features, bce_loss, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import TrainConfig, predict, train
-from mlc.types import Image, LabelMatrix, LabelVector, Sample, ScoreMatrix
+from mlc.types import Image, LabelMatrix, ScoreMatrix
 
 from test_metrics import oracle_ap, oracle_panel
 
@@ -139,17 +139,18 @@ def test_criterion_4_mixup_law():
     for _ in range(1000):
         h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         classes = int(rng.integers(1, 9))
-        a = Sample(Image(rng.random((h, w, 3))), LabelVector((rng.random(classes) < 0.4).astype(np.int8)))
-        b = Sample(Image(rng.random((h, w, 3))), LabelVector((rng.random(classes) < 0.4).astype(np.int8)))
-        mixed = mixup_pair(a, b)
-        assert np.array_equal(mixed.labels.data, a.labels.data | b.labels.data)
-        assert np.array_equal(mixed.image.data, (a.image.data + b.image.data) / 2.0)
-        swapped = mixup_pair(b, a)
-        assert np.array_equal(mixed.image.data, swapped.image.data)
-        assert np.array_equal(mixed.labels.data, swapped.labels.data)
-        self_mixed = mixup_pair(a, a)
-        assert np.array_equal(self_mixed.image.data, a.image.data)
-        assert np.array_equal(self_mixed.labels.data, a.labels.data)
+        a, labels_a = rng.random((h, w, 3)), (rng.random(classes) < 0.4).astype(np.int8)
+        b, labels_b = rng.random((h, w, 3)), (rng.random(classes) < 0.4).astype(np.int8)
+        pixels, labels = np.stack([a, b]), np.stack([labels_a, labels_b])
+        mixed, mixed_labels = mixup(pixels, labels, np.array([0, 1]))
+        assert np.array_equal(mixed_labels[0], labels_a | labels_b)
+        assert np.array_equal(mixed[0], (a + b) / 2.0)
+        swapped, swapped_labels = mixup(pixels, labels, np.array([1, 0]))
+        assert np.array_equal(mixed, swapped)
+        assert np.array_equal(mixed_labels, swapped_labels)
+        self_mixed, self_labels = mixup(pixels, labels, np.array([0, 0]))
+        assert np.array_equal(self_mixed[0], a)
+        assert np.array_equal(self_labels[0], labels_a)
     _passed("criterion 4: mixup union/average/commutativity/self-identity on 1000 pairs")
 
 

@@ -1,19 +1,42 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mlc.augment import (
-    AugmentConfig,
-    apply_mode,
-    flip_horizontal,
-    mixup_pair,
-    random_resized_crop,
-    resize_bilinear,
-    rng_stream,
-)
-from mlc.errors import DimensionMismatch
-from mlc.types import Image, LabelVector, Sample
+from mlc.augment import AugmentConfig, apply_mode, mixup, resize, rng_stream
 
 from conftest import random_image, random_sample
+
+
+def flipped(data):
+    """`data` through M1 with a certain flip, resized to its own size."""
+    cfg = AugmentConfig(target_size=data.shape[:2], flip_probability=1.0)
+    return apply_mode(data, "M1", cfg, rng_stream(0, 2, 0, 0))
+
+
+def cropped(data, cfg, rng):
+    """`data` through M2 without a flip: one random-resized-crop."""
+    return apply_mode(data, "M2", replace(cfg, flip_probability=0.0), rng)
+
+
+def two_rows(a, b):
+    """A two-row batch (pixels, labels) of the (pixels, labels) pairs a and b."""
+    return np.stack([a[0], b[0]]), np.stack([a[1], b[1]])
+
+
+def mixup_reference(pixels, labels, order):
+    """mixup as a loop over pairs, one output row at a time."""
+    out_pixels, out_labels = [], []
+    for p in range(len(order) // 2):
+        a, b = order[2 * p], order[2 * p + 1]
+        out_pixels.append((pixels[a] + pixels[b]) / 2.0)
+        out_labels.append(labels[a] | labels[b])
+    if len(order) % 2 == 1:
+        out_pixels.append(pixels[order[-1]])
+        out_labels.append(labels[order[-1]])
+    return np.stack(out_pixels), np.stack(out_labels)
 
 
 class TestRngStream:
@@ -30,42 +53,45 @@ class TestRngStream:
 
 class TestFlip:
     def test_two_pixel_swap(self):
-        img = Image(np.array([[[0.1] * 3, [0.9] * 3]]))
-        flipped = flip_horizontal(img)
-        np.testing.assert_array_equal(flipped.data[0, 0], [0.9] * 3)
-        np.testing.assert_array_equal(flipped.data[0, 1], [0.1] * 3)
+        out = flipped(np.array([[[0.1] * 3, [0.9] * 3]]))
+        np.testing.assert_array_equal(out[0, 0], [0.9] * 3)
+        np.testing.assert_array_equal(out[0, 1], [0.1] * 3)
 
     def test_involution(self, rng):
         img = random_image(rng, 5, 9)
-        np.testing.assert_array_equal(flip_horizontal(flip_horizontal(img)).data, img.data)
+        np.testing.assert_array_equal(flipped(flipped(img.data)), img.data)
 
     def test_single_pixel_fixed(self):
-        img = Image(np.array([[[0.2, 0.4, 0.6]]]))
-        np.testing.assert_array_equal(flip_horizontal(img).data, img.data)
+        data = np.array([[[0.2, 0.4, 0.6]]])
+        np.testing.assert_array_equal(flipped(data), data)
+
+    def test_view_resizes_like_a_flipped_copy(self, rng):
+        img = random_image(rng, 7, 10)
+        cfg = AugmentConfig(target_size=(5, 13), flip_probability=1.0)
+        out = apply_mode(img.data, "M1", cfg, rng_stream(0, 2, 0, 0))
+        np.testing.assert_array_equal(out, resize(np.ascontiguousarray(img.data[:, ::-1]), 5, 13))
 
 
 class TestResize:
     def test_same_size_is_identity(self, rng):
         img = random_image(rng, 6, 4)
-        out = resize_bilinear(img, 6, 4)
-        assert np.abs(out.data - img.data).max() == 0.0
+        out = resize(img.data, 6, 4)
+        assert np.abs(out - img.data).max() == 0.0
 
     def test_constant_image(self):
-        img = Image(np.full((3, 3, 3), 0.7))
-        out = resize_bilinear(img, 5, 8)
-        np.testing.assert_array_equal(out.data, np.full((5, 8, 3), 0.7))
+        out = resize(np.full((3, 3, 3), 0.7), 5, 8)
+        np.testing.assert_array_equal(out, np.full((5, 8, 3), 0.7))
 
     def test_hand_derived_upscale(self):
-        img = Image(np.array([[[0.0] * 3, [1.0] * 3]]))
-        out = resize_bilinear(img, 1, 4)
-        np.testing.assert_array_equal(out.data[0, :, 0], [0.0, 0.25, 0.75, 1.0])
+        out = resize(np.array([[[0.0] * 3, [1.0] * 3]]), 1, 4)
+        np.testing.assert_array_equal(out[0, :, 0], [0.0, 0.25, 0.75, 1.0])
 
     def test_output_within_input_range(self, rng):
         for _ in range(20):
             img = random_image(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-            out = resize_bilinear(img, int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-            assert out.data.min() >= img.data.min() - 1e-12
-            assert out.data.max() <= img.data.max() + 1e-12
+            out = resize(img.data, int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+            assert out.min() >= img.data.min() - 1e-12
+            assert out.max() <= img.data.max() + 1e-12
 
 
 class TestRandomResizedCrop:
@@ -73,32 +99,31 @@ class TestRandomResizedCrop:
         cfg = AugmentConfig(target_size=(7, 5))
         for i in range(10):
             img = random_image(rng, int(rng.integers(4, 16)), int(rng.integers(4, 16)))
-            out = random_resized_crop(img, cfg, rng_stream(1, 2, 0, i))
-            assert (out.height, out.width) == (7, 5)
+            out = cropped(img.data, cfg, rng_stream(1, 2, 0, i))
+            assert out.shape == (7, 5, 3)
 
     def test_degenerate_ranges_full_crop(self, rng):
         img = random_image(rng, 6, 6)
         cfg = AugmentConfig(
             target_size=(9, 9), crop_scale_range=(1.0, 1.0), crop_aspect_range=(1.0, 1.0)
         )
-        out = random_resized_crop(img, cfg, rng_stream(3, 2, 0, 0))
-        expected = resize_bilinear(img, 9, 9)
-        np.testing.assert_array_equal(out.data, expected.data)
+        out = cropped(img.data, cfg, rng_stream(3, 2, 0, 0))
+        np.testing.assert_array_equal(out, resize(img.data, 9, 9))
 
     def test_fixed_seed_reproduces(self, rng):
         img = random_image(rng, 12, 12)
         cfg = AugmentConfig(target_size=(8, 8))
-        a = random_resized_crop(img, cfg, rng_stream(9, 2, 4, 2))
-        b = random_resized_crop(img, cfg, rng_stream(9, 2, 4, 2))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = cropped(img.data, cfg, rng_stream(9, 2, 4, 2))
+        b = cropped(img.data, cfg, rng_stream(9, 2, 4, 2))
+        np.testing.assert_array_equal(a, b)
 
     def test_values_within_input_range(self, rng):
         img = random_image(rng, 10, 10)
         cfg = AugmentConfig(target_size=(6, 6))
         for i in range(10):
-            out = random_resized_crop(img, cfg, rng_stream(5, 2, 0, i))
-            assert out.data.min() >= img.data.min() - 1e-12
-            assert out.data.max() <= img.data.max() + 1e-12
+            out = cropped(img.data, cfg, rng_stream(5, 2, 0, i))
+            assert out.min() >= img.data.min() - 1e-12
+            assert out.max() <= img.data.max() + 1e-12
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
@@ -111,63 +136,76 @@ class TestRandomResizedCrop:
 
 class TestMixup:
     def test_label_or_table(self):
-        a = Sample(Image(np.zeros((2, 2, 3))), LabelVector(np.array([1, 0, 1])))
-        b = Sample(Image(np.zeros((2, 2, 3))), LabelVector(np.array([0, 0, 1])))
-        np.testing.assert_array_equal(mixup_pair(a, b).labels.data, [1, 0, 1])
+        pixels = np.zeros((2, 2, 2, 3))
+        labels = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
+        np.testing.assert_array_equal(mixup(pixels, labels, np.array([0, 1]))[1], [[1, 0, 1]])
 
     def test_pixel_average(self):
-        a = Sample(Image(np.full((1, 1, 3), 0.2)), LabelVector(np.array([1])))
-        b = Sample(Image(np.full((1, 1, 3), 0.6)), LabelVector(np.array([1])))
-        np.testing.assert_array_equal(mixup_pair(a, b).image.data, np.full((1, 1, 3), 0.4))
+        pixels = np.stack([np.full((1, 1, 3), 0.2), np.full((1, 1, 3), 0.6)])
+        labels = np.ones((2, 1), dtype=np.int8)
+        mixed, _ = mixup(pixels, labels, np.array([0, 1]))
+        np.testing.assert_array_equal(mixed, np.full((1, 1, 1, 3), 0.4))
 
     def test_self_mix_is_identity(self, rng):
         s = random_sample(rng)
-        mixed = mixup_pair(s, s)
-        np.testing.assert_array_equal(mixed.image.data, s.image.data)
-        np.testing.assert_array_equal(mixed.labels.data, s.labels.data)
+        mixed, labels = mixup(*two_rows(s, s), np.array([0, 1]))
+        np.testing.assert_array_equal(mixed[0], s[0])
+        np.testing.assert_array_equal(labels[0], s[1])
 
     def test_commutative(self, rng):
-        a, b = random_sample(rng), random_sample(rng)
-        ab, ba = mixup_pair(a, b), mixup_pair(b, a)
-        np.testing.assert_array_equal(ab.image.data, ba.image.data)
-        np.testing.assert_array_equal(ab.labels.data, ba.labels.data)
+        pixels, labels = two_rows(random_sample(rng), random_sample(rng))
+        ab, ba = mixup(pixels, labels, np.array([0, 1])), mixup(pixels, labels, np.array([1, 0]))
+        np.testing.assert_array_equal(ab[0], ba[0])
+        np.testing.assert_array_equal(ab[1], ba[1])
 
     def test_support_is_union(self, rng):
         for _ in range(50):
-            a, b = random_sample(rng), random_sample(rng)
-            mixed = mixup_pair(a, b)
-            union = np.flatnonzero(a.labels.data | b.labels.data)
-            np.testing.assert_array_equal(np.flatnonzero(mixed.labels.data), union)
+            pixels, labels = two_rows(random_sample(rng), random_sample(rng))
+            _, mixed = mixup(pixels, labels, np.array([0, 1]))
+            union = np.flatnonzero(labels[0] | labels[1])
+            np.testing.assert_array_equal(np.flatnonzero(mixed[0]), union)
 
-    def test_dimension_mismatch(self, rng):
-        a = random_sample(rng, 4, 4)
-        b = random_sample(rng, 4, 5)
-        with pytest.raises(DimensionMismatch):
-            mixup_pair(a, b)
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=17, seed=0)
+    def test_equals_per_pair_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pixels = rng.random((n, 3, 2, 3))
+        labels = (rng.random((n, 5)) < 0.4).astype(np.int8)
+        order = rng.permutation(n)
+        before = pixels.copy(), labels.copy()
+        mixed, mixed_labels = mixup(pixels, labels, order)
+        expected, expected_labels = mixup_reference(pixels, labels, order)
+        assert np.array_equal(mixed, expected) and np.array_equal(mixed_labels, expected_labels)
+        assert mixed.shape == ((n + 1) // 2, 3, 2, 3) and mixed_labels.dtype == np.int8
+        # the inputs are left as they were
+        assert np.array_equal(pixels, before[0]) and np.array_equal(labels, before[1])
 
 
 class TestApplyMode:
     def test_m1_output_is_target_size(self, rng):
         img = random_image(rng, 11, 13)
         cfg = AugmentConfig(target_size=(8, 8))
-        out = apply_mode(img, "M1", cfg, rng_stream(0, 2, 0, 0))
-        assert (out.height, out.width) == (8, 8)
+        out = apply_mode(img.data, "M1", cfg, rng_stream(0, 2, 0, 0))
+        assert out.shape == (8, 8, 3)
 
     def test_m2_and_m3_share_pipeline(self, rng):
         img = random_image(rng, 11, 13)
         cfg = AugmentConfig(target_size=(8, 8))
-        a = apply_mode(img, "M2", cfg, rng_stream(4, 2, 0, 0))
-        b = apply_mode(img, "M3", cfg, rng_stream(4, 2, 0, 0))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = apply_mode(img.data, "M2", cfg, rng_stream(4, 2, 0, 0))
+        b = apply_mode(img.data, "M3", cfg, rng_stream(4, 2, 0, 0))
+        np.testing.assert_array_equal(a, b)
 
     def test_unknown_mode(self, rng):
         img = random_image(rng, 4, 4)
         cfg = AugmentConfig(target_size=(4, 4))
         with pytest.raises(ValueError):
-            apply_mode(img, "M4", cfg, rng_stream(0, 2, 0, 0))
+            apply_mode(img.data, "M4", cfg, rng_stream(0, 2, 0, 0))
 
     def test_m1_without_flip_is_plain_resize(self, rng):
         img = random_image(rng, 9, 9)
         cfg = AugmentConfig(target_size=(5, 5), flip_probability=0.0)
-        out = apply_mode(img, "M1", cfg, rng_stream(0, 2, 0, 0))
-        np.testing.assert_array_equal(out.data, resize_bilinear(img, 5, 5).data)
+        out = apply_mode(img.data, "M1", cfg, rng_stream(0, 2, 0, 0))
+        np.testing.assert_array_equal(out, resize(img.data, 5, 5))

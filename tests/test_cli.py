@@ -341,6 +341,56 @@ class TestExitCodes:
         assert str(paths[flag]) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_directory_target_fails_before_training(
+        self, dataset, tmp_path, capsys, monkeypatch, flag
+    ):
+        def no_train(*args, **kwargs):
+            raise AssertionError("train ran before the output target was checked")
+
+        monkeypatch.setattr(cli, "train", no_train)
+        paths = {"--out": tmp_path / "x.params", "--log": tmp_path / "train.log"}
+        paths[flag].mkdir()
+        assert main([
+            "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--out", str(paths["--out"]), "--log", str(paths["--log"]),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(paths[flag]) in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [paths[flag].name]
+        assert list(paths[flag].iterdir()) == []
+
+    def test_predict_directory_target_is_runtime_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "scores"
+        out.mkdir()
+        assert main([
+            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "--size", "24", "24", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scores"] and list(out.iterdir()) == []
+
+    def test_evaluate_k_below_one_is_usage_error(self, tmp_path, capsys):
+        # rejected before any file is read: neither path exists
+        assert main([
+            "evaluate", "--scores", str(tmp_path / "none.csv"),
+            "--labels", str(tmp_path / "none.csv"), "--k", "0",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--k" in err and len(err.splitlines()) == 1
+
+    def test_evaluate_k_above_classes_is_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("0.5,0.1\n0.2,0.9\n")
+        (tmp_path / "y.csv").write_text("1,0\n0,1\n")
+        assert main([
+            "evaluate", "--scores", str(tmp_path / "s.csv"),
+            "--labels", str(tmp_path / "y.csv"), "--k", "3",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k=3" in err and len(err.splitlines()) == 1
+
     def test_predict_non_ascii_checkpoint_is_runtime_error(self, dataset, tmp_path, capsys):
         params = tmp_path / "bad.params"
         params.write_bytes(b"\xff\xfe not a checkpoint")

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mlc.errors import (
     BadHeader,
     BadMagic,
     IndexOutOfRange,
+    IoError,
     MissingClassHeader,
     MlcError,
     NonBinaryLabel,
@@ -176,7 +178,8 @@ class TestWriteAtomic:
             raise exc
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(type(exc)):
+        # an OSError is re-raised as an IoError naming the target
+        with pytest.raises(IoError if isinstance(exc, OSError) else type(exc)):
             write_atomic(target, b"new" * 1000)
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
@@ -186,9 +189,17 @@ class TestWriteAtomic:
             write_atomic(tmp_path / "x.txt", "\u00e9")
         assert list(tmp_path.iterdir()) == []
 
-    def test_missing_directory_is_os_error(self, tmp_path):
-        with pytest.raises(OSError):
-            write_atomic(tmp_path / "no" / "x.txt", "1\n")
+    def test_missing_directory_is_io_error(self, tmp_path):
+        target = tmp_path / "no" / "x.txt"
+        with pytest.raises(IoError, match=f"^cannot write {re.escape(str(target))}: "):
+            write_atomic(target, "1\n")
+
+    def test_directory_target_is_io_error_naming_it(self, tmp_path):
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(IoError, match=f"^cannot write {re.escape(str(target))}: Is a directory$"):
+            write_atomic(target, "1\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any(target.iterdir())
 
 
 class TestReadersFuzz:

@@ -21,7 +21,7 @@ from mlc.model import (
     sgd_step,
     sigmoid,
 )
-from mlc.types import Image, LabelVector
+from mlc.types import Image
 
 from conftest import random_image
 
@@ -54,7 +54,7 @@ def logits(params, img):
 
 
 def backward_one(params, img, labels):
-    return backward_features(params, features_of(img, params.pool_grid), labels.data[None])
+    return backward_features(params, features_of(img, params.pool_grid), labels[None])
 
 
 class TestAdaptivePool:
@@ -156,7 +156,7 @@ class TestBceLoss:
             assert bce_loss(np.zeros(c), y) == pytest.approx(c * math.log(2), abs=1e-12)
 
     def test_accepts_label_vector(self):
-        assert bce_loss(np.zeros(2), LabelVector(np.array([1, 0]))) > 0
+        assert bce_loss(np.zeros(2), np.array([1, 0], dtype=np.int8)) > 0
 
     def test_no_overflow_at_huge_scores(self):
         loss = bce_loss(np.array([700.0, -700.0]), np.array([0, 1]))
@@ -168,7 +168,7 @@ class TestBackward:
         # with zero weights scores = b2 = 0, so dL/db2 = sigmoid(0) - y
         params = ModelParams((1, 1), np.zeros((3, 2)), np.zeros(2), np.zeros((2, 3)), np.zeros(3))
         img = random_image(rng, 3, 3)
-        _, grads = backward_one(params, img, LabelVector(np.array([1, 0, 1])))
+        _, grads = backward_one(params, img, np.array([1, 0, 1]))
         np.testing.assert_allclose(grads.b2, [-0.5, 0.5, -0.5], atol=1e-12)
 
     def test_dead_units_get_zero_gradient(self, rng):
@@ -178,14 +178,14 @@ class TestBackward:
         b1[1] = -100.0
         params = ModelParams(params.pool_grid, params.W1, b1, params.W2, params.b2)
         img = random_image(rng, 4, 4)
-        _, grads = backward_one(params, img, LabelVector(np.array([1, 0, 0])))
+        _, grads = backward_one(params, img, np.array([1, 0, 0]))
         np.testing.assert_array_equal(grads.W1[:, 1], 0.0)
         assert grads.b1[1] == 0.0
 
     def test_matches_finite_differences_small_case(self, rng):
         params = tiny_params(rng)
         img = random_image(rng, 5, 5)
-        labels = LabelVector(np.array([1, 0, 1]))
+        labels = np.array([1, 0, 1])
         loss, grads = backward_one(params, img, labels)
         eps = 1e-6
         w2 = params.W2.copy()
@@ -201,7 +201,7 @@ class TestBackward:
     def test_loss_matches_bce_of_forward(self, rng):
         params = tiny_params(rng)
         img = random_image(rng, 4, 6)
-        labels = LabelVector(np.array([0, 1, 1]))
+        labels = np.array([0, 1, 1])
         loss, _ = backward_one(params, img, labels)
         assert loss == pytest.approx(bce_loss(logits(params, img), labels), abs=1e-12)
 
@@ -378,7 +378,7 @@ def test_params_nonfinite_validation(name, bad):
 def test_gradients_container_shapes(rng):
     params = tiny_params(rng)
     img = random_image(rng, 4, 4)
-    _, grads = backward_one(params, img, LabelVector(np.array([1, 1, 0])))
+    _, grads = backward_one(params, img, np.array([1, 1, 0]))
     assert isinstance(grads, Gradients)
     assert grads.W1.shape == params.W1.shape
     assert grads.b1.shape == params.b1.shape

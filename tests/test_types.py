@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlc.errors import NonBinaryLabel, NonFinite, PixelOutOfRange, ShapeMismatch
-from mlc.types import Image, LabelMatrix, LabelVector, ScoreMatrix, validate_pair
+from mlc.types import Image, LabelMatrix, ScoreMatrix, validate_pair
 
 
 class TestImage:
@@ -56,14 +56,6 @@ class TestImage:
 
 
 class TestLabels:
-    def test_vector_rejects_non_binary(self):
-        with pytest.raises(NonBinaryLabel):
-            LabelVector(np.array([0, 1, 2]))
-
-    def test_vector_accepts_binary(self):
-        vec = LabelVector(np.array([0, 1, 1]))
-        assert vec.num_classes == 3
-
     def test_matrix_rejects_non_binary(self):
         with pytest.raises(NonBinaryLabel):
             LabelMatrix(np.array([[1, 0], [0, 2]]))
