@@ -1,20 +1,20 @@
 """Augmentation on float64 pixel arrays: flip, bilinear resize,
 random-resized-crop and mixup.
 
-`apply_mode` maps one (H, W, 3) image to `cfg.target_size`, and `mixup`
-pairs the rows of a whole (n, H, W, 3) batch. Their inputs are decoded
-`Image` pixels and every step keeps values in [0, 1], so nothing is
-wrapped or checked again. Randomized ops take an explicit numpy Generator
-so every transform is a pure function of (inputs, rng stream). Streams come
-from `rng_stream`, which keys a counter-based Philox generator off (seed,
-stream path): the same seed and calls replay the same outputs, and
-disjoint paths give independent streams.
+`apply_mode` maps one (H, W, 3) image to an (h, w) size, and `mixup`
+pairs the rows of a whole (n, H, W, 3) batch. The flip probability and
+the crop's ranges are fixed module constants, not parameters. The inputs
+are decoded `Image` pixels and every step keeps values in [0, 1], so
+nothing is wrapped or checked again. Randomized ops take an explicit
+numpy Generator so every transform is a pure function of (inputs, rng
+stream). Streams come from `rng_stream`, which keys a counter-based Philox
+generator off (seed, stream path): the same seed and calls replay the same
+outputs, and disjoint paths give independent streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,34 +29,17 @@ STREAM_GEN = 4
 
 MODES = ("M1", "M2", "M3")
 
+# the fixed augmentation of the paper's baseline: a flip at even odds and
+# a crop of 8-100% of the area at an aspect ratio in [3/4, 4/3]
+FLIP_PROBABILITY = 0.5
+CROP_SCALE_RANGE = (0.08, 1.0)
+CROP_ASPECT_RANGE = (3 / 4, 4 / 3)
+CROP_ATTEMPTS = 10
+
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream for a (seed, path) pair."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    target_size: tuple[int, int]
-    flip_probability: float = 0.5
-    crop_scale_range: tuple[float, float] = (0.08, 1.0)
-    crop_aspect_range: tuple[float, float] = (3 / 4, 4 / 3)
-    crop_attempts: int = 10
-
-    def __post_init__(self):
-        th, tw = self.target_size
-        if th < 1 or tw < 1:
-            raise ValueError(f"target_size must be positive, got {self.target_size}")
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ValueError(f"flip_probability {self.flip_probability} outside [0, 1]")
-        for name, (low, high) in (
-            ("crop_scale_range", self.crop_scale_range),
-            ("crop_aspect_range", self.crop_aspect_range),
-        ):
-            if not 0.0 < low <= high:
-                raise ValueError(f"{name} must satisfy 0 < low <= high, got ({low}, {high})")
-        if self.crop_attempts < 1:
-            raise ValueError("crop_attempts must be >= 1")
 
 
 def resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -65,18 +48,18 @@ def resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.clip(kernels.resize_bilinear(data, out_h, out_w), 0.0, 1.0)
 
 
-def _random_crop(data: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+def _random_crop(data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """A random area/aspect window of `data`, as a view.
 
-    Samples the area fraction uniformly in crop_scale_range and the aspect
-    ratio log-uniformly in crop_aspect_range, retrying up to crop_attempts
+    Samples the area fraction uniformly in CROP_SCALE_RANGE and the aspect
+    ratio log-uniformly in CROP_ASPECT_RANGE, retrying up to CROP_ATTEMPTS
     times; on failure falls back to the largest centered crop whose aspect
     is the in-range value closest to 1.
     """
     in_h, in_w = data.shape[0], data.shape[1]
-    slo, shi = cfg.crop_scale_range
-    alo, ahi = cfg.crop_aspect_range
-    for _ in range(cfg.crop_attempts):
+    slo, shi = CROP_SCALE_RANGE
+    alo, ahi = CROP_ASPECT_RANGE
+    for _ in range(CROP_ATTEMPTS):
         area = rng.uniform(slo, shi) * in_h * in_w
         aspect = math.exp(rng.uniform(math.log(alo), math.log(ahi)))
         w = int(round(math.sqrt(area * aspect)))
@@ -93,20 +76,23 @@ def _random_crop(data: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator)
     return data[top : top + h, left : left + w, :]
 
 
-def apply_mode(data: np.ndarray, mode: str, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+def apply_mode(
+    data: np.ndarray, mode: str, size: tuple[int, int], rng: np.random.Generator
+) -> np.ndarray:
     """Run one (H, W, 3) array through the augmentation pipeline of a training mode.
 
-    M1 flips then resizes to cfg.target_size; M2 and M3 flip, then crop a
-    random window and resize it. The flip and the crop are views, so the
-    resize makes the only copy. Mixup, the extra M3 step, is `mixup`.
+    M1 flips (with FLIP_PROBABILITY) then resizes to `size`, an (h, w)
+    pair; M2 and M3 flip, then crop a random window and resize it. The flip
+    and the crop are views, so the resize makes the only copy. Mixup, the
+    extra M3 step, is `mixup`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if rng.random() < cfg.flip_probability:
+    if rng.random() < FLIP_PROBABILITY:
         data = data[:, ::-1, :]
     if mode != "M1":
-        data = _random_crop(data, cfg, rng)
-    return resize(data, *cfg.target_size)
+        data = _random_crop(data, rng)
+    return resize(data, *size)
 
 
 def mixup(pixels: np.ndarray, labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

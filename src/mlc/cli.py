@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import MODES, AugmentConfig
+from .augment import MODES
 from .errors import IoError, MlcError, ParseError
 from .fusion import fuse
 from .io import (
@@ -32,7 +32,7 @@ from .types import Image
 
 
 class _UsageError(Exception):
-    """A flag value that a config dataclass rejects."""
+    """A flag value that is invalid by itself, found before any file is read."""
 
 
 def _config(factory, **fields):
@@ -40,6 +40,18 @@ def _config(factory, **fields):
         return factory(**fields)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _check_writable(*targets: str | None) -> None:
+    """Raise IoError unless each given output target could be written.
+
+    Run before any input is read, so a bad target costs no work.
+    """
+    for target in filter(None, targets):
+        if Path(target).is_dir():
+            raise IoError(f"cannot write {target}: Is a directory")
+        if not Path(target).parent.is_dir():
+            raise IoError(f"cannot write {target}: {Path(target).parent} is not a directory")
 
 
 def _read_text(path: str) -> str:
@@ -151,11 +163,7 @@ def _cmd_train(args) -> None:
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),
         hidden=args.hidden,
     )
-    for target in filter(None, (args.out, args.log)):
-        if Path(target).is_dir():
-            raise IoError(f"cannot write {target}: it is a directory")
-        if not Path(target).parent.is_dir():
-            raise IoError(f"cannot write {target}: {Path(target).parent} is not a directory")
+    _check_writable(args.out, args.log)
     manifest = read_manifest(_read_text(args.manifest))
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
     write_atomic(args.out, save_params(report.params))
@@ -167,6 +175,7 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_predict(args) -> None:
+    _check_writable(args.out)
     params = load_params(Path(args.params).read_bytes())
     manifest = read_manifest(_read_text(args.manifest))
     scores = predict(params, manifest, (args.size[0], args.size[1]),
@@ -186,6 +195,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
+    _check_writable(args.out)
     members = [read_csv_matrix(_read_text(path), kind="scores") for path in args.inputs]
     fused = fuse(members, sigmoid_first=args.sigmoid_first)
     write_atomic(args.out, write_csv_matrix(fused))
@@ -193,7 +203,9 @@ def _cmd_fuse(args) -> None:
 
 
 def _cmd_augment(args) -> None:
-    aug_cfg = _config(AugmentConfig, target_size=(args.size[0], args.size[1]))
+    size = (args.size[0], args.size[1])
+    if min(size) < 1:
+        raise _UsageError(f"--size must be positive, got {size[0]} {size[1]}")
     manifest = read_manifest(_read_text(args.manifest))
     images, labels = load_dataset(manifest, Path(args.manifest).parent)
     # training's batch function over the whole set: epoch-0 streams and,
@@ -201,7 +213,7 @@ def _cmd_augment(args) -> None:
     everything = np.arange(len(images))
     mix_order = everything if args.mode == "M3" else None
     pixels, targets = _augmented_batch(
-        images, labels, everything, args.mode, aug_cfg, args.seed, 0, mix_order
+        images, labels, everything, args.mode, size, args.seed, 0, mix_order
     )
 
     out_dir = Path(args.out_dir)

@@ -19,7 +19,6 @@ from .errors import (
     IndexOutOfRange,
     IoError,
     MissingClassHeader,
-    NonBinaryLabel,
     ParseError,
     RaggedRows,
     ShapeMismatch,
@@ -103,8 +102,9 @@ def write_ppm(image: Image) -> bytes:
 def read_csv_matrix(text: str, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
     """Parse a headerless CSV of decimal numbers into a matrix.
 
-    kind="labels" additionally enforces binary entries and returns a
-    LabelMatrix; kind="scores" returns a ScoreMatrix.
+    kind="labels" returns a LabelMatrix, which rejects entries other than
+    0 and 1; kind="scores" returns a ScoreMatrix, which rejects NaN and
+    infinities.
     """
     if kind not in ("scores", "labels"):
         raise ValueError(f"kind must be 'scores' or 'labels', got {kind!r}")
@@ -125,11 +125,7 @@ def read_csv_matrix(text: str, kind: str = "scores") -> ScoreMatrix | LabelMatri
     if not rows:
         raise ParseError("matrix text contains no rows")
     data = np.asarray(rows, dtype=np.float64)
-    if kind == "labels":
-        if not np.isin(data, (0.0, 1.0)).all():
-            raise NonBinaryLabel("label CSV contains entries other than 0 and 1")
-        return LabelMatrix(data.astype(np.int8))
-    return ScoreMatrix(data)
+    return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
 
 
 def write_csv_matrix(matrix: ScoreMatrix | LabelMatrix) -> str:

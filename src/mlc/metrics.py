@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
-from .types import LabelMatrix, ScoreMatrix, validate_pair
+from .types import LabelMatrix, ScoreMatrix
 
 
 @dataclass(frozen=True)
@@ -36,28 +36,25 @@ class MetricsReport:
         return (self.map, self.lp, self.lr, self.lf1, self.op, self.or_, self.of1)
 
 
-def top_k_binarize(scores: ScoreMatrix | np.ndarray, k: int) -> np.ndarray:
-    """Per row, set exactly the k largest scores to 1 (ties: lower index wins)."""
-    s = scores.data if isinstance(scores, ScoreMatrix) else np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ShapeMismatch(f"expected (n, C) scores, got shape {s.shape}")
-    if not 1 <= k <= s.shape[1]:
-        raise KTooLarge(f"k={k} outside [1, {s.shape[1]}]")
-    # stable argsort on -s keeps ascending original index among equal scores
-    order = np.argsort(-s, axis=1, kind="stable")
-    pred = np.zeros(s.shape, dtype=np.int8)
+def top_k_binarize(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row of (n, C) scores, set exactly the k largest to 1 (ties: lower index wins)."""
+    if scores.ndim != 2:
+        raise ShapeMismatch(f"expected (n, C) scores, got shape {scores.shape}")
+    if not 1 <= k <= scores.shape[1]:
+        raise KTooLarge(f"k={k} outside [1, {scores.shape[1]}]")
+    # stable argsort on -scores keeps ascending original index among equal scores
+    order = np.argsort(-scores, axis=1, kind="stable")
+    pred = np.zeros(scores.shape, dtype=np.int8)
     np.put_along_axis(pred, order[:, :k], 1, axis=1)
     return pred
 
 
-def confusion_counts(pred: np.ndarray, truth: LabelMatrix | np.ndarray) -> np.ndarray:
-    """Per-class (TP, FP, FN) stacked as a (C, 3) array."""
-    p = np.asarray(pred)
-    y = truth.data if isinstance(truth, LabelMatrix) else np.asarray(truth)
-    if p.shape != y.shape:
-        raise ShapeMismatch(f"pred {p.shape} vs truth {y.shape}")
-    p = p.astype(np.int64)
-    y = y.astype(np.int64)
+def confusion_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per-class (TP, FP, FN) of (n, C) 0/1 arrays, stacked as a (C, 3) array."""
+    if pred.shape != truth.shape:
+        raise ShapeMismatch(f"pred {pred.shape} vs truth {truth.shape}")
+    p = pred.astype(np.int64)
+    y = truth.astype(np.int64)
     tp = (p * y).sum(axis=0)
     fp = (p * (1 - y)).sum(axis=0)
     fn = ((1 - p) * y).sum(axis=0)
@@ -118,16 +115,14 @@ def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
     return float(precision_at_rank[hits == 1].sum() / positives)
 
 
-def mean_ap(scores: ScoreMatrix | np.ndarray, truth: LabelMatrix | np.ndarray) -> tuple[float, np.ndarray]:
-    """mAP over classes with at least one positive; absent classes get NaN."""
-    s = scores.data if isinstance(scores, ScoreMatrix) else np.asarray(scores, dtype=np.float64)
-    y = truth.data if isinstance(truth, LabelMatrix) else np.asarray(truth)
-    if s.shape != y.shape:
-        raise ShapeMismatch(f"scores {s.shape} vs truth {y.shape}")
-    per_class = np.full(s.shape[1], np.nan)
-    for j in range(s.shape[1]):
-        if y[:, j].sum() > 0:
-            per_class[j] = average_precision(s[:, j], y[:, j])
+def mean_ap(scores: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
+    """mAP of (n, C) arrays over classes with at least one positive; absent classes get NaN."""
+    if scores.shape != truth.shape:
+        raise ShapeMismatch(f"scores {scores.shape} vs truth {truth.shape}")
+    per_class = np.full(scores.shape[1], np.nan)
+    for j in range(scores.shape[1]):
+        if truth[:, j].sum() > 0:
+            per_class[j] = average_precision(scores[:, j], truth[:, j])
     present = ~np.isnan(per_class)
     if not present.any():
         raise AllClassesEmpty("every class is empty; mAP undefined")
@@ -135,13 +130,19 @@ def mean_ap(scores: ScoreMatrix | np.ndarray, truth: LabelMatrix | np.ndarray) -
 
 
 def evaluate(scores: ScoreMatrix, truth: LabelMatrix, k: int = 3) -> MetricsReport:
-    """Full panel: validate, binarize at top-k, pool counts, average APs."""
-    validate_pair(scores, truth)
-    pred = top_k_binarize(scores, k)
-    counts = confusion_counts(pred, truth)
+    """Full panel: binarize at top-k, pool counts, average APs.
+
+    The wrappers guarantee finite scores and 0/1 labels; only their shapes
+    are compared here.
+    """
+    s, y = scores.data, truth.data
+    if s.shape != y.shape:
+        raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
+    pred = top_k_binarize(s, k)
+    counts = confusion_counts(pred, y)
     lp, lr, lf1 = label_centric_prf(counts)
     op, or_, of1 = overall_prf(counts, n=scores.num_rows, k=k)
-    map_, per_class = mean_ap(scores, truth)
+    map_, per_class = mean_ap(s, y)
     return MetricsReport(
         map=map_, lp=lp, lr=lr, lf1=lf1, op=op, or_=or_, of1=of1,
         k=k, per_class_ap=per_class,

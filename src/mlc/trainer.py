@@ -13,8 +13,12 @@ streams, and batches reduce in a fixed order, so a (seed, config) pair
 replays to bitwise-identical parameters.
 
 A batch is built on arrays: `augment.apply_mode` writes each decoded
-image into one (n, H, W, 3) array, its labels are rows of the label
-matrix, and `augment.mixup` pairs the whole batch's rows at once.
+image, at `TrainConfig.input_size`, into one (n, H, W, 3) array, its
+labels are rows of the label matrix, and `augment.mixup` pairs the whole
+batch's rows at once. `TrainConfig` owns every check on its values, the
+pool grid fitting the input size included. `sgd_step` updates the arrays
+of `init_params` in place; they are validated as `ModelParams` when made
+and once more before `train` returns them.
 
 Batches never depend on the weights, so a one-thread ThreadPoolExecutor
 builds them (augmentation, mixup and pooling) one batch ahead, across epoch
@@ -34,7 +38,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path, PurePath
 from typing import Callable, Iterator
 
@@ -45,7 +49,6 @@ from .augment import (
     STREAM_AUG,
     STREAM_MIX,
     STREAM_SHUFFLE,
-    AugmentConfig,
     apply_mode,
     mixup,
     resize,
@@ -99,6 +102,9 @@ class TrainConfig:
             raise ValueError(f"mixup_phase must be 'even' or 'odd', got {self.mixup_phase!r}")
         if min(self.input_size) < 1 or min(self.pool_grid) < 1 or self.hidden < 1:
             raise ValueError("input_size, pool_grid and hidden must be positive")
+        (gh, gw), (height, width) = self.pool_grid, self.input_size
+        if gh > height or gw > width:
+            raise ValueError(f"pool_grid {gh}x{gw} is larger than input_size {height}x{width}")
 
 
 @dataclass(frozen=True)
@@ -149,28 +155,28 @@ def _augmented_batch(
     labels: LabelMatrix,
     indices: np.ndarray,
     mode: str,
-    aug_cfg: AugmentConfig,
+    size: tuple[int, int],
     seed: int,
     epoch: int,
     mix_order: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pixels (n, H, W, 3) and labels (n, C) of one augmented batch.
+    """Pixels (n, h, w, 3) and labels (n, C) of one augmented batch of (h, w) `size`.
 
     Image `indices[j]` is augmented on its (seed, STREAM_AUG, epoch, index)
     stream into row j. With a `mix_order`, the rows are then paired by
     `mixup`, so positions `mix_order[2p]` and `mix_order[2p + 1]` become
     row p and an odd last position passes through unmixed.
     """
-    pixels = np.empty((len(indices), *aug_cfg.target_size, 3), dtype=np.float64)
+    pixels = np.empty((len(indices), *size, 3), dtype=np.float64)
     for j, i in enumerate(indices):
         rng = rng_stream(seed, STREAM_AUG, epoch, int(i))
-        pixels[j] = apply_mode(images[i].data, mode, aug_cfg, rng)
+        pixels[j] = apply_mode(images[i].data, mode, size, rng)
     targets = labels.data[indices]
     return (pixels, targets) if mix_order is None else mixup(pixels, targets, mix_order)
 
 
 def _training_batches(
-    images: list[Image], labels: LabelMatrix, cfg: TrainConfig, aug_cfg: AugmentConfig
+    images: list[Image], labels: LabelMatrix, cfg: TrainConfig
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Pooled features (n, D) and targets (n, C) of every batch of the run, in order."""
     n = len(images)
@@ -183,7 +189,7 @@ def _training_batches(
                 mix_rng = rng_stream(cfg.seed, STREAM_MIX, epoch, batch_no)
                 mix_order = mix_rng.permutation(len(indices))
             pixels, targets = _augmented_batch(
-                images, labels, indices, cfg.mode, aug_cfg, cfg.seed, epoch, mix_order
+                images, labels, indices, cfg.mode, cfg.input_size, cfg.seed, epoch, mix_order
             )
             yield pooled_batch(pixels, cfg.pool_grid), targets
 
@@ -247,28 +253,22 @@ def train(
 ) -> TrainReport:
     """Run the full SGD schedule and return losses plus final parameters."""
     start = time.perf_counter()
-    check_pool_grid(cfg.pool_grid, cfg.input_size)
     if len(manifest) == 0:
         raise EmptyInput("manifest lists no images to train on")
     images, labels = load_dataset(manifest, root)
     num_batches = len(range(0, len(images), cfg.batch_size))
-    aug_cfg = AugmentConfig(target_size=cfg.input_size)
-    init = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
-    w1, b1 = init.W1.copy(), init.b1.copy()
-    w2, b2 = init.W2.copy(), init.b2.copy()
+    # sgd_step updates these arrays in place
+    params = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
 
     log_lines = []
     epoch_losses = []
     epoch_lrs = []
     first_loss = None
-    batches = _training_batches(images, labels, cfg, aug_cfg)
+    batches = _training_batches(images, labels, cfg)
     with _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-batches") as worker:
         pending = worker.submit(next, batches, None)
         for epoch in range(cfg.epochs):
             lr_head, lr_body = effective_lrs(cfg, epoch)
-            # validated once per epoch; sgd_step updates its arrays in place
-            params = ModelParams(cfg.pool_grid, w1, b1, w2, b2)
-
             loss_sum = 0.0
             row_count = 0
             for batch_no in range(num_batches):
@@ -297,7 +297,8 @@ def train(
     return TrainReport(
         epoch_losses=tuple(epoch_losses),
         epoch_lrs=tuple(epoch_lrs),
-        params=ModelParams(cfg.pool_grid, w1, b1, w2, b2),
+        # validated again: the loss guard never sees the last step's update
+        params=replace(params),
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonBinaryLabel,
-    NonFinite,
-    PixelOutOfRange,
-    ShapeMismatch,
-)
+from .errors import NonBinaryLabel, NonFinite, PixelOutOfRange, ShapeMismatch
 
 
 def _frozen(data: np.ndarray, dtype) -> np.ndarray:
@@ -89,21 +84,3 @@ class ScoreMatrix:
     def num_classes(self) -> int:
         return self.data.shape[1]
 
-
-def validate_pair(scores: ScoreMatrix | np.ndarray, labels: LabelMatrix | np.ndarray) -> None:
-    """Check that scores and labels form an evaluable (n, C) pair.
-
-    Raises ShapeMismatch when n or C differ, NonFinite for NaN/Inf scores,
-    NonBinaryLabel for non-binary label entries. Accepts either the wrapper
-    types (already validated on construction) or raw arrays.
-    """
-    s = scores.data if isinstance(scores, ScoreMatrix) else np.asarray(scores, dtype=np.float64)
-    y = labels.data if isinstance(labels, LabelMatrix) else np.asarray(labels)
-    if s.ndim != 2 or y.ndim != 2:
-        raise ShapeMismatch(f"expected 2-d matrices, got {s.shape} and {y.shape}")
-    if s.shape != y.shape:
-        raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
-    if not np.all(np.isfinite(s)):
-        raise NonFinite("score matrix contains NaN or infinite entries")
-    if not np.isin(y, (0, 1)).all():
-        raise NonBinaryLabel("label entries must be 0 or 1")

@@ -238,7 +238,7 @@ def test_criterion_8_topk_protocol(first_run):
     scores = first_run["M1"]["scores"]
     truth = first_run["truth"]
 
-    pred = top_k_binarize(scores, 3)
+    pred = top_k_binarize(scores.data, 3)
     assert (pred.sum(axis=1) == 3).all()
 
     perm = rng.permutation(scores.num_rows)

@@ -1,24 +1,32 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlc.augment import AugmentConfig, apply_mode, mixup, resize, rng_stream
+from mlc import augment
+from mlc.augment import apply_mode, mixup, resize, rng_stream
 
 from conftest import random_image, random_sample
 
 
+@pytest.fixture
+def always_flip(monkeypatch):
+    monkeypatch.setattr(augment, "FLIP_PROBABILITY", 1.0)
+
+
+@pytest.fixture
+def never_flip(monkeypatch):
+    monkeypatch.setattr(augment, "FLIP_PROBABILITY", 0.0)
+
+
 def flipped(data):
-    """`data` through M1 with a certain flip, resized to its own size."""
-    cfg = AugmentConfig(target_size=data.shape[:2], flip_probability=1.0)
-    return apply_mode(data, "M1", cfg, rng_stream(0, 2, 0, 0))
+    """`data` through M1, resized to its own size; flips under `always_flip`."""
+    return apply_mode(data, "M1", data.shape[:2], rng_stream(0, 2, 0, 0))
 
 
-def cropped(data, cfg, rng):
-    """`data` through M2 without a flip: one random-resized-crop."""
-    return apply_mode(data, "M2", replace(cfg, flip_probability=0.0), rng)
+def cropped(data, size, rng):
+    """`data` through M2; under `never_flip`, one random-resized-crop."""
+    return apply_mode(data, "M2", size, rng)
 
 
 def two_rows(a, b):
@@ -51,6 +59,7 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
 
+@pytest.mark.usefixtures("always_flip")
 class TestFlip:
     def test_two_pixel_swap(self):
         out = flipped(np.array([[[0.1] * 3, [0.9] * 3]]))
@@ -67,8 +76,7 @@ class TestFlip:
 
     def test_view_resizes_like_a_flipped_copy(self, rng):
         img = random_image(rng, 7, 10)
-        cfg = AugmentConfig(target_size=(5, 13), flip_probability=1.0)
-        out = apply_mode(img.data, "M1", cfg, rng_stream(0, 2, 0, 0))
+        out = apply_mode(img.data, "M1", (5, 13), rng_stream(0, 2, 0, 0))
         np.testing.assert_array_equal(out, resize(np.ascontiguousarray(img.data[:, ::-1]), 5, 13))
 
 
@@ -94,44 +102,33 @@ class TestResize:
             assert out.max() <= img.data.max() + 1e-12
 
 
+@pytest.mark.usefixtures("never_flip")
 class TestRandomResizedCrop:
     def test_output_size_always_target(self, rng):
-        cfg = AugmentConfig(target_size=(7, 5))
         for i in range(10):
             img = random_image(rng, int(rng.integers(4, 16)), int(rng.integers(4, 16)))
-            out = cropped(img.data, cfg, rng_stream(1, 2, 0, i))
+            out = cropped(img.data, (7, 5), rng_stream(1, 2, 0, i))
             assert out.shape == (7, 5, 3)
 
-    def test_degenerate_ranges_full_crop(self, rng):
+    def test_degenerate_ranges_full_crop(self, rng, monkeypatch):
+        monkeypatch.setattr(augment, "CROP_SCALE_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(augment, "CROP_ASPECT_RANGE", (1.0, 1.0))
         img = random_image(rng, 6, 6)
-        cfg = AugmentConfig(
-            target_size=(9, 9), crop_scale_range=(1.0, 1.0), crop_aspect_range=(1.0, 1.0)
-        )
-        out = cropped(img.data, cfg, rng_stream(3, 2, 0, 0))
+        out = cropped(img.data, (9, 9), rng_stream(3, 2, 0, 0))
         np.testing.assert_array_equal(out, resize(img.data, 9, 9))
 
     def test_fixed_seed_reproduces(self, rng):
         img = random_image(rng, 12, 12)
-        cfg = AugmentConfig(target_size=(8, 8))
-        a = cropped(img.data, cfg, rng_stream(9, 2, 4, 2))
-        b = cropped(img.data, cfg, rng_stream(9, 2, 4, 2))
+        a = cropped(img.data, (8, 8), rng_stream(9, 2, 4, 2))
+        b = cropped(img.data, (8, 8), rng_stream(9, 2, 4, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_values_within_input_range(self, rng):
         img = random_image(rng, 10, 10)
-        cfg = AugmentConfig(target_size=(6, 6))
         for i in range(10):
-            out = cropped(img.data, cfg, rng_stream(5, 2, 0, i))
+            out = cropped(img.data, (6, 6), rng_stream(5, 2, 0, i))
             assert out.min() >= img.data.min() - 1e-12
             assert out.max() <= img.data.max() + 1e-12
-
-    def test_config_invariants(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(target_size=(0, 4))
-        with pytest.raises(ValueError):
-            AugmentConfig(target_size=(4, 4), crop_scale_range=(0.5, 0.1))
-        with pytest.raises(ValueError):
-            AugmentConfig(target_size=(4, 4), flip_probability=1.5)
 
 
 class TestMixup:
@@ -187,25 +184,22 @@ class TestMixup:
 class TestApplyMode:
     def test_m1_output_is_target_size(self, rng):
         img = random_image(rng, 11, 13)
-        cfg = AugmentConfig(target_size=(8, 8))
-        out = apply_mode(img.data, "M1", cfg, rng_stream(0, 2, 0, 0))
+        out = apply_mode(img.data, "M1", (8, 8), rng_stream(0, 2, 0, 0))
         assert out.shape == (8, 8, 3)
 
     def test_m2_and_m3_share_pipeline(self, rng):
         img = random_image(rng, 11, 13)
-        cfg = AugmentConfig(target_size=(8, 8))
-        a = apply_mode(img.data, "M2", cfg, rng_stream(4, 2, 0, 0))
-        b = apply_mode(img.data, "M3", cfg, rng_stream(4, 2, 0, 0))
+        a = apply_mode(img.data, "M2", (8, 8), rng_stream(4, 2, 0, 0))
+        b = apply_mode(img.data, "M3", (8, 8), rng_stream(4, 2, 0, 0))
         np.testing.assert_array_equal(a, b)
 
     def test_unknown_mode(self, rng):
         img = random_image(rng, 4, 4)
-        cfg = AugmentConfig(target_size=(4, 4))
         with pytest.raises(ValueError):
-            apply_mode(img.data, "M4", cfg, rng_stream(0, 2, 0, 0))
+            apply_mode(img.data, "M4", (4, 4), rng_stream(0, 2, 0, 0))
 
+    @pytest.mark.usefixtures("never_flip")
     def test_m1_without_flip_is_plain_resize(self, rng):
         img = random_image(rng, 9, 9)
-        cfg = AugmentConfig(target_size=(5, 5), flip_probability=0.0)
-        out = apply_mode(img.data, "M1", cfg, rng_stream(0, 2, 0, 0))
+        out = apply_mode(img.data, "M1", (5, 5), rng_stream(0, 2, 0, 0))
         np.testing.assert_array_equal(out, resize(img.data, 5, 5))

@@ -361,7 +361,14 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [paths[flag].name]
         assert list(paths[flag].iterdir()) == []
 
-    def test_predict_directory_target_is_runtime_error(self, dataset, tmp_path, capsys):
+    def test_predict_directory_target_is_runtime_error(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the output target was checked")
+
+        monkeypatch.setattr(cli, "load_params", no_read)
+        monkeypatch.setattr(cli, "predict", no_read)
         out = tmp_path / "scores"
         out.mkdir()
         assert main([
@@ -371,6 +378,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out}: Is a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scores"] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_fuse_output_target_fails_before_reading(
+        self, tmp_path, capsys, monkeypatch, target
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the output target was checked")
+
+        monkeypatch.setattr(cli, "read_csv_matrix", no_read)
+        monkeypatch.setattr(cli, "fuse", no_read)
+        member = tmp_path / "a.csv"
+        member.write_text("0.5,0.1\n")
+        out = tmp_path / "fused.csv"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "fused.csv"
+        assert main(["fuse", str(member), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and len(err.splitlines()) == 1
+
+    def test_train_grid_larger_than_size_is_usage_error(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the config check")
+
+        monkeypatch.setattr(cli, "read_manifest", no_read)
+        monkeypatch.setattr(trainer, "read_ppm", no_read)
+        out = tmp_path / "x.params"
+        assert main([
+            "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+            "--size", "8", "8", "--pool-grid", "16", "16", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pool_grid" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_evaluate_k_below_one_is_usage_error(self, tmp_path, capsys):
         # rejected before any file is read: neither path exists

@@ -251,6 +251,10 @@ class TestEvaluate:
         with pytest.raises(KTooLarge):
             evaluate(ScoreMatrix(np.zeros((2, 2))), LabelMatrix(np.ones((2, 2), dtype=int)), k=3)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            evaluate(ScoreMatrix(np.zeros((2, 3))), LabelMatrix(np.zeros((3, 3), dtype=int)), k=1)
+
     def test_permutation_invariance(self, rng):
         scores = rng.standard_normal((12, 4))
         truth = (rng.random((12, 4)) < 0.5).astype(int)

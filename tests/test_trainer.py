@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlc import kernels, trainer
-from mlc.augment import MODES, AugmentConfig
+from mlc import trainer
+from mlc.augment import MODES
 from mlc.errors import (
     DataLoadError,
     DivergedLoss,
@@ -173,15 +173,12 @@ class TestTrain:
         with pytest.raises(EmptyInput):
             train(DatasetManifest((), 3), small_cfg(), root=tmp_path)
 
-    def test_grid_larger_than_input_raises_before_any_kernel(self, small_dataset, monkeypatch):
-        def no_kernel(*args):
-            raise AssertionError("kernel ran before the grid check")
-
-        monkeypatch.setattr(kernels, "resize_bilinear", no_kernel)
-        monkeypatch.setattr(kernels, "adaptive_pool", no_kernel)
-        manifest, root = small_dataset
-        with pytest.raises(GridTooLarge):
-            train(manifest, small_cfg(pool_grid=(25, 4)), root=root)
+    def test_grid_larger_than_input_raises_before_any_kernel(self):
+        # the config itself rejects the grid, so no train call can get as far as a kernel
+        for pool_grid in ((25, 4), (4, 25)):
+            with pytest.raises(ValueError, match="pool_grid"):
+                small_cfg(pool_grid=pool_grid)
+        small_cfg(pool_grid=(24, 24))
 
     def test_huge_learning_rates_diverge(self, small_dataset, tmp_path):
         # finite but exploding batch losses: the ratio to the first batch stops them
@@ -277,9 +274,7 @@ class TestBatches:
             raise AssertionError("an Image was constructed while building a batch")
 
         monkeypatch.setattr(Image, "__post_init__", no_image)
-        batches = list(trainer._training_batches(
-            images, labels, cfg, AugmentConfig(target_size=cfg.input_size)
-        ))
+        batches = list(trainer._training_batches(images, labels, cfg))
         # M3 mixes on even epochs: 4 rows from each odd batch of 7, 2 from the 3
         mixed = [4, 4, 4, 2] if mode == "M3" else [7, 7, 7, 3]
         rows = [len(targets) for _, targets in batches]

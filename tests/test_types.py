@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlc.errors import NonBinaryLabel, NonFinite, PixelOutOfRange, ShapeMismatch
-from mlc.types import Image, LabelMatrix, ScoreMatrix, validate_pair
+from mlc.types import Image, LabelMatrix, ScoreMatrix
 
 
 class TestImage:
@@ -74,26 +74,4 @@ class TestScoreMatrix:
     def test_accepts_unbounded_reals(self):
         mat = ScoreMatrix(np.array([[-1e300, 1e300]]))
         assert mat.num_rows == 1 and mat.num_classes == 2
-
-
-class TestValidatePair:
-    def test_matching_pair_ok(self):
-        validate_pair(np.random.default_rng(0).random((2, 3)), np.zeros((2, 3), dtype=int))
-
-    def test_row_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            validate_pair(np.zeros((2, 3)), np.zeros((3, 3), dtype=int))
-
-    def test_nan_scores(self):
-        scores = np.zeros((2, 3))
-        scores[1, 1] = np.nan
-        with pytest.raises(NonFinite):
-            validate_pair(scores, np.zeros((2, 3), dtype=int))
-
-    def test_non_binary_labels(self):
-        with pytest.raises(NonBinaryLabel):
-            validate_pair(np.zeros((2, 3)), np.full((2, 3), 2))
-
-    def test_accepts_wrapper_types(self):
-        validate_pair(ScoreMatrix(np.zeros((2, 2))), LabelMatrix(np.ones((2, 2), dtype=int)))
 
