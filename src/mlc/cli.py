@@ -42,16 +42,27 @@ def _config(factory, **fields):
         raise _UsageError(str(exc)) from None
 
 
-def _check_writable(*targets: str | None) -> None:
-    """Raise IoError unless each given output target could be written.
+def _check_writable(*targets: str | None, directory: bool = False) -> None:
+    """Raise IoError unless each given output target could be written: a
+    file, or with `directory` a directory that exists or can be made.
 
     Run before any input is read, so a bad target costs no work.
     """
     for target in filter(None, targets):
-        if Path(target).is_dir():
-            raise IoError(f"cannot write {target}: Is a directory")
-        if not Path(target).parent.is_dir():
-            raise IoError(f"cannot write {target}: {Path(target).parent} is not a directory")
+        path = Path(target)
+        if path.exists() and path.is_dir() != directory:
+            reason = "Not a directory" if directory else "Is a directory"
+            raise IoError(f"cannot write {target}: {reason}")
+        if not path.parent.is_dir():
+            raise IoError(f"cannot write {target}: {path.parent} is not a directory")
+
+
+def _input_size(args) -> tuple[int, int]:
+    """`--size` as (H, W); a side below 1 is a usage error."""
+    size = (args.size[0], args.size[1])
+    if min(size) < 1:
+        raise _UsageError(f"--size must be positive, got {size[0]} {size[1]}")
+    return size
 
 
 def _read_text(path: str) -> str:
@@ -175,11 +186,11 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_predict(args) -> None:
+    size = _input_size(args)
     _check_writable(args.out)
     params = load_params(Path(args.params).read_bytes())
     manifest = read_manifest(_read_text(args.manifest))
-    scores = predict(params, manifest, (args.size[0], args.size[1]),
-                     root=Path(args.manifest).parent)
+    scores = predict(params, manifest, size, root=Path(args.manifest).parent)
     write_atomic(args.out, write_csv_matrix(scores))
     print(f"wrote {scores.num_rows}x{scores.num_classes} scores to {args.out}")
 
@@ -203,9 +214,8 @@ def _cmd_fuse(args) -> None:
 
 
 def _cmd_augment(args) -> None:
-    size = (args.size[0], args.size[1])
-    if min(size) < 1:
-        raise _UsageError(f"--size must be positive, got {size[0]} {size[1]}")
+    size = _input_size(args)
+    _check_writable(args.out_dir, directory=True)
     manifest = read_manifest(_read_text(args.manifest))
     images, labels = load_dataset(manifest, Path(args.manifest).parent)
     # training's batch function over the whole set: epoch-0 streams and,
@@ -217,7 +227,7 @@ def _cmd_augment(args) -> None:
     )
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(exist_ok=True)
     entries = []
     for i, (image, row) in enumerate(zip(pixels, targets)):
         name = f"aug_{i:05d}.ppm"

@@ -99,18 +99,41 @@ def write_ppm(image: Image) -> bytes:
     return header + quantized.tobytes()
 
 
+# every character a plain decimal CSV can hold; `str.translate` deletes them,
+# so a text made of nothing else translates to ""
+_DROP_PLAIN = str.maketrans("", "", "0123456789.eE+-,\n")
+
+
 def read_csv_matrix(text: str, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
     """Parse a headerless CSV of decimal numbers into a matrix.
 
-    kind="labels" returns a LabelMatrix, which rejects entries other than
-    0 and 1; kind="scores" returns a ScoreMatrix, which rejects NaN and
-    infinities.
+    A cell is anything Python's `float()` accepts; a row whose cell count
+    differs from the first row's is RaggedRows. kind="labels" returns a
+    LabelMatrix, which rejects entries other than 0 and 1; kind="scores"
+    returns a ScoreMatrix, which rejects NaN and infinities.
     """
     if kind not in ("scores", "labels"):
         raise ValueError(f"kind must be 'scores' or 'labels', got {kind!r}")
+    plain = text.replace("\r\n", "\n")
+    lines = plain.split("\n")
+    data = None
+    if any(lines) and not plain.translate(_DROP_PLAIN):
+        # On this alphabet numpy and `float()` convert a cell with the same
+        # CPython routine, so the array is `_parse_lines`'s bit for bit.
+        try:
+            data = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            pass  # `_parse_lines` raises the error, with its line number
+    if data is None:
+        data = _parse_lines(lines)
+    return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
+
+
+def _parse_lines(lines: list[str]) -> np.ndarray:
+    """The general parser: `float()` on each cell of each non-empty line."""
     rows = []
     width = None
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line == "":
             continue
         cells = line.split(",")
@@ -124,15 +147,13 @@ def read_csv_matrix(text: str, kind: str = "scores") -> ScoreMatrix | LabelMatri
             raise ParseError(f"line {lineno}: {exc}") from None
     if not rows:
         raise ParseError("matrix text contains no rows")
-    data = np.asarray(rows, dtype=np.float64)
-    return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_csv_matrix(matrix: ScoreMatrix | LabelMatrix) -> str:
-    """Serialize a matrix to CSV. Scores keep full float64 precision."""
-    if isinstance(matrix, LabelMatrix):
-        return "".join(",".join(str(int(v)) for v in row) + "\n" for row in matrix.data)
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix.data)
+    """Serialize a matrix to CSV. Scores keep full float64 precision (`repr`)."""
+    cell = str if isinstance(matrix, LabelMatrix) else repr
+    return "".join(",".join(map(cell, row)) + "\n" for row in matrix.data.tolist())
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,43 @@ class TestExitCodes:
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_predict_size_below_one_is_usage_error(self, dataset, tmp_path, capsys, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the size check")
+
+        monkeypatch.setattr(cli, "load_params", no_read)
+        out = tmp_path / "s.csv"
+        assert main([
+            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "--size", "0", "16", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--size" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["file", "missing parent"])
+    def test_augment_out_dir_fails_before_reading(
+        self, dataset, tmp_path, capsys, monkeypatch, target
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the output directory was checked")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        out_dir = tmp_path / "aug"
+        if target == "file":
+            out_dir.write_text("not a directory\n")
+        else:
+            out_dir = tmp_path / "missing" / "aug"
+        assert main([
+            "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M3",
+            "--out-dir", str(out_dir), "--size", "24", "24",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_dir}: ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["aug"] if target == "file" else [])
+        if target == "file":
+            assert out_dir.read_text() == "not a directory\n"
+
     def test_help_exits_zero(self):
         for sub in ("gen", "train", "predict", "evaluate", "fuse", "augment"):
             with pytest.raises(SystemExit) as exc:

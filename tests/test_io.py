@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 
@@ -112,6 +113,98 @@ class TestCsvMatrix:
         mat = LabelMatrix((rng.random((6, 5)) < 0.5).astype(int))
         back = read_csv_matrix(write_csv_matrix(mat), kind="labels")
         np.testing.assert_array_equal(back.data, mat.data)
+
+
+def _reference_parse(text: str, kind: str) -> ScoreMatrix | LabelMatrix:
+    """The per-line `float()` parser `read_csv_matrix` must agree with."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        if line == "":
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise RaggedRows(f"line {lineno} has {len(cells)} cells, expected {width}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise ParseError("matrix text contains no rows")
+    data = np.asarray(rows, dtype=np.float64)
+    return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
+
+
+def _outcome(parse, text, kind):
+    try:
+        mat = parse(text, kind)
+    except MlcError as exc:
+        return type(exc), str(exc)
+    return type(mat), mat.data.shape, mat.data.dtype, mat.data.tobytes()
+
+
+_PLAIN = "0123456789.eE+-,\n"
+_CELL = st.text(alphabet="0123456789.eE+-", min_size=1, max_size=8) | st.sampled_from(
+    ["0", "1", "-0.0", "5e-324", "1e308", "1e999", "2.5", "-1.5e-3"]
+)
+
+
+@st.composite
+def _grids(draw):
+    """Rows of cells over the plain alphabet, mostly rectangular."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(_CELL, min_size=width, max_size=width + draw(st.integers(0, 1))),
+        min_size=1, max_size=5,
+    ))
+    return "\n".join(",".join(row) for row in rows) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestCsvMatrixMatchesReference:
+    """`read_csv_matrix` gives the reference parser's matrix or error, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["scores", "labels"]),
+        text=st.text(alphabet=_PLAIN, max_size=60)
+        | st.text(alphabet=_PLAIN + " \t\r_infa", max_size=60)
+        | _grids(),
+    )
+    def test_random_text(self, kind, text):
+        assert _outcome(read_csv_matrix, text, kind) == _outcome(_reference_parse, text, kind)
+
+    @pytest.mark.parametrize("kind", ["scores", "labels"])
+    @pytest.mark.parametrize("text", [
+        "1_0,1\n", " 1,2\n", "1,2\r", "1,2,\n", "x,1\n1\n", "\n\n", "",
+        "1,0\r\n0,1\r\n", "-0.0,0\n", "1e999,0\n", "inf,0\n", "nan,1\n", "1,1\n\n0,1",
+    ])
+    def test_example(self, kind, text):
+        assert _outcome(read_csv_matrix, text, kind) == _outcome(_reference_parse, text, kind)
+
+
+class TestCsvWriterBytes:
+    """sha256 of the CSV text, recorded from the per-cell `repr`/`str(int)` writer."""
+
+    def test_scores(self):
+        rng = np.random.default_rng(90210)
+        data = rng.standard_normal((12, 7)) * 10.0 ** rng.integers(-30, 30, size=(12, 7))
+        data[0, :6] = [-0.0, 5e-324, 1e308, 3.0, -17.0, 0.0]
+        data[1, :3] = [1e16, 2.0**53, -1e-7]
+        text = write_csv_matrix(ScoreMatrix(data))
+        assert text.startswith("-0.0,5e-324,1e+308,3.0,-17.0,0.0,")
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "c48d476405689116760c69e645bae56b641aebe554849aea4334c0f53a29d478"
+        )
+
+    def test_labels(self):
+        rng = np.random.default_rng(7)
+        text = write_csv_matrix(LabelMatrix((rng.random((9, 6)) < 0.4).astype(np.int8)))
+        assert text.startswith("0,0,0,1,1,0\n1,0,0,0,1,1\n")
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "c02f18da6b78f226e5d6665eb0b4c9bb722e5a83ec4eae8d594cd7f29fda2efe"
+        )
 
 
 class TestManifest:
