@@ -16,18 +16,12 @@ from .augment import MODES
 from .errors import IoError, MlcError, ParseError
 from .fusion import fuse
 from .io import (
-    DatasetManifest,
-    read_csv_matrix,
-    read_manifest,
-    write_atomic,
-    write_csv_matrix,
-    write_manifest,
-    write_ppm,
+    load_dataset, read_csv_matrix, read_manifest, write_atomic, write_csv_matrix, write_dataset,
 )
-from .metrics import evaluate, format_report, machine_line
+from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
-from .trainer import TrainConfig, _augmented_batch, load_dataset, predict, train
+from .trainer import MIXUP_PHASES, TrainConfig, _augmented_batch, predict, train
 from .types import Image
 
 
@@ -73,9 +67,9 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
-def _size(parser: argparse.ArgumentParser) -> None:
+def _size(parser: argparse.ArgumentParser, default: tuple[int, int]) -> None:
     parser.add_argument(
-        "--size", nargs=2, type=int, default=[64, 64], metavar=("H", "W"),
+        "--size", nargs=2, type=int, default=list(default), metavar=("H", "W"),
         help="input image size",
     )
 
@@ -86,46 +80,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    gen, cfg = SynthConfig, TrainConfig  # the owners of every default below
 
     p = sub.add_parser("gen", help="generate a synthetic shapes dataset", formatter_class=fmt)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--num", required=True, type=int, help="number of images")
-    _size(p)
-    p.add_argument("--classes", type=int, default=6, help="number of classes")
-    p.add_argument("--min-concepts", type=int, default=1, help="min labels per image")
-    p.add_argument("--max-concepts", type=int, default=3, help="max labels per image")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    _size(p, gen.image_size)
+    p.add_argument("--classes", type=int, default=gen.num_classes, help="number of classes")
+    p.add_argument("--min-concepts", type=int, default=gen.min_concepts,
+                   help="min labels per image")
+    p.add_argument("--max-concepts", type=int, default=gen.max_concepts,
+                   help="max labels per image")
+    p.add_argument("--seed", type=int, default=gen.seed, help="generator seed")
 
     p = sub.add_parser("train", help="train a model on a manifest", formatter_class=fmt)
     p.add_argument("--manifest", required=True, help="manifest.tsv path")
     p.add_argument("--mode", required=True, choices=MODES, help="augmentation mode")
-    _size(p)
-    p.add_argument("--seed", type=int, default=0, help="training seed")
+    _size(p, cfg.input_size)
+    p.add_argument("--seed", type=int, default=cfg.seed, help="training seed")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=int, default=40, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=16, help="mini-batch size")
-    p.add_argument("--lr-head", type=float, default=0.1, help="head (output layer) learning rate")
-    p.add_argument("--lr-body", type=float, default=0.01, help="body (hidden layer) learning rate")
-    p.add_argument("--decay-factor", type=float, default=0.1, help="learning-rate decay factor")
-    p.add_argument("--decay-epoch", type=int, default=20, help="epoch at which the decay applies")
-    p.add_argument("--mixup-phase", choices=("even", "odd"), default="even",
+    p.add_argument("--epochs", type=int, default=cfg.epochs, help="training epochs")
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size, help="mini-batch size")
+    p.add_argument("--lr-head", type=float, default=cfg.lr_head,
+                   help="head (output layer) learning rate")
+    p.add_argument("--lr-body", type=float, default=cfg.lr_body,
+                   help="body (hidden layer) learning rate")
+    p.add_argument("--decay-factor", type=float, default=cfg.lr_decay_factor,
+                   help="learning-rate decay factor")
+    p.add_argument("--decay-epoch", type=int, default=cfg.lr_decay_epoch,
+                   help="epoch at which the decay applies")
+    p.add_argument("--mixup-phase", choices=MIXUP_PHASES, default=cfg.mixup_phase,
                    help="epochs on which M3 mixup is active")
-    p.add_argument("--pool-grid", nargs=2, type=int, default=[16, 16], metavar=("GH", "GW"),
-                   help="adaptive pooling grid")
-    p.add_argument("--hidden", type=int, default=4096, help="hidden layer width")
+    p.add_argument("--pool-grid", nargs=2, type=int, default=list(cfg.pool_grid),
+                   metavar=("GH", "GW"), help="adaptive pooling grid")
+    p.add_argument("--hidden", type=int, default=cfg.hidden, help="hidden layer width")
     p.add_argument("--log", default=None, help="training log path (epoch lr loss per line)")
 
     p = sub.add_parser("predict", help="score a manifest with a checkpoint", formatter_class=fmt)
     p.add_argument("--params", required=True, help="checkpoint path")
     p.add_argument("--manifest", required=True, help="manifest.tsv path")
-    _size(p)
+    _size(p, cfg.input_size)
     p.add_argument("--out", required=True, help="scores CSV output path")
 
     p = sub.add_parser("evaluate", help="print the metric panel for scores vs labels",
                        formatter_class=fmt)
     p.add_argument("--scores", required=True, help="scores CSV path")
     p.add_argument("--labels", required=True, help="labels CSV path")
-    p.add_argument("--k", type=int, default=3, help="top-k cutoff")
+    p.add_argument("--k", type=int, default=TOP_K, help="top-k cutoff")
 
     p = sub.add_parser("fuse", help="average score matrices elementwise", formatter_class=fmt)
     p.add_argument("inputs", nargs="+", help="member score CSV paths")
@@ -137,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=fmt)
     p.add_argument("--manifest", required=True, help="manifest.tsv path")
     p.add_argument("--mode", required=True, choices=MODES, help="augmentation mode")
-    p.add_argument("--seed", type=int, default=0, help="augmentation seed")
+    p.add_argument("--seed", type=int, default=cfg.seed, help="augmentation seed")
     p.add_argument("--out-dir", required=True, help="output directory")
-    _size(p)
+    _size(p, cfg.input_size)
 
     return parser
 
@@ -215,6 +216,7 @@ def _cmd_fuse(args) -> None:
 
 def _cmd_augment(args) -> None:
     size = _input_size(args)
+    _config(TrainConfig, seed=args.seed)  # augment draws training's streams
     _check_writable(args.out_dir, directory=True)
     manifest = read_manifest(_read_text(args.manifest))
     images, labels = load_dataset(manifest, Path(args.manifest).parent)
@@ -226,16 +228,12 @@ def _cmd_augment(args) -> None:
         images, labels, everything, args.mode, size, args.seed, 0, mix_order
     )
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(exist_ok=True)
-    entries = []
-    for i, (image, row) in enumerate(zip(pixels, targets)):
-        name = f"aug_{i:05d}.ppm"
-        write_atomic(out_dir / name, write_ppm(Image(image)))
-        entries.append((name, tuple(int(j) for j in np.flatnonzero(row))))
-    out_manifest = DatasetManifest(tuple(entries), manifest.num_classes)
-    write_atomic(out_dir / "manifest.tsv", write_manifest(out_manifest))
-    print(f"wrote {len(entries)} augmented samples to {out_dir}")
+    samples = (
+        (Image(image), tuple(int(j) for j in np.flatnonzero(row)))
+        for image, row in zip(pixels, targets)
+    )
+    written = write_dataset(args.out_dir, "aug", samples, manifest.num_classes)
+    print(f"wrote {len(written)} augmented samples to {Path(args.out_dir)}")
 
 
 _COMMANDS = {

@@ -90,7 +90,7 @@ class DataLoadError(MlcError):
 
 
 class DivergedLoss(MlcError):
-    """A training batch's mean loss is non-finite or over 1000x the first batch's."""
+    """A batch's mean loss is non-finite or over trainer.DIVERGENCE_FACTOR times the first's."""
 
 
 class IoError(MlcError):

@@ -1,29 +1,23 @@
 """Bit-exact file formats: binary PPM images, CSV matrices, TSV manifests.
 
-All readers/writers are pure functions over bytes or text, so callers own
-every path decision and parallel per-file reads are safe. `write_atomic`
-is the one way the toolkit puts those bytes on disk.
+The format readers and writers are pure functions over bytes or text.
+Three functions touch the filesystem: `write_atomic`, the one way the
+toolkit puts bytes on disk, and `load_dataset` and `write_dataset`, the
+one reader and the one writer of a dataset directory (manifest.tsv plus
+one PPM per entry, at paths relative to the manifest).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
 from .errors import (
-    BadHeader,
-    BadMagic,
-    IndexOutOfRange,
-    IoError,
-    MissingClassHeader,
-    ParseError,
-    RaggedRows,
-    ShapeMismatch,
-    TruncatedPixelData,
-    UnsupportedMaxval,
+    BadHeader, BadMagic, DataLoadError, IndexOutOfRange, IoError, MissingClassHeader, MlcError,
+    ParseError, RaggedRows, ShapeMismatch, TruncatedPixelData, UnsupportedMaxval,
 )
 from .types import Image, LabelMatrix, ScoreMatrix
 
@@ -177,7 +171,10 @@ class DatasetManifest:
         return len(self.entries)
 
     def label_matrix(self) -> LabelMatrix:
-        out = np.zeros((len(self.entries), self.num_classes), dtype=np.int8)
+        try:
+            out = np.zeros((len(self.entries), self.num_classes), dtype=np.int8)
+        except (MemoryError, ValueError):
+            raise ShapeMismatch(f"#classes={self.num_classes} is too large to allocate") from None
         for row, (_, indices) in enumerate(self.entries):
             out[row, list(indices)] = 1
         return LabelMatrix(out)
@@ -210,3 +207,51 @@ def write_manifest(manifest: DatasetManifest) -> str:
     for path, indices in manifest.entries:
         lines.append(path + "\t" + " ".join(str(i) for i in sorted(indices)))
     return "\n".join(lines) + "\n"
+
+
+def load_dataset(manifest: DatasetManifest, root: str | Path) -> tuple[list[Image], LabelMatrix]:
+    """Every manifest image and the (n, C) label matrix; row order is manifest order.
+
+    Entry paths are relative to `root` and must stay under it: an absolute
+    path or a `..` component is a DataLoadError, raised before any read.
+    """
+    root = Path(root)
+    for rel_path, _ in manifest.entries:
+        pure = PurePath(rel_path)
+        if pure.is_absolute() or ".." in pure.parts:
+            raise DataLoadError(f"manifest entry {rel_path!r} leaves the dataset root")
+    images = []
+    for rel_path, _ in manifest.entries:
+        try:
+            blob = (root / rel_path).read_bytes()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise DataLoadError(f"cannot read {root / rel_path}: {exc}") from exc
+        try:
+            images.append(read_ppm(blob))
+        except MlcError as exc:
+            raise DataLoadError(f"{root / rel_path}: {exc}") from exc
+    return images, manifest.label_matrix()
+
+
+def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -> DatasetManifest:
+    """Write (Image, label indices) `samples` as `<prefix>_<i:05d>.ppm`, then
+    manifest.tsv, into `out_dir`, which is made if missing.
+
+    The old manifest.tsv is removed before the first image and the new one is
+    written last, so an interrupted run leaves no manifest, never one that
+    labels other images. PPMs beyond the new count are left, unlisted.
+    """
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.tsv").unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    entries = []
+    for i, (image, labels) in enumerate(samples):
+        name = f"{prefix}_{i:05d}.ppm"
+        write_atomic(out_dir / name, write_ppm(image))
+        entries.append((name, labels))
+    manifest = DatasetManifest(tuple(entries), num_classes)
+    write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))
+    return manifest

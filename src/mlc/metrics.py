@@ -17,6 +17,9 @@ import numpy as np
 from .errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
 from .types import LabelMatrix, ScoreMatrix
 
+# the top-k cutoff when none is given, here and in `mlc evaluate`
+TOP_K = 3
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -129,7 +132,7 @@ def mean_ap(scores: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
     return float(per_class[present].mean()), per_class
 
 
-def evaluate(scores: ScoreMatrix, truth: LabelMatrix, k: int = 3) -> MetricsReport:
+def evaluate(scores: ScoreMatrix, truth: LabelMatrix, k: int = TOP_K) -> MetricsReport:
     """Full panel: binarize at top-k, pool counts, average APs.
 
     The wrappers guarantee finite scores and 0/1 labels; only their shapes

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import kernels
 from .augment import STREAM_GEN, rng_stream
-from .errors import IoError
-from .io import DatasetManifest, write_atomic, write_manifest, write_ppm
+from .io import DatasetManifest, write_dataset
 from .types import Image
 
 # saturated RGB corners, then half-intensity corners; all byte-exact
@@ -65,6 +64,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_images < 1:
             raise ValueError("num_images must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.min_concepts <= self.max_concepts <= self.num_classes:
             raise ValueError(
                 f"need 1 <= min <= max <= C, got min={self.min_concepts} "
@@ -117,18 +118,6 @@ def render(cfg: SynthConfig, index: int) -> tuple[Image, tuple[int, ...]]:
 
 
 def generate(cfg: SynthConfig, out_dir: str | Path) -> DatasetManifest:
-    """Write num_images PPMs plus manifest.tsv into out_dir."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    entries = []
-    for index in range(cfg.num_images):
-        image, labels = render(cfg, index)
-        name = f"img_{index:05d}.ppm"
-        write_atomic(out_dir / name, write_ppm(image))
-        entries.append((name, labels))
-    manifest = DatasetManifest(tuple(entries), cfg.num_classes)
-    write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))
-    return manifest
+    """Render num_images images and write them, with manifest.tsv, into out_dir."""
+    samples = (render(cfg, index) for index in range(cfg.num_images))
+    return write_dataset(out_dir, "img", samples, cfg.num_classes)

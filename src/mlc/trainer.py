@@ -39,36 +39,25 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .augment import (
-    MODES,
-    STREAM_AUG,
-    STREAM_MIX,
-    STREAM_SHUFFLE,
-    apply_mode,
-    mixup,
-    resize,
-    rng_stream,
+    MODES, STREAM_AUG, STREAM_MIX, STREAM_SHUFFLE, apply_mode, mixup, resize, rng_stream,
 )
-from .errors import DataLoadError, DivergedLoss, EmptyInput, MlcError
-from .io import DatasetManifest, read_ppm, write_atomic
+from .errors import DivergedLoss, EmptyInput
+from .io import DatasetManifest, load_dataset, write_atomic
 from .model import (
-    ModelParams,
-    check_pool_grid,
-    forward_features,
-    init_params,
-    pooled_batch,
-    sgd_step,
+    ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
 )
 from .types import Image, LabelMatrix, ScoreMatrix
 
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
+MIXUP_PHASES = ("even", "odd")  # M3 mixes on the epochs whose parity is the phase's index
 
 
 @dataclass(frozen=True)
@@ -89,6 +78,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         for rate in (self.lr_head, self.lr_body, self.lr_decay_factor):
@@ -98,8 +89,8 @@ class TrainConfig:
             raise ValueError(f"lr_decay_epoch must be in [0, epochs), got {self.lr_decay_epoch}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mixup_phase not in ("even", "odd"):
-            raise ValueError(f"mixup_phase must be 'even' or 'odd', got {self.mixup_phase!r}")
+        if self.mixup_phase not in MIXUP_PHASES:
+            raise ValueError(f"mixup_phase must be one of {MIXUP_PHASES}, got {self.mixup_phase!r}")
         if min(self.input_size) < 1 or min(self.pool_grid) < 1 or self.hidden < 1:
             raise ValueError("input_size, pool_grid and hidden must be positive")
         (gh, gw), (height, width) = self.pool_grid, self.input_size
@@ -121,33 +112,7 @@ def effective_lrs(cfg: TrainConfig, epoch: int) -> tuple[float, float]:
 
 
 def mixup_active(cfg: TrainConfig, epoch: int) -> bool:
-    if cfg.mode != "M3":
-        return False
-    return epoch % 2 == (0 if cfg.mixup_phase == "even" else 1)
-
-
-def load_dataset(manifest: DatasetManifest, root: str | Path) -> tuple[list[Image], LabelMatrix]:
-    """Every manifest image and the (n, C) label matrix; row order is manifest order.
-
-    Entry paths are relative to `root` and must stay under it: an absolute
-    path or a `..` component is a DataLoadError, raised before any read.
-    """
-    root = Path(root)
-    for rel_path, _ in manifest.entries:
-        pure = PurePath(rel_path)
-        if pure.is_absolute() or ".." in pure.parts:
-            raise DataLoadError(f"manifest entry {rel_path!r} leaves the dataset root")
-    images = []
-    for rel_path, _ in manifest.entries:
-        try:
-            blob = (root / rel_path).read_bytes()
-        except OSError as exc:
-            raise DataLoadError(f"cannot read {root / rel_path}: {exc}") from exc
-        try:
-            images.append(read_ppm(blob))
-        except MlcError as exc:
-            raise DataLoadError(f"{root / rel_path}: {exc}") from exc
-    return images, manifest.label_matrix()
+    return cfg.mode == "M3" and epoch % 2 == MIXUP_PHASES.index(cfg.mixup_phase)
 
 
 def _augmented_batch(

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlc import cli, trainer
+import mlc.io
+from mlc import cli
 from mlc.cli import main
 from mlc.io import DatasetManifest, read_csv_matrix, read_manifest, write_manifest
 
@@ -202,6 +203,66 @@ class TestAugment:
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+def _interrupt_at_image(monkeypatch, nth: int) -> None:
+    """Make the `nth` PPM encoding raise KeyboardInterrupt, as a Ctrl-C there would."""
+    write_ppm = mlc.io.write_ppm
+    calls = []
+
+    def interrupted(image):
+        calls.append(image)
+        if len(calls) == nth:
+            raise KeyboardInterrupt
+        return write_ppm(image)
+
+    monkeypatch.setattr(mlc.io, "write_ppm", interrupted)
+
+
+class TestInterruptedDatasetWrite:
+    """Rewriting a dataset directory removes its manifest first and writes
+    the new one last, so a rewrite cut short leaves no manifest, never the
+    old one labelling new images, and a rerun gives the fresh directory."""
+
+    def test_gen_over_an_existing_dataset(self, tmp_path, monkeypatch):
+        def gen(out, seed):
+            return main([
+                "gen", "--out", str(out), "--num", "6", "--size", "16", "16",
+                "--seed", str(seed),
+            ])
+
+        ds = tmp_path / "ds"
+        assert gen(ds, 7) == 0
+        with monkeypatch.context() as patch:
+            _interrupt_at_image(patch, 4)
+            with pytest.raises(KeyboardInterrupt):
+                gen(ds, 8)
+        assert not (ds / "manifest.tsv").exists()
+        assert gen(ds, 8) == 0
+        assert gen(tmp_path / "fresh", 8) == 0
+        assert _tree(ds) == _tree(tmp_path / "fresh")
+
+    def test_augment_into_an_existing_out_dir(self, dataset, tmp_path, monkeypatch):
+        def augment(out, seed):
+            return main([
+                "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M2",
+                "--seed", str(seed), "--out-dir", str(out), "--size", "16", "16",
+            ])
+
+        out = tmp_path / "aug"
+        assert augment(out, 1) == 0
+        with monkeypatch.context() as patch:
+            _interrupt_at_image(patch, 4)
+            with pytest.raises(KeyboardInterrupt):
+                augment(out, 2)
+        assert not (out / "manifest.tsv").exists()
+        assert augment(out, 2) == 0
+        assert augment(tmp_path / "fresh", 2) == 0
+        assert _tree(out) == _tree(tmp_path / "fresh")
+
+
 class TestExitCodes:
     def test_unknown_mode_is_usage_error(self, dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -312,7 +373,7 @@ class TestExitCodes:
         def no_read(blob):
             raise AssertionError("an image was read before the config check")
 
-        monkeypatch.setattr(trainer, "read_ppm", no_read)
+        monkeypatch.setattr("mlc.io.read_ppm", no_read)
         out = tmp_path / "x.params"
         assert main([
             "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
@@ -406,7 +467,7 @@ class TestExitCodes:
             raise AssertionError("an input was read before the config check")
 
         monkeypatch.setattr(cli, "read_manifest", no_read)
-        monkeypatch.setattr(trainer, "read_ppm", no_read)
+        monkeypatch.setattr("mlc.io.read_ppm", no_read)
         out = tmp_path / "x.params"
         assert main([
             "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
@@ -488,6 +549,44 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == (["aug"] if target == "file" else [])
         if target == "file":
             assert out_dir.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("classes", [2**63 - 1, 10**20])
+    @pytest.mark.parametrize("command", ["train", "predict", "augment"])
+    def test_unallocatable_class_count_is_runtime_error(
+        self, dataset, tmp_path, capsys, command, classes
+    ):
+        # no 64-bit host can allocate either count, so nothing is touched
+        (tmp_path / "img.ppm").write_bytes((dataset / "img_00000.ppm").read_bytes())
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"#classes={classes}\nimg.ppm\t0\n")
+        argv = {
+            "train": ["train", "--mode", "M1", "--epochs", "1", "--decay-epoch", "0",
+                      "--hidden", "4", "--size", "24", "24", "--out", str(tmp_path / "x")],
+            "predict": ["predict", "--params", str(V1_FIXTURE), "--size", "24", "24",
+                        "--out", str(tmp_path / "x")],
+            "augment": ["augment", "--mode", "M1", "--out-dir", str(tmp_path / "x")],
+        }[command]
+        assert main([*argv, "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: #classes={classes} is too large to allocate\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "manifest.tsv"]
+
+    @pytest.mark.parametrize("command", ["gen", "train", "augment"])
+    def test_negative_seed_is_usage_error(self, dataset, tmp_path, capsys, monkeypatch, command):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the seed was checked")
+
+        monkeypatch.setattr(cli, "read_manifest", no_read)
+        manifest = str(dataset / "manifest.tsv")
+        argv = {
+            "gen": ["gen", "--out", str(tmp_path / "x"), "--num", "1"],
+            "train": ["train", "--manifest", manifest, "--mode", "M1", "--out", str(tmp_path / "x")],
+            "augment": ["augment", "--manifest", manifest, "--mode", "M1",
+                        "--out-dir", str(tmp_path / "x")],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_zero(self):
         for sub in ("gen", "train", "predict", "evaluate", "fuse", "augment"):

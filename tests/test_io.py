@@ -1,12 +1,17 @@
 import hashlib
 import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlc
 from mlc.errors import (
     BadHeader,
     BadMagic,
@@ -293,6 +298,64 @@ class TestWriteAtomic:
         with pytest.raises(IoError, match=f"^cannot write {re.escape(str(target))}: Is a directory$"):
             write_atomic(target, "1\n")
         assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any(target.iterdir())
+
+
+# Runs `mlc <argv[2:]>` with os.replace patched to SIGKILL the process just
+# before or just after the replace (argv[1]: before, after or never), so
+# no cleanup of any kind runs.
+_KILLED_AT_REPLACE = """
+import os, signal, sys
+
+when = sys.argv.pop(1)
+replace = os.replace
+
+def killing_replace(src, dst):
+    if when == "before":
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+    if when == "after":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+os.replace = killing_replace
+from mlc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestWriteAtomicKilled:
+    """A real `mlc fuse` process SIGKILLed around its one os.replace."""
+
+    def _fuse(self, work, when):
+        work.mkdir()
+        (work / "a.csv").write_text("0.25,1.5\n-3.0,0.5\n")
+        (work / "b.csv").write_text("0.75,0.5\n1.0,-0.5\n")
+        (work / "fused.csv").write_bytes(b"old bytes\n")
+        src = Path(mlc.__file__).parents[1]
+        return subprocess.run(
+            [sys.executable, "-c", _KILLED_AT_REPLACE, when,
+             "fuse", "a.csv", "b.csv", "--out", "fused.csv"],
+            cwd=work, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, timeout=120,
+        )
+
+    def test_kill_before_or_after_the_replace(self, tmp_path):
+        assert self._fuse(tmp_path / "whole", "never").returncode == 0
+        whole = (tmp_path / "whole" / "fused.csv").read_bytes()
+        assert whole != b"old bytes\n"
+
+        assert self._fuse(tmp_path / "before", "before").returncode == -signal.SIGKILL
+        before = tmp_path / "before"
+        assert (before / "fused.csv").read_bytes() == b"old bytes\n"
+        # no cleanup runs after SIGKILL: the complete temp file is left beside
+        # the target (see the README)
+        (leftover,) = [p for p in before.iterdir() if p.name.startswith(".")]
+        assert re.fullmatch(r"\.fused\.csv\.\d+-[0-9a-f]{8}\.tmp", leftover.name)
+        assert leftover.read_bytes() == whole
+
+        assert self._fuse(tmp_path / "after", "after").returncode == -signal.SIGKILL
+        after = tmp_path / "after"
+        assert (after / "fused.csv").read_bytes() == whole
+        assert sorted(p.name for p in after.iterdir()) == ["a.csv", "b.csv", "fused.csv"]
 
 
 class TestReadersFuzz:

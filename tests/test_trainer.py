@@ -17,13 +17,12 @@ from mlc.errors import (
     GridTooLarge,
     PixelOutOfRange,
 )
-from mlc.io import DatasetManifest
+from mlc.io import DatasetManifest, load_dataset
 from mlc.model import ModelParams, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import (
     TrainConfig,
     effective_lrs,
-    load_dataset,
     mixup_active,
     predict,
     train,
@@ -223,6 +222,11 @@ class TestTrain:
         with pytest.raises(DataLoadError):
             load_dataset(manifest, tmp_path)
 
+    def test_nul_byte_in_entry_is_data_load_error(self, tmp_path):
+        manifest = DatasetManifest((("a\x00b.ppm", (0,)),), 2)
+        with pytest.raises(DataLoadError, match="cannot read"):
+            load_dataset(manifest, tmp_path)
+
     @pytest.mark.parametrize("entry", ["../outside.ppm", "sub/../../outside.ppm", "ABSOLUTE"])
     def test_entries_outside_the_root_rejected_before_reading(
         self, small_dataset, tmp_path, monkeypatch, entry
@@ -238,7 +242,7 @@ class TestTrain:
         def no_read(blob):
             raise AssertionError("an image was read before the path check")
 
-        monkeypatch.setattr(trainer, "read_ppm", no_read)
+        monkeypatch.setattr("mlc.io.read_ppm", no_read)
         with pytest.raises(DataLoadError, match="leaves the dataset root"):
             load_dataset(escaping, dataset_root)
 
