@@ -12,7 +12,7 @@ from .metrics import MetricsReport, evaluate, mean_ap, top_k_binarize
 from .model import Gradients, ModelParams, bce_loss, init_params, load_params, save_params, sigmoid
 from .synthgen import SynthConfig, census, generate
 from .trainer import TrainConfig, TrainReport, predict, train
-from .types import Image, LabelMatrix, ScoreMatrix
+from .types import LabelMatrix, ScoreMatrix
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "sigmoid",
     "SynthConfig", "census", "generate",
     "TrainConfig", "TrainReport", "predict", "train",
-    "Image", "LabelMatrix", "ScoreMatrix",
+    "LabelMatrix", "ScoreMatrix",
     "__version__",
 ]

@@ -1,15 +1,15 @@
-"""Augmentation on float64 pixel arrays: flip, bilinear resize,
-random-resized-crop and mixup.
+"""Augmentation: flip, random-resized-crop, bilinear resize and mixup.
 
-`apply_mode` maps one (H, W, 3) image to an (h, w) size, and `mixup`
-pairs the rows of a whole (n, H, W, 3) batch. The flip probability and
-the crop's ranges are fixed module constants, not parameters. The inputs
-are decoded `Image` pixels and every step keeps values in [0, 1], so
-nothing is wrapped or checked again. Randomized ops take an explicit
-numpy Generator so every transform is a pure function of (inputs, rng
-stream). Streams come from `rng_stream`, which keys a counter-based Philox
-generator off (seed, stream path): the same seed and calls replay the same
-outputs, and disjoint paths give independent streams.
+`apply_mode` maps one decoded (H, W, 3) uint8 image to an (h, w) float64
+array in [0, 1], and `mixup` pairs the rows of a whole (n, h, w, 3) batch
+of those. The flip and the crop are views of the bytes; only the window
+they leave is converted, as byte / 255, and resized. The flip probability
+and the crop's ranges are fixed module constants, not parameters. Every
+step keeps values in [0, 1], so nothing is checked again. Randomized ops
+take an explicit numpy Generator so every transform is a pure function of
+(inputs, rng stream). Streams come from `rng_stream`, which keys a
+counter-based Philox generator off (seed, stream path): the same seed and
+calls replay the same outputs, and disjoint paths give independent streams.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ def _random_crop(data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def apply_mode(
     data: np.ndarray, mode: str, size: tuple[int, int], rng: np.random.Generator
 ) -> np.ndarray:
-    """Run one (H, W, 3) array through the augmentation pipeline of a training mode.
+    """Run one (H, W, 3) uint8 image through the augmentation pipeline of a
+    training mode, to an (h, w, 3) float64 array in [0, 1].
 
     M1 flips (with FLIP_PROBABILITY) then resizes to `size`, an (h, w)
     pair; M2 and M3 flip, then crop a random window and resize it. The flip
-    and the crop are views, so the resize makes the only copy. Mixup, the
-    extra M3 step, is `mixup`.
+    and the crop are views, so the byte / 255 conversion copies only the
+    window. Mixup, the extra M3 step, is `mixup`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -92,7 +93,7 @@ def apply_mode(
         data = data[:, ::-1, :]
     if mode != "M1":
         data = _random_crop(data, rng)
-    return resize(data, *size)
+    return resize(data.astype(np.float64) / 255.0, *size)
 
 
 def mixup(pixels: np.ndarray, labels: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

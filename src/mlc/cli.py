@@ -16,13 +16,13 @@ from .augment import MODES
 from .errors import IoError, MlcError, ParseError
 from .fusion import fuse
 from .io import (
-    load_dataset, read_csv_matrix, read_manifest, write_atomic, write_csv_matrix, write_dataset,
+    load_dataset, quantize, read_csv_matrix, read_manifest, write_atomic, write_csv_matrix,
+    write_dataset,
 )
 from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
 from .trainer import MIXUP_PHASES, TrainConfig, _augmented_batch, predict, train
-from .types import Image
 
 
 class _UsageError(Exception):
@@ -149,7 +149,7 @@ def _cmd_gen(args) -> None:
     cfg = _config(
         SynthConfig,
         num_images=args.num,
-        image_size=(args.size[0], args.size[1]),
+        image_size=_input_size(args),
         num_classes=args.classes,
         min_concepts=args.min_concepts,
         max_concepts=args.max_concepts,
@@ -170,7 +170,7 @@ def _cmd_train(args) -> None:
         lr_decay_epoch=args.decay_epoch,
         mode=args.mode,
         mixup_phase=args.mixup_phase,
-        input_size=(args.size[0], args.size[1]),
+        input_size=_input_size(args),
         seed=args.seed,
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),
         hidden=args.hidden,
@@ -219,19 +219,16 @@ def _cmd_augment(args) -> None:
     _config(TrainConfig, seed=args.seed)  # augment draws training's streams
     _check_writable(args.out_dir, directory=True)
     manifest = read_manifest(_read_text(args.manifest))
-    images, labels = load_dataset(manifest, Path(args.manifest).parent)
+    images = load_dataset(manifest, Path(args.manifest).parent)
     # training's batch function over the whole set: epoch-0 streams and,
     # for M3, mixup of consecutive pairs
     everything = np.arange(len(images))
     mix_order = everything if args.mode == "M3" else None
     pixels, targets = _augmented_batch(
-        images, labels, everything, args.mode, size, args.seed, 0, mix_order
+        images, manifest.label_matrix(), everything, args.mode, size, args.seed, 0, mix_order
     )
 
-    samples = (
-        (Image(image), tuple(int(j) for j in np.flatnonzero(row)))
-        for image, row in zip(pixels, targets)
-    )
+    samples = zip(quantize(pixels), (tuple(int(j) for j in np.flatnonzero(row)) for row in targets))
     written = write_dataset(args.out_dir, "aug", samples, manifest.num_classes)
     print(f"wrote {len(written)} augmented samples to {Path(args.out_dir)}")
 

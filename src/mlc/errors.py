@@ -16,7 +16,7 @@ class ShapeMismatch(MlcError):
 
 
 class NonFinite(MlcError):
-    """A score or pixel value is NaN or infinite."""
+    """A score or model parameter is NaN or infinite."""
 
 
 class NonBinaryLabel(MlcError):
@@ -24,7 +24,7 @@ class NonBinaryLabel(MlcError):
 
 
 class PixelOutOfRange(MlcError):
-    """A pixel value lies outside [0, 1]."""
+    """A value to be quantized to a pixel byte is not in [0, 1], or is NaN."""
 
 
 # -- file format errors ------------------------------------------------------

@@ -1,6 +1,8 @@
 """Bit-exact file formats: binary PPM images, CSV matrices, TSV manifests.
 
 The format readers and writers are pure functions over bytes or text.
+Images are (H, W, 3) uint8 arrays, the PPM's own bytes; `quantize` turns
+computed [0, 1] values into such bytes.
 Three functions touch the filesystem: `write_atomic`, the one way the
 toolkit puts bytes on disk, and `load_dataset` and `write_dataset`, the
 one reader and the one writer of a dataset directory (manifest.tsv plus
@@ -17,9 +19,9 @@ import numpy as np
 
 from .errors import (
     BadHeader, BadMagic, DataLoadError, IndexOutOfRange, IoError, MissingClassHeader, MlcError,
-    ParseError, RaggedRows, ShapeMismatch, TruncatedPixelData, UnsupportedMaxval,
+    ParseError, PixelOutOfRange, RaggedRows, ShapeMismatch, TruncatedPixelData, UnsupportedMaxval,
 )
-from .types import Image, LabelMatrix, ScoreMatrix
+from .types import LabelMatrix, ScoreMatrix
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:
@@ -50,12 +52,12 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def read_ppm(blob: bytes) -> Image:
-    """Decode a binary (P6) PPM with maxval 255 into an Image.
+def read_ppm(blob: bytes) -> np.ndarray:
+    """Decode a binary (P6) PPM with maxval 255 into a read-only (H, W, 3)
+    uint8 array, a view of `blob` without a copy.
 
-    Pixel value = byte / 255 exactly. The grammar is strict: "P6", ASCII
-    width/height/maxval separated by whitespace, one whitespace byte, then
-    width*height*3 raw bytes.
+    The grammar is strict: "P6", ASCII width/height/maxval separated by
+    whitespace, one whitespace byte, then width*height*3 raw bytes.
     """
     if blob[:2] != b"P6":
         raise BadMagic(f"expected P6 magic, got {blob[:2]!r}")
@@ -79,18 +81,27 @@ def read_ppm(blob: bytes) -> Image:
         raise BadHeader("missing whitespace after maxval")
     pos += 1
     need = width * height * 3
-    payload = blob[pos : pos + need]
-    if len(payload) < need:
-        raise TruncatedPixelData(f"expected {need} pixel bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return Image(data.reshape(height, width, 3))
+    if len(blob) - pos < need:
+        raise TruncatedPixelData(f"expected {need} pixel bytes, got {len(blob) - pos}")
+    return np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
 
 
-def write_ppm(image: Image) -> bytes:
-    """Encode an Image as binary PPM, quantizing half away from zero."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    quantized = np.floor(image.data * 255.0 + 0.5).astype(np.uint8)
-    return header + quantized.tobytes()
+def write_ppm(pixels: np.ndarray) -> bytes:
+    """Encode an (H, W, 3) uint8 array as binary PPM."""
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3 or 0 in pixels.shape:
+        raise ShapeMismatch(f"expected (H, W, 3) uint8 pixels, got {pixels.dtype} {pixels.shape}")
+    height, width, _ = pixels.shape
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+def quantize(data: np.ndarray) -> np.ndarray:
+    """Pixel bytes of values in [0, 1]: floor(x * 255 + 0.5), so half rounds up.
+
+    Any value outside [0, 1], NaN included, is PixelOutOfRange.
+    """
+    if not ((data >= 0.0) & (data <= 1.0)).all():
+        raise PixelOutOfRange("pixel values must lie in [0, 1]")
+    return np.floor(data * 255.0 + 0.5).astype(np.uint8)
 
 
 # every character a plain decimal CSV can hold; `str.translate` deletes them,
@@ -209,8 +220,8 @@ def write_manifest(manifest: DatasetManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_dataset(manifest: DatasetManifest, root: str | Path) -> tuple[list[Image], LabelMatrix]:
-    """Every manifest image and the (n, C) label matrix; row order is manifest order.
+def load_dataset(manifest: DatasetManifest, root: str | Path) -> list[np.ndarray]:
+    """Every manifest image, decoded by `read_ppm`, in manifest order.
 
     Entry paths are relative to `root` and must stay under it: an absolute
     path or a `..` component is a DataLoadError, raised before any read.
@@ -230,12 +241,12 @@ def load_dataset(manifest: DatasetManifest, root: str | Path) -> tuple[list[Imag
             images.append(read_ppm(blob))
         except MlcError as exc:
             raise DataLoadError(f"{root / rel_path}: {exc}") from exc
-    return images, manifest.label_matrix()
+    return images
 
 
 def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -> DatasetManifest:
-    """Write (Image, label indices) `samples` as `<prefix>_<i:05d>.ppm`, then
-    manifest.tsv, into `out_dir`, which is made if missing.
+    """Write (uint8 pixels, label indices) `samples` as `<prefix>_<i:05d>.ppm`,
+    then manifest.tsv, into `out_dir`, which is made if missing.
 
     The old manifest.tsv is removed before the first image and the new one is
     written last, so an interrupted run leaves no manifest, never one that
@@ -248,9 +259,9 @@ def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     entries = []
-    for i, (image, labels) in enumerate(samples):
+    for i, (pixels, labels) in enumerate(samples):
         name = f"{prefix}_{i:05d}.ppm"
-        write_atomic(out_dir / name, write_ppm(image))
+        write_atomic(out_dir / name, write_ppm(pixels))
         entries.append((name, labels))
     manifest = DatasetManifest(tuple(entries), num_classes)
     write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))

@@ -1,12 +1,16 @@
 """Deterministic synthetic multi-label dataset: colored shapes on noisy gray.
 
-Each class owns one palette color (byte-exact through PPM quantization) and
-a shape kind (class index mod 3: square, disk, triangle). An image carries
-class j iff a shape of class j's color is visible, so labels are correct by
-construction and independently checkable by counting exact-color pixels
-(`census`). Shapes may overlap in random z-order; a draw that would fully
-occlude a labeled shape is rejected and resampled from the next substream,
-keeping generation a pure function of (config, image index).
+Each class owns one palette color (byte-exact through `io.quantize`) and
+a shape kind (class index mod 3: square, disk, triangle). An image is
+painted on a float canvas and quantized to (H, W, 3) uint8 bytes. It
+carries class j iff a shape of class j's color is visible, so labels are
+correct by construction and independently checkable by counting the pixels
+whose bytes are the class color's (`census`). Every channel of the noisy
+background lies in [117, 138] and every palette color has a channel of 0,
+so background noise never counts as a class. Shapes may overlap in random
+z-order; a draw that would fully occlude a labeled shape is rejected and
+resampled from the next substream, keeping generation a pure function of
+(config, image index).
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 
 from . import kernels
 from .augment import STREAM_GEN, rng_stream
-from .io import DatasetManifest, write_dataset
-from .types import Image
+from .errors import ShapeMismatch
+from .io import DatasetManifest, quantize, write_dataset
 
 # saturated RGB corners, then half-intensity corners; all byte-exact
 _BASE_COLORS = [
@@ -76,21 +80,20 @@ class SynthConfig:
         palette(self.num_classes)
 
 
-def census(image: Image, num_classes: int) -> np.ndarray:
-    """Per-class count of pixels exactly matching the class color.
-
-    Palette colors survive PPM quantization bit-exactly, so this works on
-    freshly rendered and on decoded images alike.
-    """
-    colors = palette(num_classes)
-    counts = np.empty(num_classes, dtype=np.int64)
-    for j in range(num_classes):
-        counts[j] = np.all(image.data == colors[j], axis=2).sum()
-    return counts
+def _color_codes(rgb: np.ndarray) -> np.ndarray:
+    """Each uint8 (r, g, b) of an (..., 3) array packed as r << 16 | g << 8 | b."""
+    rgb = rgb.astype(np.int32)
+    return rgb[..., 0] << 16 | rgb[..., 1] << 8 | rgb[..., 2]
 
 
-def render(cfg: SynthConfig, index: int) -> tuple[Image, tuple[int, ...]]:
-    """Render image `index` of the dataset; returns (image, label indices)."""
+def census(pixels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Per-class count of the (H, W, 3) uint8 image's pixels whose bytes are the class color's."""
+    codes = _color_codes(pixels).reshape(-1, 1)
+    return (codes == _color_codes(quantize(palette(num_classes)))).sum(axis=0)
+
+
+def render(cfg: SynthConfig, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Render image `index` of the dataset; returns (uint8 pixels, label indices)."""
     height, width = cfg.image_size
     colors = palette(cfg.num_classes)
     short_side = min(height, width)
@@ -99,7 +102,11 @@ def render(cfg: SynthConfig, index: int) -> tuple[Image, tuple[int, ...]]:
         count = int(rng.integers(cfg.min_concepts, cfg.max_concepts + 1))
         classes = np.sort(rng.choice(cfg.num_classes, size=count, replace=False))
         z_order = rng.permutation(classes)
-        canvas = _BACKGROUND + rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE, size=(height, width, 3))
+        try:
+            noise = rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE, size=(height, width, 3))
+            canvas = _BACKGROUND + noise
+        except (MemoryError, ValueError):
+            raise ShapeMismatch(f"a {height}x{width} image is too large to allocate") from None
 
         halves = rng.uniform(_MIN_EXTENT, _MAX_EXTENT, size=count) * short_side
         cys = np.empty(count)
@@ -110,10 +117,10 @@ def render(cfg: SynthConfig, index: int) -> tuple[Image, tuple[int, ...]]:
         kinds = z_order % 3
         kernels.paint_shapes(canvas, kinds, cys, cxs, halves, colors[z_order])
 
-        image = Image(canvas)
-        visible = census(image, cfg.num_classes)
+        pixels = quantize(canvas)
+        visible = census(pixels, cfg.num_classes)
         if all(visible[j] >= _MIN_VISIBLE_PIXELS for j in classes):
-            return image, tuple(int(j) for j in classes)
+            return pixels, tuple(int(j) for j in classes)
     raise RuntimeError(f"image {index}: no visible arrangement in {_MAX_DRAW_ATTEMPTS} attempts")
 
 

@@ -12,10 +12,10 @@ Everything random is keyed off (seed, stream, epoch, index) Philox
 streams, and batches reduce in a fixed order, so a (seed, config) pair
 replays to bitwise-identical parameters.
 
-A batch is built on arrays: `augment.apply_mode` writes each decoded
-image, at `TrainConfig.input_size`, into one (n, H, W, 3) array, its
-labels are rows of the label matrix, and `augment.mixup` pairs the whole
-batch's rows at once. `TrainConfig` owns every check on its values, the
+A batch is built on arrays: `augment.apply_mode` writes each decoded uint8
+image, at `TrainConfig.input_size`, into one (n, H, W, 3) float64 array,
+its labels are rows of the label matrix, and `augment.mixup` pairs the
+whole batch's rows at once. `TrainConfig` owns every check on its values, the
 pool grid fitting the input size included. `sgd_step` updates the arrays
 of `init_params` in place; they are validated as `ModelParams` when made
 and once more before `train` returns them.
@@ -47,12 +47,12 @@ import numpy as np
 from .augment import (
     MODES, STREAM_AUG, STREAM_MIX, STREAM_SHUFFLE, apply_mode, mixup, resize, rng_stream,
 )
-from .errors import DivergedLoss, EmptyInput
+from .errors import DivergedLoss, EmptyInput, ShapeMismatch
 from .io import DatasetManifest, load_dataset, write_atomic
 from .model import (
     ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
 )
-from .types import Image, LabelMatrix, ScoreMatrix
+from .types import LabelMatrix, ScoreMatrix
 
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
@@ -115,8 +115,16 @@ def mixup_active(cfg: TrainConfig, epoch: int) -> bool:
     return cfg.mode == "M3" and epoch % 2 == MIXUP_PHASES.index(cfg.mixup_phase)
 
 
+def _pixel_batch(n: int, size: tuple[int, int]) -> np.ndarray:
+    """An empty (n, h, w, 3) float64 batch; one too large to allocate is ShapeMismatch."""
+    try:
+        return np.empty((n, *size, 3), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ShapeMismatch(f"{n} images of {size[0]}x{size[1]} are too large to allocate") from None
+
+
 def _augmented_batch(
-    images: list[Image],
+    images: list[np.ndarray],
     labels: LabelMatrix,
     indices: np.ndarray,
     mode: str,
@@ -127,21 +135,21 @@ def _augmented_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pixels (n, h, w, 3) and labels (n, C) of one augmented batch of (h, w) `size`.
 
-    Image `indices[j]` is augmented on its (seed, STREAM_AUG, epoch, index)
-    stream into row j. With a `mix_order`, the rows are then paired by
-    `mixup`, so positions `mix_order[2p]` and `mix_order[2p + 1]` become
+    The image at `indices[j]` is augmented on its (seed, STREAM_AUG, epoch,
+    index) stream into row j. With a `mix_order`, the rows are then paired
+    by `mixup`, so positions `mix_order[2p]` and `mix_order[2p + 1]` become
     row p and an odd last position passes through unmixed.
     """
-    pixels = np.empty((len(indices), *size, 3), dtype=np.float64)
+    pixels = _pixel_batch(len(indices), size)
     for j, i in enumerate(indices):
         rng = rng_stream(seed, STREAM_AUG, epoch, int(i))
-        pixels[j] = apply_mode(images[i].data, mode, size, rng)
+        pixels[j] = apply_mode(images[i], mode, size, rng)
     targets = labels.data[indices]
     return (pixels, targets) if mix_order is None else mixup(pixels, targets, mix_order)
 
 
 def _training_batches(
-    images: list[Image], labels: LabelMatrix, cfg: TrainConfig
+    images: list[np.ndarray], labels: LabelMatrix, cfg: TrainConfig
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Pooled features (n, D) and targets (n, C) of every batch of the run, in order."""
     n = len(images)
@@ -220,7 +228,7 @@ def train(
     start = time.perf_counter()
     if len(manifest) == 0:
         raise EmptyInput("manifest lists no images to train on")
-    images, labels = load_dataset(manifest, root)
+    images, labels = load_dataset(manifest, root), manifest.label_matrix()
     num_batches = len(range(0, len(images), cfg.batch_size))
     # sgd_step updates these arrays in place
     params = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
@@ -274,10 +282,10 @@ def predict(
     input_size: tuple[int, int],
     root: str | Path = ".",
 ) -> ScoreMatrix:
-    """Raw logits per image: plain resize to input_size, no augmentation."""
+    """Raw logits per image: byte / 255, plain resize to input_size, no augmentation."""
     check_pool_grid(params.pool_grid, input_size)
-    images, _ = load_dataset(manifest, root)
-    pixels = np.empty((len(images), *input_size, 3), dtype=np.float64)
+    images = load_dataset(manifest, root)
+    pixels = _pixel_batch(len(images), input_size)
     for i, image in enumerate(images):
-        pixels[i] = resize(image.data, *input_size)
+        pixels[i] = resize(image.astype(np.float64) / 255.0, *input_size)
     return ScoreMatrix(forward_features(params, pooled_batch(pixels, params.pool_grid)))

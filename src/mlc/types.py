@@ -1,8 +1,8 @@
-"""Shared domain containers.
+"""Shared matrix containers: ground-truth labels and model scores.
 
-All containers validate on construction and hold read-only float64/int8
-arrays, so a value that exists is a value that satisfies its invariants.
-They are immutable and safe to share across threads.
+Both validate on construction and hold read-only int8/float64 arrays, so a
+value that exists is a value that satisfies its invariants. They are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -11,40 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonBinaryLabel, NonFinite, PixelOutOfRange, ShapeMismatch
+from .errors import NonBinaryLabel, NonFinite, ShapeMismatch
 
 
 def _frozen(data: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(data, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Image:
-    """H x W x 3 raster with real-valued channels in [0, 1]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _frozen(self.data, np.float64)
-        if data.ndim != 3 or data.shape[2] != 3 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ShapeMismatch(f"expected (H, W, 3) pixel array, got shape {data.shape}")
-        # NaN and +/-inf fail this test too, so the finiteness pass runs only
-        # on a rejected image, to pick the error
-        if not (data.min() >= 0.0 and data.max() <= 1.0):
-            if not np.all(np.isfinite(data)):
-                raise NonFinite("image contains NaN or infinite pixels")
-            raise PixelOutOfRange("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)

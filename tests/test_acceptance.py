@@ -13,7 +13,7 @@ from mlc.metrics import average_precision, evaluate, harmonic_f1, machine_line, 
 from mlc.model import ModelParams, backward_features, bce_loss, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import TrainConfig, predict, train
-from mlc.types import Image, LabelMatrix, ScoreMatrix
+from mlc.types import LabelMatrix, ScoreMatrix
 
 from test_metrics import oracle_ap, oracle_panel
 
@@ -88,8 +88,8 @@ def _random_instance(rng):
             W2=rng.uniform(-0.6, 0.6, (hidden, classes)),
             b2=rng.uniform(-0.6, 0.6, classes),
         )
-        image = Image(rng.random((int(rng.integers(gh, gh + 6)), int(rng.integers(gw, gw + 6)), 3)))
-        features = pooled_batch(image.data[None], (gh, gw))
+        image = rng.random((int(rng.integers(gh, gh + 6)), int(rng.integers(gw, gw + 6)), 3))
+        features = pooled_batch(image[None], (gh, gw))
         labels = (rng.random((1, classes)) < 0.5).astype(np.int8)
         z1 = features @ params.W1 + params.b1
         # central differences are invalid across the relu kink; eps=1e-4

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mlc import augment
 from mlc.augment import apply_mode, mixup, resize, rng_stream
 
-from conftest import random_image, random_sample
+from conftest import random_image, random_pixels, random_sample
 
 
 @pytest.fixture
@@ -19,14 +19,19 @@ def never_flip(monkeypatch):
     monkeypatch.setattr(augment, "FLIP_PROBABILITY", 0.0)
 
 
-def flipped(data):
-    """`data` through M1, resized to its own size; flips under `always_flip`."""
-    return apply_mode(data, "M1", data.shape[:2], rng_stream(0, 2, 0, 0))
+def unit(pixels):
+    """uint8 pixels as the [0, 1] values byte / 255."""
+    return pixels.astype(np.float64) / 255.0
 
 
-def cropped(data, size, rng):
-    """`data` through M2; under `never_flip`, one random-resized-crop."""
-    return apply_mode(data, "M2", size, rng)
+def flipped(pixels):
+    """uint8 `pixels` through M1, resized to their own size; flips under `always_flip`."""
+    return apply_mode(pixels, "M1", pixels.shape[:2], rng_stream(0, 2, 0, 0))
+
+
+def cropped(pixels, size, rng):
+    """uint8 `pixels` through M2; under `never_flip`, one random-resized-crop."""
+    return apply_mode(pixels, "M2", size, rng)
 
 
 def two_rows(a, b):
@@ -62,29 +67,30 @@ class TestRngStream:
 @pytest.mark.usefixtures("always_flip")
 class TestFlip:
     def test_two_pixel_swap(self):
-        out = flipped(np.array([[[0.1] * 3, [0.9] * 3]]))
-        np.testing.assert_array_equal(out[0, 0], [0.9] * 3)
-        np.testing.assert_array_equal(out[0, 1], [0.1] * 3)
+        out = flipped(np.array([[[25] * 3, [230] * 3]], dtype=np.uint8))
+        np.testing.assert_array_equal(out[0, 0], [230 / 255] * 3)
+        np.testing.assert_array_equal(out[0, 1], [25 / 255] * 3)
 
     def test_involution(self, rng):
-        img = random_image(rng, 5, 9)
-        np.testing.assert_array_equal(flipped(flipped(img.data)), img.data)
+        pixels = random_pixels(rng, 5, 9)
+        np.testing.assert_array_equal(flipped(pixels[:, ::-1]), unit(pixels))
 
     def test_single_pixel_fixed(self):
-        data = np.array([[[0.2, 0.4, 0.6]]])
-        np.testing.assert_array_equal(flipped(data), data)
+        pixels = np.array([[[51, 102, 153]]], dtype=np.uint8)
+        np.testing.assert_array_equal(flipped(pixels), unit(pixels))
 
     def test_view_resizes_like_a_flipped_copy(self, rng):
-        img = random_image(rng, 7, 10)
-        out = apply_mode(img.data, "M1", (5, 13), rng_stream(0, 2, 0, 0))
-        np.testing.assert_array_equal(out, resize(np.ascontiguousarray(img.data[:, ::-1]), 5, 13))
+        pixels = random_pixels(rng, 7, 10)
+        out = apply_mode(pixels, "M1", (5, 13), rng_stream(0, 2, 0, 0))
+        flipped_copy = np.ascontiguousarray(pixels[:, ::-1])
+        np.testing.assert_array_equal(out, resize(unit(flipped_copy), 5, 13))
 
 
 class TestResize:
     def test_same_size_is_identity(self, rng):
         img = random_image(rng, 6, 4)
-        out = resize(img.data, 6, 4)
-        assert np.abs(out - img.data).max() == 0.0
+        out = resize(img, 6, 4)
+        assert np.abs(out - img).max() == 0.0
 
     def test_constant_image(self):
         out = resize(np.full((3, 3, 3), 0.7), 5, 8)
@@ -97,38 +103,38 @@ class TestResize:
     def test_output_within_input_range(self, rng):
         for _ in range(20):
             img = random_image(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-            out = resize(img.data, int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-            assert out.min() >= img.data.min() - 1e-12
-            assert out.max() <= img.data.max() + 1e-12
+            out = resize(img, int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+            assert out.min() >= img.min() - 1e-12
+            assert out.max() <= img.max() + 1e-12
 
 
 @pytest.mark.usefixtures("never_flip")
 class TestRandomResizedCrop:
     def test_output_size_always_target(self, rng):
         for i in range(10):
-            img = random_image(rng, int(rng.integers(4, 16)), int(rng.integers(4, 16)))
-            out = cropped(img.data, (7, 5), rng_stream(1, 2, 0, i))
+            pixels = random_pixels(rng, int(rng.integers(4, 16)), int(rng.integers(4, 16)))
+            out = cropped(pixels, (7, 5), rng_stream(1, 2, 0, i))
             assert out.shape == (7, 5, 3)
 
     def test_degenerate_ranges_full_crop(self, rng, monkeypatch):
         monkeypatch.setattr(augment, "CROP_SCALE_RANGE", (1.0, 1.0))
         monkeypatch.setattr(augment, "CROP_ASPECT_RANGE", (1.0, 1.0))
-        img = random_image(rng, 6, 6)
-        out = cropped(img.data, (9, 9), rng_stream(3, 2, 0, 0))
-        np.testing.assert_array_equal(out, resize(img.data, 9, 9))
+        pixels = random_pixels(rng, 6, 6)
+        out = cropped(pixels, (9, 9), rng_stream(3, 2, 0, 0))
+        np.testing.assert_array_equal(out, resize(unit(pixels), 9, 9))
 
     def test_fixed_seed_reproduces(self, rng):
-        img = random_image(rng, 12, 12)
-        a = cropped(img.data, (8, 8), rng_stream(9, 2, 4, 2))
-        b = cropped(img.data, (8, 8), rng_stream(9, 2, 4, 2))
+        pixels = random_pixels(rng, 12, 12)
+        a = cropped(pixels, (8, 8), rng_stream(9, 2, 4, 2))
+        b = cropped(pixels, (8, 8), rng_stream(9, 2, 4, 2))
         np.testing.assert_array_equal(a, b)
 
     def test_values_within_input_range(self, rng):
-        img = random_image(rng, 10, 10)
+        pixels = random_pixels(rng, 10, 10)
         for i in range(10):
-            out = cropped(img.data, (6, 6), rng_stream(5, 2, 0, i))
-            assert out.min() >= img.data.min() - 1e-12
-            assert out.max() <= img.data.max() + 1e-12
+            out = cropped(pixels, (6, 6), rng_stream(5, 2, 0, i))
+            assert out.min() >= unit(pixels).min() - 1e-12
+            assert out.max() <= unit(pixels).max() + 1e-12
 
 
 class TestMixup:
@@ -183,23 +189,23 @@ class TestMixup:
 
 class TestApplyMode:
     def test_m1_output_is_target_size(self, rng):
-        img = random_image(rng, 11, 13)
-        out = apply_mode(img.data, "M1", (8, 8), rng_stream(0, 2, 0, 0))
-        assert out.shape == (8, 8, 3)
+        pixels = random_pixels(rng, 11, 13)
+        out = apply_mode(pixels, "M1", (8, 8), rng_stream(0, 2, 0, 0))
+        assert out.shape == (8, 8, 3) and out.dtype == np.float64
 
     def test_m2_and_m3_share_pipeline(self, rng):
-        img = random_image(rng, 11, 13)
-        a = apply_mode(img.data, "M2", (8, 8), rng_stream(4, 2, 0, 0))
-        b = apply_mode(img.data, "M3", (8, 8), rng_stream(4, 2, 0, 0))
+        pixels = random_pixels(rng, 11, 13)
+        a = apply_mode(pixels, "M2", (8, 8), rng_stream(4, 2, 0, 0))
+        b = apply_mode(pixels, "M3", (8, 8), rng_stream(4, 2, 0, 0))
         np.testing.assert_array_equal(a, b)
 
     def test_unknown_mode(self, rng):
-        img = random_image(rng, 4, 4)
+        pixels = random_pixels(rng, 4, 4)
         with pytest.raises(ValueError):
-            apply_mode(img.data, "M4", (4, 4), rng_stream(0, 2, 0, 0))
+            apply_mode(pixels, "M4", (4, 4), rng_stream(0, 2, 0, 0))
 
     @pytest.mark.usefixtures("never_flip")
     def test_m1_without_flip_is_plain_resize(self, rng):
-        img = random_image(rng, 9, 9)
-        out = apply_mode(img.data, "M1", (5, 5), rng_stream(0, 2, 0, 0))
-        np.testing.assert_array_equal(out, resize(img.data, 5, 5))
+        pixels = random_pixels(rng, 9, 9)
+        out = apply_mode(pixels, "M1", (5, 5), rng_stream(0, 2, 0, 0))
+        np.testing.assert_array_equal(out, resize(unit(pixels), 5, 5))

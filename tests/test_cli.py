@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,28 @@ def _train(dataset, tmp_path, mode="M1", **extra):
     return out
 
 
+def _tree_digest(root: Path) -> str:
+    """sha256 over "name sha256(file)" lines of every file in `root`, by name."""
+    lines = "".join(
+        f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in sorted(root.iterdir())
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
 class TestGen:
     def test_writes_dataset(self, dataset):
         manifest = read_manifest((dataset / "manifest.tsv").read_text())
         assert len(manifest) == 12
         assert (dataset / manifest.entries[0][0]).exists()
+
+    def test_output_bytes_golden(self, tmp_path):
+        assert main([
+            "gen", "--out", str(tmp_path), "--num", "20", "--size", "24", "24", "--seed", "7",
+        ]) == 0
+        assert len(list(tmp_path.iterdir())) == 21
+        assert _tree_digest(tmp_path) == (
+            "9f2a74a468aedd436bb97987cb2a39708e7d211114ca641d584deeda1675bec7"
+        )
 
 
 class TestTrainPredictEvaluate:
@@ -93,6 +111,16 @@ class TestTrainPredictEvaluate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 12
+
+    def test_predict_scores_golden(self, dataset, tmp_path):
+        out = tmp_path / "scores.csv"
+        assert main([
+            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "--size", "24", "24", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "848c7e3323cbf2dbe0b293277abe9d12acd38355241878bebffdb85a645643cd"
+        )
 
     def test_failed_write_keeps_old_scores(self, dataset, tmp_path, monkeypatch):
         import os
@@ -179,8 +207,7 @@ class TestAugment:
         ],
     )
     def test_output_bytes_golden(self, dataset, tmp_path, mode, files, digest):
-        # sha256 over "name sha256(file)" lines of every file written, from
-        # the first 11 fixture images so M3 has an odd leftover
+        # from the first 11 fixture images, so M3 has an odd leftover
         manifest = read_manifest((dataset / "manifest.tsv").read_text())
         entries = manifest.entries[:11]
         src = tmp_path / "odd"
@@ -195,12 +222,8 @@ class TestAugment:
             "augment", "--manifest", str(src / "manifest.tsv"), "--mode", mode,
             "--seed", "1", "--out-dir", str(out_dir), "--size", "20", "18",
         ]) == 0
-        written = sorted(out_dir.iterdir())
-        lines = "".join(
-            f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in written
-        )
-        assert len(written) == files
-        assert hashlib.sha256(lines.encode()).hexdigest() == digest
+        assert len(list(out_dir.iterdir())) == files
+        assert _tree_digest(out_dir) == digest
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -566,10 +589,34 @@ class TestExitCodes:
                         "--out", str(tmp_path / "x")],
             "augment": ["augment", "--mode", "M1", "--out-dir", str(tmp_path / "x")],
         }[command]
+        if command == "predict":
+            # scoring reads the images only; the class count is the checkpoint's
+            assert main([*argv, "--manifest", str(manifest)]) == 0
+            assert read_csv_matrix((tmp_path / "x").read_text()).data.shape == (1, 3)
+            return
         assert main([*argv, "--manifest", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: #classes={classes} is too large to allocate\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "manifest.tsv"]
+
+    @pytest.mark.parametrize("command", ["gen", "train", "predict", "augment"])
+    def test_unallocatable_size_is_runtime_error(self, dataset, tmp_path, capsys, command):
+        # 2**31 x 2**31 pixels of 3 float64s exceed 2**63 bytes, so numpy
+        # rejects the shape before it allocates anything
+        manifest = str(dataset / "manifest.tsv")
+        argv = {
+            "gen": ["gen", "--out", str(tmp_path / "x"), "--num", "1"],
+            "train": ["train", "--manifest", manifest, "--mode", "M1", "--epochs", "1",
+                      "--decay-epoch", "0", "--hidden", "4", "--out", str(tmp_path / "x")],
+            "predict": ["predict", "--params", str(V1_FIXTURE), "--manifest", manifest,
+                        "--out", str(tmp_path / "x")],
+            "augment": ["augment", "--manifest", manifest, "--mode", "M1",
+                        "--out-dir", str(tmp_path / "x")],
+        }[command]
+        assert main([*argv, "--size", str(2**31), str(2**31)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .* 2147483648x2147483648 .* too large to allocate\n", err)
+        assert not (tmp_path / "x").is_file()
 
     @pytest.mark.parametrize("command", ["gen", "train", "augment"])
     def test_negative_seed_is_usage_error(self, dataset, tmp_path, capsys, monkeypatch, command):

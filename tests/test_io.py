@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,28 +22,39 @@ from mlc.errors import (
     MlcError,
     NonBinaryLabel,
     ParseError,
+    PixelOutOfRange,
     RaggedRows,
+    ShapeMismatch,
     TruncatedPixelData,
     UnsupportedMaxval,
 )
 from mlc.io import (
     DatasetManifest,
+    load_dataset,
+    quantize,
     read_csv_matrix,
     read_manifest,
     read_ppm,
     write_atomic,
     write_csv_matrix,
+    write_dataset,
     write_manifest,
     write_ppm,
 )
-from mlc.types import Image, LabelMatrix, ScoreMatrix
+from mlc.types import LabelMatrix, ScoreMatrix
 
 
 class TestPpm:
     def test_single_red_pixel(self):
         img = read_ppm(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
-        assert img.height == 1 and img.width == 1
-        np.testing.assert_array_equal(img.data[0, 0], [1.0, 0.0, 0.0])
+        assert img.shape == (1, 1, 3) and img.dtype == np.uint8
+        np.testing.assert_array_equal(img[0, 0], [255, 0, 0])
+
+    def test_decoded_array_is_read_only(self):
+        img = read_ppm(b"P6\n2 2\n255\n" + bytes(12))
+        assert not img.flags.writeable
+        with pytest.raises(ValueError):
+            img[0, 0, 0] = 1
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
@@ -56,35 +68,80 @@ class TestPpm:
         with pytest.raises(UnsupportedMaxval):
             read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
 
-    def test_bad_header(self):
+    @pytest.mark.parametrize("header", [b"P6\nx y\n255\n", b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"])
+    def test_bad_header(self, header):
         with pytest.raises(BadHeader):
-            read_ppm(b"P6\nx y\n255\n")
+            read_ppm(header + bytes(12))
 
     def test_write_red_pixel_exact_bytes(self):
-        img = Image(np.array([[[1.0, 0.0, 0.0]]]))
+        img = np.array([[[255, 0, 0]]], dtype=np.uint8)
         assert write_ppm(img) == b"P6\n1 1\n255\n" + bytes([255, 0, 0])
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((2, 2, 4), np.uint8), ((2, 2), np.uint8), ((2, 2, 3, 1), np.uint8),
+         ((0, 2, 3), np.uint8), ((2, 2, 3), np.float64)],
+        ids=["channels", "rank2", "rank4", "empty", "float"],
+    )
+    def test_write_rejects_other_than_hw3_bytes(self, shape, dtype):
+        with pytest.raises(ShapeMismatch):
+            write_ppm(np.zeros(shape, dtype=dtype))
 
     def test_half_rounds_up(self):
         # round-half-away-from-zero: 0.5 * 255 = 127.5 -> 128
-        img = Image(np.array([[[0.5, 0.5, 0.5]]]))
-        assert write_ppm(img)[-3:] == bytes([128, 128, 128])
+        assert write_ppm(quantize(np.full((1, 1, 3), 0.5)))[-3:] == bytes([128, 128, 128])
 
     def test_round_trip_error_bound(self, rng):
         for _ in range(100):
             h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            img = Image(rng.random((h, w, 3)))
-            back = read_ppm(write_ppm(img))
-            assert np.abs(back.data - img.data).max() <= 1.0 / 510.0 + 1e-15
+            img = rng.random((h, w, 3))
+            back = read_ppm(write_ppm(quantize(img)))
+            assert np.abs(back / 255.0 - img).max() <= 1.0 / 510.0 + 1e-15
 
     def test_decoded_image_round_trips_bit_exactly(self, rng):
-        # byte-representable pixels (anything read from disk) re-encode losslessly
+        # bytes re-encode losslessly, and so do their byte / 255 values
         img = read_ppm(b"P6\n2 2\n255\n" + bytes(rng.integers(0, 256, 12, dtype=np.uint8)))
-        again = read_ppm(write_ppm(img))
-        np.testing.assert_array_equal(again.data, img.data)
+        np.testing.assert_array_equal(read_ppm(write_ppm(img)), img)
+        np.testing.assert_array_equal(quantize(img.astype(np.float64) / 255.0), img)
 
     def test_trailing_bytes_tolerated(self):
         img = read_ppm(b"P6\n1 1\n255\n" + bytes([10, 20, 30]) + b"\n")
-        np.testing.assert_allclose(img.data[0, 0], np.array([10, 20, 30]) / 255.0)
+        np.testing.assert_array_equal(img[0, 0], [10, 20, 30])
+
+
+class TestQuantize:
+    def test_byte_boundaries(self):
+        # (k + 1/2) / 255 splits byte k from byte k + 1; a value 1e-9 to
+        # either side lands on its own side, and k / 255 itself on k
+        k = np.arange(255.0)
+        np.testing.assert_array_equal(quantize((k + 0.5) / 255.0 - 1e-9), k)
+        np.testing.assert_array_equal(quantize((k + 0.5) / 255.0 + 1e-9), k + 1)
+        np.testing.assert_array_equal(quantize(np.arange(256.0) / 255.0), np.arange(256))
+        assert quantize(np.arange(256.0)[None] / 255.0).dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan], [np.inf], [-np.inf], [-0.1], [1.5], [-1e-300], [np.nan, -0.1], [1.5, np.inf]],
+    )
+    def test_values_outside_the_unit_interval_rejected(self, values):
+        data = np.full((2, 3, 3), 0.5)
+        data.flat[-len(values):] = values
+        with pytest.raises(PixelOutOfRange):
+            quantize(data)
+
+
+def test_load_dataset_keeps_one_byte_per_channel(tmp_path, rng):
+    n, side = 50, 64
+    samples = [(rng.integers(0, 256, (side, side, 3), dtype=np.uint8), (0,)) for _ in range(n)]
+    manifest = write_dataset(tmp_path, "img", samples, 1)
+    tracemalloc.start()
+    try:
+        images = load_dataset(manifest, tmp_path)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [img.tobytes() for img in images] == [pixels.tobytes() for pixels, _ in samples]
+    assert retained < 1.5 * n * side * side * 3
 
 
 class TestCsvMatrix:

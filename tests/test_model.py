@@ -21,7 +21,6 @@ from mlc.model import (
     sgd_step,
     sigmoid,
 )
-from mlc.types import Image
 
 from conftest import random_image
 
@@ -42,7 +41,7 @@ def tiny_params(rng, pool_grid=(2, 2), hidden=4, classes=3, scale=0.5):
 
 def features_of(img, grid):
     """Pooled features (1, gh*gw*3) of one image."""
-    return pooled_batch(img.data[None], grid)
+    return pooled_batch(img[None], grid)
 
 
 def pool(img, gh, gw):
@@ -61,20 +60,20 @@ class TestAdaptivePool:
     def test_global_average(self, rng):
         img = random_image(rng, 6, 7)
         out = pool(img, 1, 1)
-        np.testing.assert_allclose(out[0, 0], img.data.mean(axis=(0, 1)), atol=1e-12)
+        np.testing.assert_allclose(out[0, 0], img.mean(axis=(0, 1)), atol=1e-12)
 
     def test_identity_grid(self, rng):
         img = random_image(rng, 4, 5)
-        np.testing.assert_array_equal(pool(img, 4, 5), img.data)
+        np.testing.assert_array_equal(pool(img, 4, 5), img)
 
     def test_hand_derived_quadrants(self):
         vals = np.arange(1, 17, dtype=np.float64).reshape(4, 4) / 16.0
-        img = Image(np.repeat(vals[:, :, None], 3, axis=2))
+        img = np.repeat(vals[:, :, None], 3, axis=2)
         out = pool(img, 2, 2)
         np.testing.assert_array_equal(out[:, :, 1] * 16.0, [[3.5, 5.5], [11.5, 13.5]])
 
     def test_constant_image_constant_bins(self):
-        img = Image(np.full((5, 5, 3), 0.25))
+        img = np.full((5, 5, 3), 0.25)
         out = pool(img, 3, 2)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
@@ -103,7 +102,7 @@ class TestForward:
         params = ModelParams(
             params.pool_grid, params.W1, np.zeros_like(params.b1), params.W2, params.b2
         )
-        img = Image(np.zeros((4, 4, 3)))
+        img = np.zeros((4, 4, 3))
         np.testing.assert_array_equal(logits(params, img), params.b2)
 
     def test_deterministic_bitwise(self, rng):

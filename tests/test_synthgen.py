@@ -42,7 +42,7 @@ class TestRender:
         cfg = SynthConfig(num_images=2, image_size=(24, 24), seed=9)
         a, la = render(cfg, 0)
         b, lb = render(cfg, 0)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
         assert la == lb
 
     def test_census_matches_labels_both_ways(self):

@@ -27,7 +27,6 @@ from mlc.trainer import (
     predict,
     train,
 )
-from mlc.types import Image
 
 
 @pytest.fixture(scope="module")
@@ -265,25 +264,6 @@ def _fail_at_epoch_1_batch_3(monkeypatch):
 
     monkeypatch.setattr(trainer, "apply_mode", failing)
     return calls
-
-
-class TestBatches:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_building_batches_constructs_no_image(self, small_dataset, monkeypatch, mode):
-        manifest, root = small_dataset
-        images, labels = load_dataset(manifest, root)
-        cfg = small_cfg(mode=mode, batch_size=7)  # 24 images: batches of 7, 7, 7, 3
-
-        def no_image(self):
-            raise AssertionError("an Image was constructed while building a batch")
-
-        monkeypatch.setattr(Image, "__post_init__", no_image)
-        batches = list(trainer._training_batches(images, labels, cfg))
-        # M3 mixes on even epochs: 4 rows from each odd batch of 7, 2 from the 3
-        mixed = [4, 4, 4, 2] if mode == "M3" else [7, 7, 7, 3]
-        rows = [len(targets) for _, targets in batches]
-        assert rows == mixed + [7, 7, 7, 3] + mixed
-        assert all(targets.dtype == np.int8 for _, targets in batches)
 
 
 class TestPipeline:
