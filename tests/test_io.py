@@ -50,6 +50,10 @@ class TestPpm:
         assert img.shape == (1, 1, 3) and img.dtype == np.uint8
         np.testing.assert_array_equal(img[0, 0], [255, 0, 0])
 
+    def test_quantized_image_decodes_to_its_shape(self):
+        img = read_ppm(write_ppm(quantize(np.full((2, 3, 3), 0.5))))
+        assert img.shape == (2, 3, 3) and img.dtype == np.uint8
+
     def test_decoded_array_is_read_only(self):
         img = read_ppm(b"P6\n2 2\n255\n" + bytes(12))
         assert not img.flags.writeable
@@ -68,8 +72,12 @@ class TestPpm:
         with pytest.raises(UnsupportedMaxval):
             read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
 
-    @pytest.mark.parametrize("header", [b"P6\nx y\n255\n", b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"])
-    def test_bad_header(self, header):
+    def test_bad_header(self):
+        with pytest.raises(BadHeader):
+            read_ppm(b"P6\nx y\n255\n")
+
+    @pytest.mark.parametrize("header", [b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"])
+    def test_zero_dimension_rejected(self, header):
         with pytest.raises(BadHeader):
             read_ppm(header + bytes(12))
 
@@ -118,6 +126,18 @@ class TestQuantize:
         np.testing.assert_array_equal(quantize((k + 0.5) / 255.0 + 1e-9), k + 1)
         np.testing.assert_array_equal(quantize(np.arange(256.0) / 255.0), np.arange(256))
         assert quantize(np.arange(256.0)[None] / 255.0).dtype == np.uint8
+
+    def test_nan_rejected(self):
+        data = np.zeros((2, 2, 3))
+        data[0, 0, 0] = np.nan
+        with pytest.raises(PixelOutOfRange):
+            quantize(data)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(PixelOutOfRange):
+            quantize(np.full((2, 2, 3), 1.5))
+        with pytest.raises(PixelOutOfRange):
+            quantize(np.full((2, 2, 3), -0.1))
 
     @pytest.mark.parametrize(
         "values",
