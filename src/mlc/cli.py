@@ -22,7 +22,7 @@ from .io import (
 from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
-from .trainer import MIXUP_PHASES, TrainConfig, _augmented_batch, predict, train
+from .trainer import MIXUP_PHASES, PREDICT_CHUNK, TrainConfig, _augmented_batch, predict, train
 
 
 class _UsageError(Exception):
@@ -189,7 +189,8 @@ def _cmd_train(args) -> None:
 def _cmd_predict(args) -> None:
     size = _input_size(args)
     _check_writable(args.out)
-    params = load_params(Path(args.params).read_bytes())
+    with open(args.params, "rb") as stream:
+        params = load_params(stream)
     manifest = read_manifest(_read_text(args.manifest))
     scores = predict(params, manifest, size, root=Path(args.manifest).parent)
     write_atomic(args.out, write_csv_matrix(scores))
@@ -219,17 +220,20 @@ def _cmd_augment(args) -> None:
     _config(TrainConfig, seed=args.seed)  # augment draws training's streams
     _check_writable(args.out_dir, directory=True)
     manifest = read_manifest(_read_text(args.manifest))
-    images = load_dataset(manifest, Path(args.manifest).parent)
-    # training's batch function over the whole set: epoch-0 streams and,
-    # for M3, mixup of consecutive pairs
-    everything = np.arange(len(images))
-    mix_order = everything if args.mode == "M3" else None
-    pixels, targets = _augmented_batch(
-        images, manifest.label_matrix(), everything, args.mode, size, args.seed, 0, mix_order
-    )
+    images, labels = load_dataset(manifest, Path(args.manifest).parent), manifest.label_matrix()
 
-    samples = zip(quantize(pixels), (tuple(int(j) for j in np.flatnonzero(row)) for row in targets))
-    written = write_dataset(args.out_dir, "aug", samples, manifest.num_classes)
+    def samples():
+        # training's batch function, one chunk at a time: epoch-0 streams
+        # keyed by image index and, for M3, mixup of consecutive pairs
+        for lo in range(0, len(images), PREDICT_CHUNK):
+            chunk = np.arange(lo, min(lo + PREDICT_CHUNK, len(images)))
+            mix_order = np.arange(len(chunk)) if args.mode == "M3" else None
+            pixels, targets = _augmented_batch(
+                images, labels, chunk, args.mode, size, args.seed, 0, mix_order
+            )
+            yield from zip(quantize(pixels), (tuple(map(int, np.flatnonzero(t))) for t in targets))
+
+    written = write_dataset(args.out_dir, "aug", samples(), manifest.num_classes)
     print(f"wrote {len(written)} augmented samples to {Path(args.out_dir)}")
 
 

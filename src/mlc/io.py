@@ -4,14 +4,18 @@ The format readers and writers are pure functions over bytes or text.
 Images are (H, W, 3) uint8 arrays, the PPM's own bytes; `quantize` turns
 computed [0, 1] values into such bytes.
 Three functions touch the filesystem: `write_atomic`, the one way the
-toolkit puts bytes on disk, and `load_dataset` and `write_dataset`, the
-one reader and the one writer of a dataset directory (manifest.tsv plus
-one PPM per entry, at paths relative to the manifest).
+toolkit puts bytes on disk (str, bytes, or a sequence of buffers written
+in order unjoined, as `model.save_params` gives a checkpoint that
+`model.load_params` reads back from a stream), and `load_dataset` and
+`write_dataset`, the one reader and the one writer of a dataset directory
+(manifest.tsv plus one PPM per entry, at paths relative to the manifest).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 
@@ -24,8 +28,9 @@ from .errors import (
 from .types import LabelMatrix, ScoreMatrix
 
 
-def write_atomic(path: str | Path, data: bytes | str) -> None:
-    """Write `data` (str is encoded as ASCII) to `path` through a temp file.
+def write_atomic(path: str | Path, data: str | bytes | Sequence[bytes | memoryview]) -> None:
+    """Write `data` to `path` through a temp file: str (encoded as ASCII),
+    bytes, or a sequence of buffers written in order.
 
     The bytes go to a fresh temp file in the target's directory, which then
     replaces the target with `os.replace`. On any exception, interrupts
@@ -35,7 +40,9 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     power loss.
     """
     path = Path(path)
-    blob = data.encode("ascii") if isinstance(data, str) else data
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    chunks = (data,) if isinstance(data, bytes) else data
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         # opened before the inner try: if the name clashes, "x" fails and
@@ -43,7 +50,7 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         handle = open(tmp, "xb")
         try:
             with handle:
-                handle.write(blob)
+                handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -248,18 +255,22 @@ def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -
     """Write (uint8 pixels, label indices) `samples` as `<prefix>_<i:05d>.ppm`,
     then manifest.tsv, into `out_dir`, which is made if missing.
 
-    The old manifest.tsv is removed before the first image and the new one is
-    written last, so an interrupted run leaves no manifest, never one that
-    labels other images. PPMs beyond the new count are left, unlisted.
+    The first sample is drawn before the directory is touched, so one that
+    cannot be made leaves the target as it was. The old manifest.tsv is
+    removed before the first image is written and the new one is written
+    last, so an interrupted run leaves no manifest, never one that labels
+    other images. PPMs beyond the new count are left, unlisted.
     """
     out_dir = Path(out_dir)
+    samples = iter(samples)
+    head = list(itertools.islice(samples, 1))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.tsv").unlink(missing_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     entries = []
-    for i, (pixels, labels) in enumerate(samples):
+    for i, (pixels, labels) in enumerate(itertools.chain(head, samples)):
         name = f"{prefix}_{i:05d}.ppm"
         write_atomic(out_dir / name, write_ppm(pixels))
         entries.append((name, labels))

@@ -12,7 +12,9 @@ images, from `pooled_batch`). relu'(0) is taken as 0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -240,25 +242,29 @@ def sgd_step(
 _V2_MAGIC = (CHECKPOINT_V2 + "\n").encode("ascii")
 
 
-def save_params(params: ModelParams) -> bytes:
-    """Encode params as an `mlc-params v2` checkpoint."""
+def save_params(params: ModelParams) -> list[bytes | memoryview]:
+    """Encode params as an `mlc-params v2` checkpoint: the header's bytes,
+    then a byte view of each array, to be written in order (`io.write_atomic`)
+    or joined. On a little-endian host the views share params' memory.
+    """
     gh, gw = params.pool_grid
     header = f"{CHECKPOINT_V2}\n{gh} {gw} {params.hidden} {params.num_classes}\n"
-    chunks = [header.encode("ascii")]
-    for a in (params.b1, params.b2, params.W1, params.W2):
-        chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return b"".join(chunks)
+    arrays = (params.b1, params.b2, params.W1, params.W2)
+    views = [memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B") for a in arrays]
+    return [header.encode("ascii"), *views]
 
 
-def load_params(blob: bytes) -> ModelParams:
-    """Decode a v2 or a v1 checkpoint, chosen by its first line.
+def load_params(stream: BinaryIO) -> ModelParams:
+    """Decode a v2 or v1 checkpoint, chosen by its first line, from a seekable
+    binary stream; a v2 payload is read straight into the arrays.
 
     Fails only with ParseError, or with NonFinite from the ModelParams checks.
     """
-    if blob.startswith(_V2_MAGIC):
-        return _load_v2(blob)
+    head = stream.read(len(_V2_MAGIC))
+    if head == _V2_MAGIC:
+        return _load_v2(stream)
     try:
-        text = blob.decode("ascii")
+        text = (head + stream.read()).decode("ascii")
     except UnicodeDecodeError:
         raise ParseError(f"not an {CHECKPOINT_V2!r} or ASCII {CHECKPOINT_V1!r} checkpoint") from None
     return _load_v1(text)
@@ -275,25 +281,26 @@ def _dimensions(line: str | bytes) -> tuple[int, int, int, int]:
     return dims
 
 
-def _load_v2(blob: bytes) -> ModelParams:
-    line_end = blob.find(b"\n", len(_V2_MAGIC))
-    if line_end < 0:
+def _load_v2(stream: BinaryIO) -> ModelParams:
+    line = stream.readline()
+    if not line.endswith(b"\n"):
         raise ParseError("v2 checkpoint has no dimension line")
-    gh, gw, hidden, classes = _dimensions(blob[len(_V2_MAGIC) : line_end])
+    gh, gw, hidden, classes = _dimensions(line)
     d = gh * gw * 3
     counts = (hidden, classes, d * hidden, hidden * classes)
-    offset = line_end + 1
+    # the exact payload length is checked before anything is allocated
+    offset = stream.tell()
+    payload = stream.seek(0, os.SEEK_END) - offset
+    stream.seek(offset)
     expected = 8 * sum(counts)
-    if len(blob) - offset != expected:
-        raise ParseError(
-            f"v2 checkpoint has {len(blob) - offset} payload bytes, expected {expected}"
-        )
+    if payload != expected:
+        raise ParseError(f"v2 checkpoint has {payload} payload bytes, expected {expected}")
     arrays = []
     for count in counts:
-        arrays.append(
-            np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        )
-        offset += 8 * count
+        arr = np.empty(count, dtype="<f8")
+        if stream.readinto(memoryview(arr).cast("B")) != 8 * count:
+            raise ParseError(f"v2 checkpoint payload ends before its {expected} bytes")
+        arrays.append(arr.astype(np.float64, copy=False))  # a no-op on little-endian hosts
     b1, b2, w1, w2 = arrays
     return ModelParams(
         pool_grid=(gh, gw), W1=w1.reshape(d, hidden), b1=b1, W2=w2.reshape(hidden, classes), b2=b2

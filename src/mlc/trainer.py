@@ -58,6 +58,7 @@ from .types import LabelMatrix, ScoreMatrix
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
 MIXUP_PHASES = ("even", "odd")  # M3 mixes on the epochs whose parity is the phase's index
+PREDICT_CHUNK = 64  # images predict and augment hold as floats; even, so no mixup pair is split
 
 
 @dataclass(frozen=True)
@@ -282,10 +283,17 @@ def predict(
     input_size: tuple[int, int],
     root: str | Path = ".",
 ) -> ScoreMatrix:
-    """Raw logits per image: byte / 255, plain resize to input_size, no augmentation."""
+    """Raw logits per image: byte / 255, plain resize to input_size, no augmentation.
+
+    Pooled PREDICT_CHUNK images at a time; all rows share one forward pass.
+    """
     check_pool_grid(params.pool_grid, input_size)
     images = load_dataset(manifest, root)
-    pixels = _pixel_batch(len(images), input_size)
-    for i, image in enumerate(images):
-        pixels[i] = resize(image.astype(np.float64) / 255.0, *input_size)
-    return ScoreMatrix(forward_features(params, pooled_batch(pixels, params.pool_grid)))
+    features = np.empty((len(images), params.feature_dim))
+    pixels = _pixel_batch(min(len(images), PREDICT_CHUNK), input_size)
+    for lo in range(0, len(images), PREDICT_CHUNK):
+        chunk = images[lo : lo + PREDICT_CHUNK]
+        for j, image in enumerate(chunk):
+            pixels[j] = resize(image.astype(np.float64) / 255.0, *input_size)
+        features[lo : lo + len(chunk)] = pooled_batch(pixels[: len(chunk)], params.pool_grid)
+    return ScoreMatrix(forward_features(params, features))

@@ -185,7 +185,7 @@ def _run_pipeline(base):
         report = train(train_manifest, cfg, root=base / "train")
         scores = predict(report.params, test_manifest, cfg.input_size, root=base / "test")
         out[mode] = {
-            "checkpoint": save_params(report.params),
+            "checkpoint": b"".join(save_params(report.params)),
             "scores": scores,
             "panel": machine_line(evaluate(scores, truth, k=3)),
             "map": evaluate(scores, truth, k=3).map,

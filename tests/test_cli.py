@@ -9,6 +9,7 @@ import mlc.io
 from mlc import cli
 from mlc.cli import main
 from mlc.io import DatasetManifest, read_csv_matrix, read_manifest, write_manifest
+from mlc.trainer import _augmented_batch
 
 # written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
 V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
@@ -60,6 +61,21 @@ class TestGen:
             "9f2a74a468aedd436bb97987cb2a39708e7d211114ca641d584deeda1675bec7"
         )
 
+    def test_unmakeable_first_image_leaves_the_target_as_it_was(self, tmp_path, capsys):
+        # 2**31 x 2**31 pixels of 3 float64s exceed 2**63 bytes, so numpy
+        # rejects the canvas before it allocates anything
+        huge = ["--size", str(2**31), str(2**31)]
+        fresh = tmp_path / "fresh"
+        assert main(["gen", "--out", str(fresh), "--num", "1", *huge]) == 1
+        assert not fresh.exists()
+        existing = tmp_path / "existing"
+        assert main(["gen", "--out", str(existing), "--num", "2", "--size", "16", "16"]) == 0
+        before = {p.name: p.read_bytes() for p in existing.iterdir()}
+        capsys.readouterr()
+        assert main(["gen", "--out", str(existing), "--num", "1", *huge]) == 1
+        assert "too large to allocate" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
+
 
 class TestTrainPredictEvaluate:
     def test_full_workflow(self, dataset, tmp_path, capsys):
@@ -93,14 +109,15 @@ class TestTrainPredictEvaluate:
         params = _train(dataset, tmp_path)
         from mlc.model import load_params
 
-        loaded = load_params(params.read_bytes())
+        with open(params, "rb") as stream:
+            loaded = load_params(stream)
         assert loaded.num_classes == 6
 
     def test_predict_reads_v1_and_v2_alike(self, dataset, tmp_path):
         from mlc.model import init_params, save_params
 
         v2 = tmp_path / "model.v2.params"
-        v2.write_bytes(save_params(init_params(3, pool_grid=(2, 2), hidden=5, seed=0)))
+        v2.write_bytes(b"".join(save_params(init_params(3, pool_grid=(2, 2), hidden=5, seed=0))))
         outputs = []
         for params in (V1_FIXTURE, v2):
             out = tmp_path / f"{params.name}.csv"
@@ -224,6 +241,34 @@ class TestAugment:
         ]) == 0
         assert len(list(out_dir.iterdir())) == files
         assert _tree_digest(out_dir) == digest
+
+    @pytest.mark.parametrize("mode", ["M2", "M3"])
+    def test_chunked_output_equals_one_whole_batch(self, tmp_path, mode):
+        # 130 images: chunks of 64, 64 and 2, and for M3 65 pairs
+        rng = np.random.default_rng(4)
+        samples = [
+            (rng.integers(0, 256, (24, 24, 3), dtype=np.uint8), (int(k % 3), 3))
+            for k in range(130)
+        ]
+        src = tmp_path / "src"
+        manifest = mlc.io.write_dataset(src, "img", samples, 4)
+        out_dir = tmp_path / "aug"
+        assert main([
+            "augment", "--manifest", str(src / "manifest.tsv"), "--mode", mode,
+            "--seed", "1", "--out-dir", str(out_dir), "--size", "20", "18",
+        ]) == 0
+        everything = np.arange(130)
+        pixels, targets = _augmented_batch(
+            [p for p, _ in samples], manifest.label_matrix(), everything, mode, (20, 18), 1, 0,
+            everything if mode == "M3" else None,
+        )
+        expected = [mlc.io.write_ppm(image) for image in mlc.io.quantize(pixels)]
+        written = read_manifest((out_dir / "manifest.tsv").read_text())
+        assert len(written) == len(expected) == (65 if mode == "M3" else 130)
+        assert [(out_dir / name).read_bytes() for name, _ in written.entries] == expected
+        assert [indices for _, indices in written.entries] == [
+            tuple(np.flatnonzero(row)) for row in targets
+        ]
 
 
 def _tree(root: Path) -> dict[str, bytes]:

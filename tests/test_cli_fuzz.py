@@ -118,7 +118,7 @@ def _fixture_files() -> dict[str, bytes | None]:
         cfg = SynthConfig(num_images=4, image_size=(16, 16), num_classes=3)
         manifest = generate(cfg, root / "ds")
         scores = np.random.default_rng(0).normal(size=(4, 3))
-        (root / "m.params").write_bytes(save_params(init_params(3, (2, 2), 4, seed=0)))
+        (root / "m.params").write_bytes(b"".join(save_params(init_params(3, (2, 2), 4, seed=0))))
         (root / "s.csv").write_text(write_csv_matrix(ScoreMatrix(scores)))
         (root / "l.csv").write_text(write_csv_matrix(manifest.label_matrix()))
         return _tree(root)

@@ -337,6 +337,13 @@ class TestWriteAtomic:
         assert (tmp_path / "b.txt").read_bytes() == b"1,2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.txt"]
 
+    def test_writes_a_sequence_of_buffers_in_order(self, tmp_path):
+        weights = np.arange(6.0).reshape(2, 3)
+        write_atomic(tmp_path / "c.bin", [b"head\n", memoryview(weights).cast("B"), bytearray(b"!")])
+        assert (tmp_path / "c.bin").read_bytes() == b"head\n" + weights.tobytes() + b"!"
+        write_atomic(tmp_path / "empty.bin", [])
+        assert (tmp_path / "empty.bin").read_bytes() == b""
+
     def test_replaces_existing_file(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_bytes(b"old")

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMismatch
+from mlc.io import write_atomic
 from mlc.model import (
     Gradients,
     ModelParams,
@@ -261,10 +263,27 @@ class TestSgdStep:
             sgd_step(params, rng.random((2, 12)), np.zeros((2, 4)), 0.1, 0.01)
 
 
+def _saved(params: ModelParams) -> bytes:
+    """The checkpoint bytes `save_params` gives, joined."""
+    return b"".join(save_params(params))
+
+
+def _load(blob: bytes) -> ModelParams:
+    return load_params(io.BytesIO(blob))
+
+
+class _ShortReads(io.BytesIO):
+    """A stream whose every `readinto` fills one byte less than asked."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer)
+        return super().readinto(view[: max(len(view) - 1, 0)])
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, rng):
         params = init_params(5, pool_grid=(2, 3), hidden=7, seed=11)
-        loaded = load_params(save_params(params))
+        loaded = _load(_saved(params))
         assert loaded.pool_grid == params.pool_grid
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
@@ -275,40 +294,55 @@ class TestCheckpoint:
             np.ascontiguousarray(a, dtype="<f8").tobytes()
             for a in (params.b1, params.b2, params.W1, params.W2)
         )
-        assert save_params(params) == b"mlc-params v2\n1 2 3 2\n" + raw
+        assert _saved(params) == b"mlc-params v2\n1 2 3 2\n" + raw
+
+    def test_saved_buffers_are_views_of_the_weights(self, rng):
+        params = tiny_params(rng)
+        header, *views = save_params(params)
+        assert header == b"mlc-params v2\n2 2 4 3\n"
+        for view, arr in zip(views, (params.b1, params.b2, params.W1, params.W2)):
+            assert view.format == "B" and view.nbytes == arr.nbytes
+            assert np.shares_memory(np.frombuffer(view, dtype=np.uint8), arr)
 
     def test_loaded_arrays_are_native_and_writable(self, rng):
-        loaded = load_params(save_params(tiny_params(rng)))
+        loaded = _load(_saved(tiny_params(rng)))
         for arr in (loaded.W1, loaded.b1, loaded.W2, loaded.b2):
             assert arr.dtype == np.float64 and arr.dtype.isnative
             assert arr.flags.writeable and arr.flags.c_contiguous
 
     def test_v1_fixture_loads_to_the_same_model(self):
         params = init_params(3, pool_grid=(2, 2), hidden=5, seed=0)
-        from_v1 = load_params(V1_FIXTURE.read_bytes())
-        from_v2 = load_params(save_params(params))
+        with open(V1_FIXTURE, "rb") as stream:
+            from_v1 = load_params(stream)
+        from_v2 = _load(_saved(params))
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(from_v1, name), getattr(params, name))
             np.testing.assert_array_equal(getattr(from_v2, name), getattr(params, name))
-        assert save_params(from_v1) == save_params(params)
+        assert _saved(from_v1) == _saved(params)
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
-            load_params(b"not-a-checkpoint\n1 1 1 1\n")
+            _load(b"not-a-checkpoint\n1 1 1 1\n")
 
     def test_non_ascii_is_parse_error(self):
         with pytest.raises(ParseError):
-            load_params("mlc-params v1\n1 1 1 1\n\u00e9\n".encode("utf-8"))
+            _load("mlc-params v1\n1 1 1 1\n\u00e9\n".encode("utf-8"))
 
     def test_truncated_body(self, rng):
-        blob = save_params(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))
+        blob = _saved(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))
         with pytest.raises(ParseError):
-            load_params(blob[:-1])
+            _load(blob[:-1])
         with pytest.raises(ParseError):
-            load_params(blob + b"\0")
+            _load(blob + b"\0")
         text = V1_FIXTURE.read_text(encoding="ascii")
         with pytest.raises(ParseError):
-            load_params(("\n".join(text.splitlines()[:-1]) + "\n").encode("ascii"))
+            _load(("\n".join(text.splitlines()[:-1]) + "\n").encode("ascii"))
+
+    def test_short_read_is_parse_error(self):
+        # the stream's length promises the whole payload, but its reads fall short
+        blob = _saved(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))
+        with pytest.raises(ParseError, match="payload ends"):
+            load_params(_ShortReads(blob))
 
     @pytest.mark.parametrize(
         "blob",
@@ -326,14 +360,41 @@ class TestCheckpoint:
     )
     def test_nonpositive_dimensions_rejected(self, blob):
         with pytest.raises(ParseError):
-            load_params(blob)
+            _load(blob)
 
     def test_nonfinite_weight_rejected_on_load(self):
         params = ModelParams((1, 1), np.zeros((3, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-        blob = bytearray(save_params(params))
+        blob = bytearray(_saved(params))
         blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
         with pytest.raises(NonFinite):
-            load_params(bytes(blob))
+            _load(bytes(blob))
+
+    def test_save_writes_the_weights_without_copying_them(self, tmp_path):
+        params = init_params(20, (16, 16), 4096, seed=0)
+        path = tmp_path / "model.params"
+        tracemalloc.start()
+        try:
+            write_atomic(path, save_params(params))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.W1.nbytes / 4
+        assert path.read_bytes() == _saved(params)
+
+    def test_load_holds_little_beyond_the_weights(self, tmp_path):
+        params = init_params(20, (16, 16), 4096, seed=0)
+        path = tmp_path / "model.params"
+        write_atomic(path, save_params(params))
+        payload = sum(a.nbytes for a in (params.W1, params.b1, params.W2, params.b2))
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as stream:
+                loaded = load_params(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * payload
+        np.testing.assert_array_equal(loaded.W1, params.W1)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -344,7 +405,7 @@ class TestCheckpoint:
     )
     def test_fuzz_raises_only_mlc_errors(self, prefix, dims, body):
         try:
-            load_params(prefix + dims + body)
+            _load(prefix + dims + body)
         except MlcError:
             pass
 

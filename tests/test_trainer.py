@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlc import trainer
-from mlc.augment import MODES
+from mlc.augment import MODES, resize
 from mlc.errors import (
     DataLoadError,
     DivergedLoss,
@@ -17,10 +18,11 @@ from mlc.errors import (
     GridTooLarge,
     PixelOutOfRange,
 )
-from mlc.io import DatasetManifest, load_dataset
-from mlc.model import ModelParams, save_params
+from mlc.io import DatasetManifest, load_dataset, write_dataset
+from mlc.model import ModelParams, forward_features, init_params, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import (
+    PREDICT_CHUNK,
     TrainConfig,
     effective_lrs,
     mixup_active,
@@ -102,7 +104,7 @@ class TestTrain:
         manifest, root = small_dataset
         a = train(manifest, small_cfg(mode="M3"), root=root)
         b = train(manifest, small_cfg(mode="M3"), root=root)
-        assert save_params(a.params) == save_params(b.params)
+        assert b"".join(save_params(a.params)) == b"".join(save_params(b.params))
         assert a.epoch_losses == b.epoch_losses
 
     def test_m3_without_active_mixup_equals_m2(self, small_dataset):
@@ -114,13 +116,13 @@ class TestTrain:
             small_cfg(epochs=1, lr_decay_epoch=0, mode="M3", mixup_phase="odd"),
             root=root,
         )
-        assert save_params(m2.params) == save_params(m3.params)
+        assert b"".join(save_params(m2.params)) == b"".join(save_params(m3.params))
 
     def test_m3_with_active_mixup_differs_from_m2(self, small_dataset):
         manifest, root = small_dataset
         m2 = train(manifest, small_cfg(mode="M2"), root=root)
         m3 = train(manifest, small_cfg(mode="M3", mixup_phase="even"), root=root)
-        assert save_params(m2.params) != save_params(m3.params)
+        assert b"".join(save_params(m2.params)) != b"".join(save_params(m3.params))
 
     def test_loss_decreases_on_learnable_data(self, small_dataset):
         manifest, root = small_dataset
@@ -165,7 +167,7 @@ class TestTrain:
         arrays = (params.b1, params.b2, params.W1, params.W2)
         raw = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
         assert hashlib.sha256(raw).hexdigest() == digest
-        assert save_params(params).endswith(raw)
+        assert b"".join(save_params(params)).endswith(raw)
 
     def test_empty_manifest_raises_empty_input(self, tmp_path):
         with pytest.raises(EmptyInput):
@@ -377,3 +379,31 @@ class TestPredict:
         )
         scores = predict(params, manifest, (24, 24), root=root)
         np.testing.assert_array_equal(scores.data, np.tile(np.arange(6.0), (len(manifest), 1)))
+
+    @pytest.mark.parametrize("size", [(24, 24), (22, 22)], ids=["even-bins", "uneven-bins"])
+    def test_chunked_scores_equal_one_whole_batch(self, tmp_path, rng, size):
+        # 24x24 images; at 22x22 the 4x4 grid has 5.5 px bins
+        samples = [(rng.integers(0, 256, (24, 24, 3), dtype=np.uint8), (0,)) for _ in range(130)]
+        full = write_dataset(tmp_path, "img", samples, 3)
+        params = init_params(3, (4, 4), 16, seed=2)
+        assert PREDICT_CHUNK == 64
+        for n in (1, 63, 64, 65, 130):
+            stack = np.stack([resize(pixels / 255.0, *size) for pixels, _ in samples[:n]])
+            expected = forward_features(params, pooled_batch(stack, params.pool_grid))
+            manifest = DatasetManifest(full.entries[:n], 3)
+            scores = predict(params, manifest, size, root=tmp_path)
+            assert scores.data.tobytes() == expected.tobytes(), n
+
+    def test_never_holds_the_whole_float_batch(self, tmp_path, rng):
+        n, side = 200, 32
+        samples = [(rng.integers(0, 256, (side, side, 3), dtype=np.uint8), (0,)) for _ in range(n)]
+        manifest = write_dataset(tmp_path, "img", samples, 3)
+        params = init_params(3, (4, 4), 8, seed=0)
+        tracemalloc.start()
+        try:
+            scores = predict(params, manifest, (side, side), root=tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.data.shape == (n, 3)
+        assert peak < n * side * side * 3 * 8
