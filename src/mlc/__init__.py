@@ -9,7 +9,7 @@ from .augment import apply_mode, mixup, resize, rng_stream
 from .fusion import fuse
 from .io import DatasetManifest, read_csv_matrix, read_manifest, read_ppm, write_csv_matrix, write_manifest, write_ppm
 from .metrics import MetricsReport, evaluate, mean_ap, top_k_binarize
-from .model import Gradients, ModelParams, bce_loss, init_params, load_params, save_params, sigmoid
+from .model import ModelParams, bce_loss, init_params, load_params, save_params, sigmoid
 from .synthgen import SynthConfig, census, generate
 from .trainer import TrainConfig, TrainReport, predict, train
 from .types import LabelMatrix, ScoreMatrix
@@ -22,8 +22,7 @@ __all__ = [
     "DatasetManifest", "read_csv_matrix", "read_manifest", "read_ppm",
     "write_csv_matrix", "write_manifest", "write_ppm",
     "MetricsReport", "evaluate", "mean_ap", "top_k_binarize",
-    "Gradients", "ModelParams", "bce_loss", "init_params", "load_params", "save_params",
-    "sigmoid",
+    "ModelParams", "bce_loss", "init_params", "load_params", "save_params", "sigmoid",
     "SynthConfig", "census", "generate",
     "TrainConfig", "TrainReport", "predict", "train",
     "LabelMatrix", "ScoreMatrix",

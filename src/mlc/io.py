@@ -63,16 +63,20 @@ def read_ppm(blob: bytes) -> np.ndarray:
     """Decode a binary (P6) PPM with maxval 255 into a read-only (H, W, 3)
     uint8 array, a view of `blob` without a copy.
 
-    The grammar is strict: "P6", ASCII width/height/maxval separated by
-    whitespace, one whitespace byte, then width*height*3 raw bytes.
+    The grammar is strict: "P6", then ASCII width, height and maxval, each
+    after at least one whitespace byte, one whitespace byte, then
+    width*height*3 raw bytes.
     """
     if blob[:2] != b"P6":
         raise BadMagic(f"expected P6 magic, got {blob[:2]!r}")
     pos = 2
     fields = []
     while len(fields) < 3:
+        start = pos
         while pos < len(blob) and blob[pos : pos + 1] in (b" ", b"\t", b"\n", b"\r"):
             pos += 1
+        if pos == start:
+            raise BadHeader("header fields are not separated by whitespace")
         start = pos
         while pos < len(blob) and blob[pos : pos + 1].isdigit():
             pos += 1

@@ -1,5 +1,6 @@
 """The classifier: adaptive average pooling, a one-hidden-layer MLP head,
-the stable multi-label cross-entropy loss, and its analytic gradients.
+the stable multi-label cross-entropy loss, and the SGD step that applies
+its analytic gradients.
 
 Forward pass: logits = W2.T @ relu(W1.T @ flatten(pool(image)) + b1) + b2.
 The loss over C classes is the sum of per-class binary cross-entropies on
@@ -63,34 +64,29 @@ class ModelParams:
         return self.W1.shape[0]
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Loss gradients, shape-congruent with ModelParams arrays."""
-
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-
 def init_params(
     num_classes: int,
     pool_grid: tuple[int, int] = (16, 16),
     hidden: int = 4096,
     seed: int = 0,
 ) -> ModelParams:
-    """Seeded uniform init in +/- 1/sqrt(fan_in) per layer."""
+    """Seeded uniform init in +/- 1/sqrt(fan_in) per layer; weights too large
+    to allocate are ShapeMismatch."""
     rng = rng_stream(seed, STREAM_INIT)
     d = pool_grid[0] * pool_grid[1] * 3
     bound1 = 1.0 / np.sqrt(d)
     bound2 = 1.0 / np.sqrt(hidden)
-    return ModelParams(
-        pool_grid=pool_grid,
-        W1=rng.uniform(-bound1, bound1, size=(d, hidden)),
-        b1=rng.uniform(-bound1, bound1, size=hidden),
-        W2=rng.uniform(-bound2, bound2, size=(hidden, num_classes)),
-        b2=rng.uniform(-bound2, bound2, size=num_classes),
-    )
+    try:
+        w1 = rng.uniform(-bound1, bound1, size=(d, hidden))
+        b1 = rng.uniform(-bound1, bound1, size=hidden)
+        w2 = rng.uniform(-bound2, bound2, size=(hidden, num_classes))
+        b2 = rng.uniform(-bound2, bound2, size=num_classes)
+    except (MemoryError, ValueError):
+        raise ShapeMismatch(
+            f"weights for a {pool_grid[0]}x{pool_grid[1]} pool grid, {hidden} hidden units "
+            f"and {num_classes} classes are too large to allocate"
+        ) from None
+    return ModelParams(pool_grid=pool_grid, W1=w1, b1=b1, W2=w2, b2=b2)
 
 
 def check_pool_grid(pool_grid: tuple[int, int], size: tuple[int, int]) -> None:
@@ -139,68 +135,15 @@ def _forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.
     return z1, hidden, hidden @ params.W2 + params.b2
 
 
-def _loss_and_deltas(
-    params: ModelParams, z1: np.ndarray, scores: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Summed loss, dL/dscores and dL/dz1 of a batch.
-
-    dL/ds = sigmoid(s) - y at the output, chained through W2 and the relu.
-    """
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != scores.shape:
-        raise ShapeMismatch(f"labels {y.shape} incompatible with scores {scores.shape}")
-    d_scores = sigmoid(scores) - y
-    d_z1 = np.where(z1 > 0.0, d_scores @ params.W2.T, 0.0)
-    return bce_loss(scores, y), d_scores, d_z1
+def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Logits for a (n, D) feature batch; returns (n, C)."""
+    return _forward(params, features)[2]
 
 
 # W1's gradient is formed this many bytes of rows at a time (16 rows at
 # hidden 4096), so a block and the W1 rows it is subtracted from fit in a
 # 2 MiB L2 together while the SGD step applies it.
 _W1_BLOCK_BYTES = 512 * 1024
-
-
-def _w1_grad_blocks(features: np.ndarray, d_z1: np.ndarray):
-    """Yield (lo, hi, block) with block = features[:, lo:hi].T @ d_z1, the
-    summed gradient of W1[lo:hi], in one buffer reused for every block.
-
-    The only definition of W1's gradient: a row block need not round like
-    the whole product, so every caller takes the same blocks.
-    """
-    d, hidden = features.shape[1], d_z1.shape[1]
-    step = max(1, _W1_BLOCK_BYTES // (8 * hidden))
-    buf = np.empty((min(step, d), hidden), dtype=np.float64)
-    for lo in range(0, d, step):
-        hi = min(lo + step, d)
-        block = buf[: hi - lo]
-        np.matmul(features[:, lo:hi].T, d_z1, out=block)
-        yield lo, hi, block
-
-
-def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Logits for a (n, D) feature batch; returns (n, C)."""
-    return _forward(params, features)[2]
-
-
-def backward_features(
-    params: ModelParams, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, Gradients]:
-    """Summed loss and summed gradients over a (n, D) feature batch.
-
-    Callers divide by n for mean-gradient SGD.
-    """
-    z1, hidden, scores = _forward(params, features)
-    loss, d_scores, d_z1 = _loss_and_deltas(params, z1, scores, labels)
-    w1 = np.empty_like(params.W1)
-    for lo, hi, block in _w1_grad_blocks(features, d_z1):
-        w1[lo:hi] = block
-    grads = Gradients(
-        W1=w1,
-        b1=d_z1.sum(axis=0),
-        W2=hidden.T @ d_scores,
-        b2=d_scores.sum(axis=0),
-    )
-    return loss, grads
 
 
 def sgd_step(
@@ -213,15 +156,24 @@ def sgd_step(
     """One mean-gradient SGD step on a (n, D) feature batch, in place on
     params' arrays; returns the batch's summed loss before the step.
 
-    Each element is updated as `w -= (lr / n) * g` with g from
-    `backward_features`, bit for bit; W1's gradient is applied block by
-    block and never built whole.
+    The model's only backward pass: dL/ds = sigmoid(s) - y at the output,
+    chained through W2 and the relu, and each element is updated as
+    `w -= (lr / n) * g` with g the batch's summed gradient. W1's gradient
+    is formed and applied one `_W1_BLOCK_BYTES` row block at a time, in one
+    reused buffer, and never built whole.
     """
     z1, hidden, scores = _forward(params, features)
-    loss, d_scores, d_z1 = _loss_and_deltas(params, z1, scores, labels)
-    rows = features.shape[0]
+    loss = bce_loss(scores, labels)
+    d_scores = sigmoid(scores) - labels
+    d_z1 = np.where(z1 > 0.0, d_scores @ params.W2.T, 0.0)
+    (rows, d), units = features.shape, d_z1.shape[1]
     w1, b1, w2, b2 = params.W1, params.b1, params.W2, params.b2
-    for lo, hi, block in _w1_grad_blocks(features, d_z1):
+    step = max(1, _W1_BLOCK_BYTES // (8 * units))
+    buf = np.empty((min(step, d), units), dtype=np.float64)
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        block = buf[: hi - lo]
+        np.matmul(features[:, lo:hi].T, d_z1, out=block)
         np.multiply(block, lr_body / rows, out=block)
         np.subtract(w1[lo:hi], block, out=w1[lo:hi])
     b1 -= (lr_body / rows) * d_z1.sum(axis=0)

@@ -16,9 +16,10 @@ A batch is built on arrays: `augment.apply_mode` writes each decoded uint8
 image, at `TrainConfig.input_size`, into one (n, H, W, 3) float64 array,
 its labels are rows of the label matrix, and `augment.mixup` pairs the
 whole batch's rows at once. `TrainConfig` owns every check on its values, the
-pool grid fitting the input size included. `sgd_step` updates the arrays
-of `init_params` in place; they are validated as `ModelParams` when made
-and once more before `train` returns them.
+pool grid fitting the input size included. `sgd_step`, the model's only
+backward pass, updates the arrays of `init_params` in place; they are
+validated as `ModelParams` when made and once more before `train` returns
+them.
 
 Batches never depend on the weights, so a one-thread ThreadPoolExecutor
 builds them (augmentation, mixup and pooling) one batch ahead, across epoch

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mlc.model import ModelParams, sgd_step
+
 
 @pytest.fixture
 def rng():
@@ -23,3 +25,25 @@ def random_sample(
     """Pixels (H, W, 3) and int8 labels (C,) of one random training example."""
     labels = (rng.random(num_classes) < 0.4).astype(np.int8)
     return random_image(rng, height, width), labels
+
+
+def copy_params(params: ModelParams) -> ModelParams:
+    """A copy of `params` that shares no array with it."""
+    return ModelParams(
+        params.pool_grid, params.W1.copy(), params.b1.copy(), params.W2.copy(), params.b2.copy()
+    )
+
+
+def step_gradients(
+    params: ModelParams, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and summed gradients {"W1", "b1", "W2", "b2"} of a 1-row batch,
+    read off one `sgd_step` of a copy of `params` at unit learning rates.
+
+    With n = 1 and lr = 1 the step is `w -= g`, so before - after is g up to
+    one rounding at each weight.
+    """
+    assert features.shape[0] == 1
+    stepped = copy_params(params)
+    loss = sgd_step(stepped, features, labels, 1.0, 1.0)
+    return loss, {n: getattr(params, n) - getattr(stepped, n) for n in ("W1", "b1", "W2", "b2")}

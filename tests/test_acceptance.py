@@ -10,11 +10,12 @@ import pytest
 from mlc.augment import MODES, mixup
 from mlc.fusion import fuse
 from mlc.metrics import average_precision, evaluate, harmonic_f1, machine_line, top_k_binarize
-from mlc.model import ModelParams, backward_features, bce_loss, pooled_batch, save_params
+from mlc.model import ModelParams, bce_loss, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import TrainConfig, predict, train
 from mlc.types import LabelMatrix, ScoreMatrix
 
+from conftest import step_gradients
 from test_metrics import oracle_ap, oracle_panel
 
 TRAIN_SEED = 7
@@ -104,7 +105,7 @@ def test_criterion_3_gradients_match_central_differences():
     worst = 0.0
     for _ in range(50):
         params, features, labels = _random_instance(rng)
-        _, grads = backward_features(params, features, labels)
+        _, grads = step_gradients(params, features, labels)
         arrays = {"W1": params.W1, "b1": params.b1, "W2": params.W2, "b2": params.b2}
 
         def loss_at() -> float:
@@ -115,7 +116,7 @@ def test_criterion_3_gradients_match_central_differences():
         for name, arr in arrays.items():
             arr = np.array(arr)
             arrays[name] = arr
-            analytic = getattr(grads, name)
+            analytic = grads[name]
             flat = arr.reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]

@@ -644,23 +644,31 @@ class TestExitCodes:
         assert err == f"error: #classes={classes} is too large to allocate\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "manifest.tsv"]
 
-    @pytest.mark.parametrize("command", ["gen", "train", "predict", "augment"])
+    @pytest.mark.parametrize(
+        "command", ["gen", "train", "predict", "augment", "hidden", "pool-grid"]
+    )
     def test_unallocatable_size_is_runtime_error(self, dataset, tmp_path, capsys, command):
-        # 2**31 x 2**31 pixels of 3 float64s exceed 2**63 bytes, so numpy
-        # rejects the shape before it allocates anything
+        # each shape exceeds 2**63 bytes, so numpy rejects it before it
+        # allocates anything: 2**31 x 2**31 pixels of 3 float64s, and the W1
+        # that `init_params` draws first for `--hidden 2**62` (768 x 2**62
+        # float64s) or `--pool-grid 2**31 2**31` (3 * 2**62 x 4096)
         manifest = str(dataset / "manifest.tsv")
+        train = ["train", "--manifest", manifest, "--mode", "M1", "--epochs", "1",
+                 "--decay-epoch", "0", "--out", str(tmp_path / "x")]
         argv = {
             "gen": ["gen", "--out", str(tmp_path / "x"), "--num", "1"],
-            "train": ["train", "--manifest", manifest, "--mode", "M1", "--epochs", "1",
-                      "--decay-epoch", "0", "--hidden", "4", "--out", str(tmp_path / "x")],
+            "train": [*train, "--hidden", "4"],
             "predict": ["predict", "--params", str(V1_FIXTURE), "--manifest", manifest,
                         "--out", str(tmp_path / "x")],
             "augment": ["augment", "--manifest", manifest, "--mode", "M1",
                         "--out-dir", str(tmp_path / "x")],
+            "hidden": [*train, "--hidden", str(2**62)],
+            "pool-grid": [*train, "--pool-grid", str(2**31), str(2**31)],
         }[command]
         assert main([*argv, "--size", str(2**31), str(2**31)]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: .* 2147483648x2147483648 .* too large to allocate\n", err)
+        shape = str(2**62) if command == "hidden" else "2147483648x2147483648"
+        assert re.fullmatch(rf"error: .* {shape} .* too large to allocate\n", err)
         assert not (tmp_path / "x").is_file()
 
     @pytest.mark.parametrize("command", ["gen", "train", "augment"])

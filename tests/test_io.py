@@ -73,8 +73,10 @@ class TestPpm:
             read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
 
     def test_bad_header(self):
-        with pytest.raises(BadHeader):
-            read_ppm(b"P6\nx y\n255\n")
+        # the second has no whitespace between the magic and the width
+        for blob in (b"P6\nx y\n255\n", b"P62 1 255\n" + bytes(6)):
+            with pytest.raises(BadHeader):
+                read_ppm(blob)
 
     @pytest.mark.parametrize("header", [b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"])
     def test_zero_dimension_rejected(self, header):

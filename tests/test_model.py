@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMismatch
 from mlc.io import write_atomic
 from mlc.model import (
-    Gradients,
     ModelParams,
-    backward_features,
     bce_loss,
     forward_features,
     init_params,
@@ -24,7 +22,7 @@ from mlc.model import (
     sigmoid,
 )
 
-from conftest import random_image
+from conftest import copy_params, random_image, step_gradients
 
 # written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
 V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
@@ -54,8 +52,8 @@ def logits(params, img):
     return forward_features(params, features_of(img, params.pool_grid))[0]
 
 
-def backward_one(params, img, labels):
-    return backward_features(params, features_of(img, params.pool_grid), labels[None])
+def gradients_one(params, img, labels):
+    return step_gradients(params, features_of(img, params.pool_grid), labels[None])
 
 
 class TestAdaptivePool:
@@ -169,8 +167,8 @@ class TestBackward:
         # with zero weights scores = b2 = 0, so dL/db2 = sigmoid(0) - y
         params = ModelParams((1, 1), np.zeros((3, 2)), np.zeros(2), np.zeros((2, 3)), np.zeros(3))
         img = random_image(rng, 3, 3)
-        _, grads = backward_one(params, img, np.array([1, 0, 1]))
-        np.testing.assert_allclose(grads.b2, [-0.5, 0.5, -0.5], atol=1e-12)
+        _, grads = gradients_one(params, img, np.array([1, 0, 1]))
+        np.testing.assert_allclose(grads["b2"], [-0.5, 0.5, -0.5], atol=1e-12)
 
     def test_dead_units_get_zero_gradient(self, rng):
         params = tiny_params(rng)
@@ -179,15 +177,15 @@ class TestBackward:
         b1[1] = -100.0
         params = ModelParams(params.pool_grid, params.W1, b1, params.W2, params.b2)
         img = random_image(rng, 4, 4)
-        _, grads = backward_one(params, img, np.array([1, 0, 0]))
-        np.testing.assert_array_equal(grads.W1[:, 1], 0.0)
-        assert grads.b1[1] == 0.0
+        _, grads = gradients_one(params, img, np.array([1, 0, 0]))
+        np.testing.assert_array_equal(grads["W1"][:, 1], 0.0)
+        assert grads["b1"][1] == 0.0
 
     def test_matches_finite_differences_small_case(self, rng):
         params = tiny_params(rng)
         img = random_image(rng, 5, 5)
         labels = np.array([1, 0, 1])
-        loss, grads = backward_one(params, img, labels)
+        loss, grads = gradients_one(params, img, labels)
         eps = 1e-6
         w2 = params.W2.copy()
         for idx in [(0, 0), (2, 1), (3, 2)]:
@@ -197,20 +195,14 @@ class TestBackward:
             down = bce_loss(logits(ModelParams(params.pool_grid, params.W1, params.b1, w2, params.b2), img), labels)
             w2[idx] += eps
             fd = (up - down) / (2 * eps)
-            assert grads.W2[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert grads["W2"][idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_loss_matches_bce_of_forward(self, rng):
         params = tiny_params(rng)
         img = random_image(rng, 4, 6)
         labels = np.array([0, 1, 1])
-        loss, _ = backward_one(params, img, labels)
+        loss, _ = gradients_one(params, img, labels)
         assert loss == pytest.approx(bce_loss(logits(params, img), labels), abs=1e-12)
-
-
-def _copy(params):
-    return ModelParams(
-        params.pool_grid, params.W1.copy(), params.b1.copy(), params.W2.copy(), params.b2.copy()
-    )
 
 
 class TestSgdStep:
@@ -225,25 +217,29 @@ class TestSgdStep:
     # W1 row blocks of 8 x 16 + 1 at hidden 4096, and 4 x 218 + 46 at hidden 300
     @example(seed=1, rows=3, grid=(1, 43), hidden=4096, classes=4)
     @example(seed=2, rows=17, grid=(17, 18), hidden=300, classes=5)
-    def test_equals_backward_then_update(self, seed, rows, grid, hidden, classes):
+    def test_covers_every_w1_block_and_returns_the_loss(self, seed, rows, grid, hidden, classes):
         rng = np.random.default_rng(seed)
         params = init_params(classes, grid, hidden, seed=seed % 1000)
         features = rng.random((rows, params.feature_dim))
         labels = (rng.random((rows, classes)) < 0.4).astype(np.float64)
-        lr_head, lr_body = 0.1, 0.01
 
-        loss, grads = backward_features(params, features, labels)
-        w1, b1 = params.W1.copy(), params.b1.copy()
-        w2, b2 = params.W2.copy(), params.b2.copy()
-        w1 -= (lr_body / rows) * grads.W1
-        b1 -= (lr_body / rows) * grads.b1
-        w2 -= (lr_head / rows) * grads.W2
-        b2 -= (lr_head / rows) * grads.b2
-
-        stepped = _copy(params)
-        assert sgd_step(stepped, features, labels, lr_head, lr_body) == loss
-        for got, want in zip((stepped.W1, stepped.b1, stepped.W2, stepped.b2), (w1, b1, w2, b2)):
-            assert np.array_equal(got, want)
+        loss = bce_loss(forward_features(params, features), labels)
+        assert sgd_step(copy_params(params), features, labels, 0.1, 0.01) == loss
+        # one row's W1 gradient is outer(features, dL/db1), so a skipped or
+        # repeated row block shows; before - after rounds once at each
+        # weight, all below 1 at init, hence the absolute 1e-15
+        _, grads = step_gradients(params, features[:1], labels[:1])
+        np.testing.assert_allclose(
+            grads["W1"], np.outer(features[0], grads["b1"]), rtol=1e-9, atol=1e-15
+        )
+        # `rows` copies of that row step by its mean gradient, times the
+        # learning rate of each weight's group
+        same = copy_params(params)
+        copies = [np.repeat(a[:1], rows, axis=0) for a in (features, labels)]
+        sgd_step(same, *copies, 0.1, 0.01)
+        for name, lr in (("W1", 0.01), ("b1", 0.01), ("W2", 0.1), ("b2", 0.1)):
+            want = getattr(params, name) - lr * grads[name]
+            np.testing.assert_allclose(getattr(same, name), want, rtol=1e-9, atol=1e-15)
 
     def test_never_builds_w1_gradient_whole(self, rng):
         params = init_params(20, (16, 16), 4096, seed=0)
@@ -433,14 +429,3 @@ def test_params_nonfinite_validation(name, bad):
     arrays[name].flat[-1] = bad
     with pytest.raises(NonFinite):
         ModelParams((2, 2), **arrays)
-
-
-def test_gradients_container_shapes(rng):
-    params = tiny_params(rng)
-    img = random_image(rng, 4, 4)
-    _, grads = backward_one(params, img, np.array([1, 1, 0]))
-    assert isinstance(grads, Gradients)
-    assert grads.W1.shape == params.W1.shape
-    assert grads.b1.shape == params.b1.shape
-    assert grads.W2.shape == params.W2.shape
-    assert grads.b2.shape == params.b2.shape
