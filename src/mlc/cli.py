@@ -16,7 +16,7 @@ from .augment import MODES
 from .errors import IoError, MlcError, ParseError
 from .fusion import fuse
 from .io import (
-    load_dataset, quantize, read_csv_matrix, read_manifest, write_atomic, write_csv_matrix,
+    csv_blocks, load_dataset, quantize, read_csv_matrix, read_manifest, write_atomic,
     write_dataset,
 )
 from .metrics import TOP_K, evaluate, format_report, machine_line
@@ -65,6 +65,12 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
+def _read_csv(path: str, kind: str):
+    """The matrix in the CSV file at `path`, read in row blocks."""
+    with open(path, "rb") as stream:
+        return read_csv_matrix(stream, kind)
 
 
 def _size(parser: argparse.ArgumentParser, default: tuple[int, int]) -> None:
@@ -193,15 +199,15 @@ def _cmd_predict(args) -> None:
         params = load_params(stream)
     manifest = read_manifest(_read_text(args.manifest))
     scores = predict(params, manifest, size, root=Path(args.manifest).parent)
-    write_atomic(args.out, write_csv_matrix(scores))
+    write_atomic(args.out, csv_blocks(scores))
     print(f"wrote {scores.num_rows}x{scores.num_classes} scores to {args.out}")
 
 
 def _cmd_evaluate(args) -> None:
     if args.k < 1:
         raise _UsageError(f"--k must be >= 1, got {args.k}")
-    scores = read_csv_matrix(_read_text(args.scores), kind="scores")
-    labels = read_csv_matrix(_read_text(args.labels), kind="labels")
+    scores = _read_csv(args.scores, "scores")
+    labels = _read_csv(args.labels, "labels")
     report = evaluate(scores, labels, k=args.k)
     print(format_report(report))
     print(machine_line(report))
@@ -209,10 +215,11 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_fuse(args) -> None:
     _check_writable(args.out)
-    members = [read_csv_matrix(_read_text(path), kind="scores") for path in args.inputs]
-    fused = fuse(members, sigmoid_first=args.sigmoid_first)
-    write_atomic(args.out, write_csv_matrix(fused))
-    print(f"fused {len(members)} matrices into {args.out}")
+    # each member is read as `fuse` draws it, so none lives beside its stack
+    members = (_read_csv(path, "scores") for path in args.inputs)
+    fused = fuse(members, sigmoid_first=args.sigmoid_first, count=len(args.inputs))
+    write_atomic(args.out, csv_blocks(fused))
+    print(f"fused {len(args.inputs)} matrices into {args.out}")
 
 
 def _cmd_augment(args) -> None:

@@ -2,9 +2,12 @@
 
 The format readers and writers are pure functions over bytes or text.
 Images are (H, W, 3) uint8 arrays, the PPM's own bytes; `quantize` turns
-computed [0, 1] values into such bytes.
+computed [0, 1] values into such bytes. CSV matrices go in blocks of
+`CSV_BLOCK_ROWS` rows, so no whole file's text is held: `read_csv_matrix`
+parses an open binary stream block by block, and `csv_blocks` yields the
+encoded blocks for `write_atomic` (`write_csv_matrix` is their join).
 Three functions touch the filesystem: `write_atomic`, the one way the
-toolkit puts bytes on disk (str, bytes, or a sequence of buffers written
+toolkit puts bytes on disk (str, bytes, or an iterable of buffers written
 in order unjoined, as `model.save_params` gives a checkpoint that
 `model.load_params` reads back from a stream), and `load_dataset` and
 `write_dataset`, the one reader and the one writer of a dataset directory
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path, PurePath
+from typing import BinaryIO
 
 import numpy as np
 
@@ -28,9 +32,9 @@ from .errors import (
 from .types import LabelMatrix, ScoreMatrix
 
 
-def write_atomic(path: str | Path, data: str | bytes | Sequence[bytes | memoryview]) -> None:
+def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes | memoryview]) -> None:
     """Write `data` to `path` through a temp file: str (encoded as ASCII),
-    bytes, or a sequence of buffers written in order.
+    bytes, or an iterable of buffers written in order as it yields them.
 
     The bytes go to a fresh temp file in the target's directory, which then
     replaces the target with `os.replace`. On any exception, interrupts
@@ -115,41 +119,87 @@ def quantize(data: np.ndarray) -> np.ndarray:
     return np.floor(data * 255.0 + 0.5).astype(np.uint8)
 
 
-# every character a plain decimal CSV can hold; `str.translate` deletes them,
-# so a text made of nothing else translates to ""
-_DROP_PLAIN = str.maketrans("", "", "0123456789.eE+-,\n")
+# rows per block of the CSV reader and writer: neither holds a whole file's text
+CSV_BLOCK_ROWS = 1024
+
+# every byte a plain decimal CSV can hold; `bytes.translate` deletes them,
+# so a block made of nothing else translates to b""
+_PLAIN = b"0123456789.eE+-,\n"
 
 
-def read_csv_matrix(text: str, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
-    """Parse a headerless CSV of decimal numbers into a matrix.
+def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
+    """Parse a headerless CSV of decimal numbers from a binary stream into a matrix.
 
-    A cell is anything Python's `float()` accepts; a row whose cell count
-    differs from the first row's is RaggedRows. kind="labels" returns a
-    LabelMatrix, which rejects entries other than 0 and 1; kind="scores"
-    returns a ScoreMatrix, which rejects NaN and infinities.
+    The stream is read `CSV_BLOCK_ROWS` lines at a time. Lines end at b"\n"
+    only, less one "\r" before it. A cell is anything Python's `float()`
+    accepts; a row whose cell count differs from the first row's is
+    RaggedRows. A non-ASCII byte anywhere is a ParseError naming the
+    stream's `name` and the byte's offset, and comes before any other error.
+    kind="labels" returns a LabelMatrix, which rejects entries other than 0
+    and 1; kind="scores" returns a ScoreMatrix, which rejects NaN and
+    infinities. Matrix and errors are those of parsing the whole text at once.
     """
     if kind not in ("scores", "labels"):
         raise ValueError(f"kind must be 'scores' or 'labels', got {kind!r}")
-    plain = text.replace("\r\n", "\n")
-    lines = plain.split("\n")
-    data = None
-    if any(lines) and not plain.translate(_DROP_PLAIN):
+    arrays = []
+    width = None
+    blocks = _ascii_blocks(stream)
+    for lineno, chunk in blocks:
+        try:
+            data, width = _parse_block(chunk, width, lineno)
+        except MlcError:
+            for _ in blocks:  # a non-ASCII byte further on is reported instead
+                pass
+            raise
+        if data is not None:
+            arrays.append(data)
+    if not arrays:
+        raise ParseError("matrix text contains no rows")
+    data = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    del arrays  # the blocks, copied into `data`, go before the matrix checks
+    return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
+
+
+def _ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """(lines before it, ASCII bytes with b"\r\n" read as b"\n") of each block
+    of `CSV_BLOCK_ROWS` lines of `stream`; a non-ASCII byte is a ParseError."""
+    lineno = offset = 0
+    while raw := list(itertools.islice(stream, CSV_BLOCK_ROWS)):
+        chunk = b"".join(raw)
+        if not chunk.isascii():
+            try:
+                chunk.decode("ascii")
+            except UnicodeDecodeError as exc:
+                name = getattr(stream, "name", "CSV stream")
+                raise ParseError(f"{name}: non-ASCII byte at offset {offset + exc.start}") from None
+        first, lineno, offset = lineno, lineno + len(raw), offset + len(chunk)
+        del raw  # only the block's bytes are held while it is parsed
+        # looking for b"\r" costs a small part of what replace's own search does
+        yield first, chunk.replace(b"\r\n", b"\n") if b"\r" in chunk else chunk
+
+
+def _parse_block(chunk: bytes, width: int | None, lineno: int) -> tuple[np.ndarray | None, int | None]:
+    """The rows of one block, whose first line is line `lineno` + 1, and the
+    row width; no rows (None) for a block of empty lines."""
+    lines = chunk.decode("ascii").split("\n")
+    if any(lines) and not chunk.translate(None, _PLAIN):
         # On this alphabet numpy and `float()` convert a cell with the same
         # CPython routine, so the array is `_parse_lines`'s bit for bit.
         try:
             data = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
         except ValueError:
             pass  # `_parse_lines` raises the error, with its line number
-    if data is None:
-        data = _parse_lines(lines)
-    return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
+        else:
+            if width in (None, data.shape[1]):
+                return data, data.shape[1]
+            # else `_parse_lines` raises RaggedRows at this block's first row
+    return _parse_lines(lines, width, lineno)
 
 
-def _parse_lines(lines: list[str]) -> np.ndarray:
+def _parse_lines(lines: list[str], width: int | None, first: int) -> tuple[np.ndarray | None, int | None]:
     """The general parser: `float()` on each cell of each non-empty line."""
     rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first + 1):
         if line == "":
             continue
         cells = line.split(",")
@@ -161,15 +211,21 @@ def _parse_lines(lines: list[str]) -> np.ndarray:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise ParseError("matrix text contains no rows")
-    return np.asarray(rows, dtype=np.float64)
+    return (np.asarray(rows, dtype=np.float64) if rows else None), width
+
+
+def csv_blocks(matrix: ScoreMatrix | LabelMatrix) -> Iterator[bytes]:
+    """The CSV bytes of a matrix, `CSV_BLOCK_ROWS` rows at a time, for
+    `write_atomic`. Scores keep full float64 precision (`repr`)."""
+    cell = str if isinstance(matrix, LabelMatrix) else repr
+    for lo in range(0, matrix.data.shape[0], CSV_BLOCK_ROWS):
+        rows = matrix.data[lo : lo + CSV_BLOCK_ROWS].tolist()
+        yield "".join(",".join(map(cell, row)) + "\n" for row in rows).encode("ascii")
 
 
 def write_csv_matrix(matrix: ScoreMatrix | LabelMatrix) -> str:
-    """Serialize a matrix to CSV. Scores keep full float64 precision (`repr`)."""
-    cell = str if isinstance(matrix, LabelMatrix) else repr
-    return "".join(",".join(map(cell, row)) + "\n" for row in matrix.data.tolist())
+    """The whole CSV text of a matrix: the `csv_blocks` joined."""
+    return b"".join(csv_blocks(matrix)).decode("ascii")
 
 
 @dataclass(frozen=True)

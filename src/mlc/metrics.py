@@ -56,12 +56,13 @@ def confusion_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per-class (TP, FP, FN) of (n, C) 0/1 arrays, stacked as a (C, 3) array."""
     if pred.shape != truth.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs truth {truth.shape}")
-    p = pred.astype(np.int64)
-    y = truth.astype(np.int64)
-    tp = (p * y).sum(axis=0)
-    fp = (p * (1 - y)).sum(axis=0)
-    fn = ((1 - p) * y).sum(axis=0)
-    return np.stack([tp, fp, fn], axis=1)
+    # one-byte boolean masks, counted per column: no (n, C) integer temporaries
+    p = pred.astype(bool)
+    y = truth.astype(bool)
+    tp = np.count_nonzero(p & y, axis=0)
+    fp = np.count_nonzero(p & ~y, axis=0)
+    fn = np.count_nonzero(~p & y, axis=0)
+    return np.stack([tp, fp, fn], axis=1).astype(np.int64)
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:

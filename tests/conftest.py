@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,15 @@ def step_gradients(
     stepped = copy_params(params)
     loss = sgd_step(stepped, features, labels, 1.0, 1.0)
     return loss, {n: getattr(params, n) - getattr(stepped, n) for n in ("W1", "b1", "W2", "b2")}
+
+
+def traced_peak(fn):
+    """`fn()` and the peak bytes Python and numpy allocated while it ran,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

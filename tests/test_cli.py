@@ -8,8 +8,11 @@ import pytest
 import mlc.io
 from mlc import cli
 from mlc.cli import main
-from mlc.io import DatasetManifest, read_csv_matrix, read_manifest, write_manifest
+from mlc.io import DatasetManifest, read_csv_matrix, read_manifest, write_csv_matrix, write_manifest
 from mlc.trainer import _augmented_batch
+from mlc.types import LabelMatrix, ScoreMatrix
+
+from conftest import traced_peak
 
 # written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
 V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
@@ -23,6 +26,11 @@ def dataset(tmp_path_factory):
     ])
     assert code == 0
     return root
+
+
+def _read_scores(path: Path):
+    with open(path, "rb") as stream:
+        return read_csv_matrix(stream)
 
 
 def _train(dataset, tmp_path, mode="M1", **extra):
@@ -87,8 +95,6 @@ class TestTrainPredictEvaluate:
         ]) == 0
         labels_csv = tmp_path / "labels.csv"
         manifest = read_manifest((dataset / "manifest.tsv").read_text())
-        from mlc.io import write_csv_matrix
-
         labels_csv.write_text(write_csv_matrix(manifest.label_matrix()))
         assert main([
             "evaluate", "--scores", str(scores_csv), "--labels", str(labels_csv), "--k", "3",
@@ -164,7 +170,7 @@ class TestFuse:
         out = tmp_path / "fused.csv"
         assert main(["fuse", str(a), "--out", str(out)]) == 0
         np.testing.assert_array_equal(
-            read_csv_matrix(out.read_text()).data, [[0.5, 1.5], [-2.0, 0.25]]
+            _read_scores(out).data, [[0.5, 1.5], [-2.0, 0.25]]
         )
 
     def test_two_members_mean(self, tmp_path):
@@ -173,7 +179,7 @@ class TestFuse:
         b.write_text("2.0,0.0\n")
         out = tmp_path / "fused.csv"
         assert main(["fuse", str(a), str(b), "--out", str(out)]) == 0
-        np.testing.assert_array_equal(read_csv_matrix(out.read_text()).data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(_read_scores(out).data, [[1.0, 2.0]])
 
     def test_shape_mismatch_is_runtime_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -181,6 +187,41 @@ class TestFuse:
         b.write_text("2.0\n")
         assert main(["fuse", str(a), str(b), "--out", str(tmp_path / "f.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestMemory:
+    """tracemalloc peaks of `mlc fuse` and `mlc evaluate`, in multiples of
+    one member's float64 bytes; reading whole texts and stacking copies of
+    the members took 17x and 7.5x."""
+
+    ROWS, CLASSES, MEMBERS = 4096, 80, 3
+
+    @pytest.fixture(scope="class")
+    def csvs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("memory")
+        rng = np.random.default_rng(11)
+        shape = (self.ROWS, self.CLASSES)
+        members = []
+        for m in range(self.MEMBERS):
+            members.append(root / f"member_{m}.csv")
+            members[-1].write_text(write_csv_matrix(ScoreMatrix(rng.standard_normal(shape))))
+        labels = LabelMatrix((rng.random(shape) < 0.05).astype(np.int8))
+        (root / "labels.csv").write_text(write_csv_matrix(labels))
+        return root, members
+
+    def test_fuse_holds_one_stack(self, csvs, capsys):
+        root, members = csvs
+        argv = ["fuse", *map(str, members), "--out", str(root / "fused.csv")]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < (self.MEMBERS + 5) * self.ROWS * self.CLASSES * 8
+
+    def test_evaluate_holds_no_text(self, csvs, capsys):
+        root, members = csvs
+        argv = ["evaluate", "--scores", str(members[0]), "--labels", str(root / "labels.csv")]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 4 * self.ROWS * self.CLASSES * 8
 
 
 class TestAugment:
@@ -329,6 +370,56 @@ class TestInterruptedDatasetWrite:
         assert augment(out, 2) == 0
         assert augment(tmp_path / "fresh", 2) == 0
         assert _tree(out) == _tree(tmp_path / "fresh")
+
+
+# The README's exit-code table, one row per subcommand and code: 0 success,
+# 2 a usage error found before any file is read (argparse's own errors
+# included), 1 any other failure. {data} is the fixture dataset and {tmp} a
+# directory holding s.csv (2x2 scores) and y.csv (2x2 labels).
+_TRAIN = "--mode M1 --size 24 24 --decay-epoch 0 --pool-grid 2 2 --hidden 4 --out {tmp}/m.params"
+_PREDICT = "--params {v1} --manifest {data}/manifest.tsv --out {tmp}/p.csv"
+_EVALUATE = "--scores {tmp}/s.csv --labels {tmp}/y.csv"
+EXIT_CODE_TABLE = [
+    ("gen", 0, "--out {tmp}/g --num 2 --size 16 16"),
+    ("gen", 2, "--out {tmp}/g --num 2 --size 8 8"),
+    ("gen", 1, "--out {tmp}/s.csv/g --num 2 --size 16 16"),
+    ("train", 0, "--manifest {data}/manifest.tsv --epochs 1 " + _TRAIN),
+    ("train", 2, "--manifest {data}/manifest.tsv --epochs 0 " + _TRAIN),
+    ("train", 1, "--manifest {tmp}/none.tsv --epochs 1 " + _TRAIN),
+    ("predict", 0, _PREDICT + " --size 24 24"),
+    ("predict", 2, _PREDICT + " --size 0 24"),
+    ("predict", 1, _PREDICT.replace("{v1}", "{tmp}/none.params") + " --size 24 24"),
+    ("evaluate", 0, _EVALUATE + " --k 1"),
+    ("evaluate", 2, _EVALUATE + " --k 0"),
+    ("evaluate", 1, _EVALUATE + " --k 3"),
+    ("fuse", 0, "{tmp}/s.csv {tmp}/s.csv --out {tmp}/f.csv"),
+    ("fuse", 2, "{tmp}/s.csv"),
+    ("fuse", 1, "{tmp}/s.csv {tmp}/none.csv --out {tmp}/f.csv"),
+    ("augment", 0, "--manifest {data}/manifest.tsv --mode M3 --size 24 24 --out-dir {tmp}/a"),
+    ("augment", 2, "--manifest {data}/manifest.tsv --mode M3 --size 0 24 --out-dir {tmp}/a"),
+    ("augment", 1, "--manifest {tmp}/none.tsv --mode M3 --size 24 24 --out-dir {tmp}/a"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, args", EXIT_CODE_TABLE, ids=[f"{c}-{k}" for c, k, _ in EXIT_CODE_TABLE]
+)
+def test_readme_exit_code_table(dataset, tmp_path, capsys, command, code, args):
+    (tmp_path / "s.csv").write_text("0.5,0.1\n0.2,0.9\n")
+    (tmp_path / "y.csv").write_text("1,0\n0,1\n")
+    argv = [command, *args.format(data=dataset, tmp=tmp_path, v1=V1_FIXTURE).split()]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert "error: " in err
+    if code == 1:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestExitCodes:
@@ -508,18 +599,25 @@ class TestExitCodes:
         assert err == f"error: cannot write {out}: Is a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scores"] and list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    @pytest.mark.parametrize("target", ["directory", "missing parent", "writable"])
     def test_fuse_output_target_fails_before_reading(
         self, tmp_path, capsys, monkeypatch, target
     ):
         def no_read(*args, **kwargs):
             raise AssertionError("an input was read before the output target was checked")
 
+        # `mlc fuse` opens and reads each member through `open` and
+        # `read_csv_matrix`; the writable target shows that the patch is
+        # reached, so the bad targets cannot pass without reaching it
+        monkeypatch.setattr(cli, "open", no_read, raising=False)
         monkeypatch.setattr(cli, "read_csv_matrix", no_read)
-        monkeypatch.setattr(cli, "fuse", no_read)
         member = tmp_path / "a.csv"
         member.write_text("0.5,0.1\n")
         out = tmp_path / "fused.csv"
+        if target == "writable":
+            with pytest.raises(AssertionError, match="an input was read"):
+                main(["fuse", str(member), "--out", str(out)])
+            return
         if target == "directory":
             out.mkdir()
         else:
@@ -637,7 +735,7 @@ class TestExitCodes:
         if command == "predict":
             # scoring reads the images only; the class count is the checkpoint's
             assert main([*argv, "--manifest", str(manifest)]) == 0
-            assert read_csv_matrix((tmp_path / "x").read_text()).data.shape == (1, 3)
+            assert _read_scores(tmp_path / "x").data.shape == (1, 3)
             return
         assert main([*argv, "--manifest", str(manifest)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,6 @@
+import re
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,3 +70,46 @@ class TestFuse:
         members = [ScoreMatrix(np.full((2, 2), v)) for v in (1.0, 2.0, 6.0)]
         np.testing.assert_allclose(fuse(members).data, 3.0, atol=1e-15)
 
+
+
+class TestFuseOnePass:
+    """Members drawn one at a time from an iterator, as `mlc fuse` reads them."""
+
+    def test_iterator_fuses_like_a_list(self, rng):
+        members = [ScoreMatrix(rng.standard_normal((5, 3)) * 10) for _ in range(4)]
+        for sigmoid_first in (False, True):
+            want = fuse(members, sigmoid_first=sigmoid_first)
+            got = fuse(iter(members), sigmoid_first=sigmoid_first, count=4)
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_no_member_outlives_its_draw(self, rng):
+        drawn = []
+
+        def member():
+            # the one before has been copied into the stack and let go
+            assert all(ref() is None for ref in drawn)
+            made = ScoreMatrix(rng.standard_normal((2, 2)))
+            drawn.append(weakref.ref(made))
+            return made
+
+        fuse((member() for _ in range(3)), count=3)
+        assert len(drawn) == 3
+
+    def test_shape_mismatch_draws_every_member_and_names_every_shape(self, rng):
+        shapes = [(2, 3), (3, 2), (2, 3), (4, 1)]
+        seen = []
+
+        def members():
+            for shape in shapes:
+                seen.append(shape)
+                yield ScoreMatrix(rng.random(shape))
+
+        with pytest.raises(ShapeMismatch, match=re.escape("[(2, 3), (3, 2), (4, 1)]")):
+            fuse(members(), count=len(shapes))
+        assert seen == shapes
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_count_must_match_the_members_drawn(self, rng, count):
+        members = (ScoreMatrix(rng.random((2, 2))) for _ in range(3))
+        with pytest.raises(EmptyInput if count == 0 else ValueError):
+            fuse(members, count=count)

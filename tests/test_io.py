@@ -1,10 +1,10 @@
 import hashlib
+import io
 import os
 import re
 import signal
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,9 @@ from mlc.errors import (
     UnsupportedMaxval,
 )
 from mlc.io import (
+    CSV_BLOCK_ROWS,
     DatasetManifest,
+    csv_blocks,
     load_dataset,
     quantize,
     read_csv_matrix,
@@ -42,6 +44,8 @@ from mlc.io import (
     write_ppm,
 )
 from mlc.types import LabelMatrix, ScoreMatrix
+
+from conftest import traced_peak
 
 
 class TestPpm:
@@ -156,46 +160,48 @@ def test_load_dataset_keeps_one_byte_per_channel(tmp_path, rng):
     n, side = 50, 64
     samples = [(rng.integers(0, 256, (side, side, 3), dtype=np.uint8), (0,)) for _ in range(n)]
     manifest = write_dataset(tmp_path, "img", samples, 1)
-    tracemalloc.start()
-    try:
-        images = load_dataset(manifest, tmp_path)
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    images, peak = traced_peak(lambda: load_dataset(manifest, tmp_path))
     assert [img.tobytes() for img in images] == [pixels.tobytes() for pixels, _ in samples]
-    assert retained < 1.5 * n * side * side * 3
+    assert peak < 1.5 * n * side * side * 3
+
+
+def _read(text: str | bytes, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
+    """`read_csv_matrix` of `text` (UTF-8 encoded) from a stream named x.csv."""
+    stream = io.BytesIO(text.encode("utf-8") if isinstance(text, str) else text)
+    stream.name = "x.csv"
+    return read_csv_matrix(stream, kind)
 
 
 class TestCsvMatrix:
     def test_scores_parse(self):
-        mat = read_csv_matrix("0.9,0.1\n0.2,0.8\n", kind="scores")
+        mat = _read("0.9,0.1\n0.2,0.8\n", kind="scores")
         assert isinstance(mat, ScoreMatrix)
         np.testing.assert_allclose(mat.data, [[0.9, 0.1], [0.2, 0.8]])
 
     def test_crlf_accepted(self):
-        mat = read_csv_matrix("1,0\r\n0,1\r\n", kind="labels")
+        mat = _read("1,0\r\n0,1\r\n", kind="labels")
         assert isinstance(mat, LabelMatrix)
 
     def test_labels_reject_non_binary(self):
         with pytest.raises(NonBinaryLabel):
-            read_csv_matrix("1,0\n0,2\n", kind="labels")
+            _read("1,0\n0,2\n", kind="labels")
 
     def test_ragged_rows(self):
         with pytest.raises(RaggedRows):
-            read_csv_matrix("1,0\n1\n", kind="labels")
+            _read("1,0\n1\n", kind="labels")
 
     def test_parse_error(self):
         with pytest.raises(ParseError):
-            read_csv_matrix("1,zzz\n", kind="scores")
+            _read("1,zzz\n", kind="scores")
 
     def test_scores_round_trip_exact(self, rng):
         mat = ScoreMatrix(rng.standard_normal((5, 4)) * 100)
-        back = read_csv_matrix(write_csv_matrix(mat), kind="scores")
+        back = _read(write_csv_matrix(mat), kind="scores")
         np.testing.assert_array_equal(back.data, mat.data)
 
     def test_labels_round_trip_bit_exact(self, rng):
         mat = LabelMatrix((rng.random((6, 5)) < 0.5).astype(int))
-        back = read_csv_matrix(write_csv_matrix(mat), kind="labels")
+        back = _read(write_csv_matrix(mat), kind="labels")
         np.testing.assert_array_equal(back.data, mat.data)
 
 
@@ -257,7 +263,7 @@ class TestCsvMatrixMatchesReference:
         | _grids(),
     )
     def test_random_text(self, kind, text):
-        assert _outcome(read_csv_matrix, text, kind) == _outcome(_reference_parse, text, kind)
+        assert _outcome(_read, text, kind) == _outcome(_reference_parse, text, kind)
 
     @pytest.mark.parametrize("kind", ["scores", "labels"])
     @pytest.mark.parametrize("text", [
@@ -265,7 +271,94 @@ class TestCsvMatrixMatchesReference:
         "1,0\r\n0,1\r\n", "-0.0,0\n", "1e999,0\n", "inf,0\n", "nan,1\n", "1,1\n\n0,1",
     ])
     def test_example(self, kind, text):
-        assert _outcome(read_csv_matrix, text, kind) == _outcome(_reference_parse, text, kind)
+        assert _outcome(_read, text, kind) == _outcome(_reference_parse, text, kind)
+
+
+def _reference_read(blob: bytes, kind: str) -> ScoreMatrix | LabelMatrix:
+    """The whole-text reading `read_csv_matrix` must agree with: the file
+    decoded as ASCII at once (naming it, as the stream is named, at the first
+    other byte), then `_reference_parse`."""
+    try:
+        text = blob.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"x.csv: non-ASCII byte at offset {exc.start}") from None
+    return _reference_parse(text, kind)
+
+
+def _block_rows(rows: int, kind: str, seed: int = 5) -> list[str]:
+    """`rows` CSV lines, without their b"\n", of 6 scores or labels each."""
+    rng = np.random.default_rng(seed)
+    if kind == "labels":
+        data = LabelMatrix((rng.random((rows, 6)) < 0.4).astype(np.int8))
+    else:
+        data = ScoreMatrix(rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-5, 5, (rows, 6)))
+    return write_csv_matrix(data).split("\n")[:-1]
+
+
+class TestCsvBlocks:
+    """Matrices and errors across the reader's `CSV_BLOCK_ROWS` block boundaries."""
+
+    @pytest.mark.parametrize("kind", ["scores", "labels"])
+    @pytest.mark.parametrize(
+        "rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_matrix_equals_whole_text_parse(self, kind, rows, ending):
+        blob = "".join(line + ending for line in _block_rows(rows, kind)).encode("ascii")
+        got, want = _read(blob, kind), _reference_read(blob, kind)
+        assert type(got) is type(want) and got.data.shape == (rows, 6)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["scores", "labels"])
+    @pytest.mark.parametrize("fault, error", [
+        ("ragged", RaggedRows),
+        ("second block wider", RaggedRows),
+        ("bad cell", ParseError),
+        ("lone CR", RaggedRows),  # a "\r" alone ends no line
+        ("CRLF split", ParseError),
+        ("non-ASCII", ParseError),
+        ("ragged, then non-ASCII", ParseError),
+        ("non-binary, then ragged", RaggedRows),
+        ("blank first block, then ragged", RaggedRows),
+    ])
+    def test_error_in_second_block_equals_whole_text_error(self, kind, fault, error):
+        lines = _block_rows(2 * CSV_BLOCK_ROWS + 1, kind)
+        at = CSV_BLOCK_ROWS + 37  # a line of the second block
+        first = CSV_BLOCK_ROWS  # the second block's first line
+        if fault == "ragged":
+            lines[at] += ",1"
+        elif fault == "second block wider":
+            lines[first:] = [line + ",1" for line in lines[first:]]
+        elif fault == "bad cell":
+            lines[at] = "1,zzz," + lines[at].split(",", 2)[2]
+        elif fault == "lone CR":
+            lines[at] = lines[at] + "\r" + lines[at + 1]
+        elif fault == "CRLF split":
+            # the first block ends "\r\n" and the second starts with a "\r" cell
+            lines[first - 1] += "\r"
+            lines[first] = "\r" + lines[first][lines[first].index(","):]
+        elif fault == "non-ASCII":
+            lines[at] = lines[at][:5] + "\u00e9" + lines[at][5:]
+        elif fault == "ragged, then non-ASCII":
+            lines[3] += ",1"
+            lines[at] = "\u00e9" + lines[at]
+        elif fault == "non-binary, then ragged":
+            lines[3] = "2,nan,2,nan,2,nan"  # NonBinaryLabel or NonFinite, raised last
+            lines[at] += ",1"
+        else:
+            lines[:first] = [""] * first
+            lines[at] = lines[at].rsplit(",", 1)[0]
+        blob = "".join(line + "\n" for line in lines).encode("utf-8")
+        with pytest.raises(error) as want:
+            _reference_read(blob, kind)
+        with pytest.raises(error) as got:
+            _read(blob, kind)
+        assert str(got.value) == str(want.value)
+
+    def test_blank_lines_keep_line_numbers(self):
+        blob = b"1,2\n" + b"\n" * (3 * CSV_BLOCK_ROWS) + b"3\n"
+        with pytest.raises(RaggedRows, match=f"^line {3 * CSV_BLOCK_ROWS + 2} has 1 cells"):
+            _read(blob)
 
 
 class TestCsvWriterBytes:
@@ -276,19 +369,32 @@ class TestCsvWriterBytes:
         data = rng.standard_normal((12, 7)) * 10.0 ** rng.integers(-30, 30, size=(12, 7))
         data[0, :6] = [-0.0, 5e-324, 1e308, 3.0, -17.0, 0.0]
         data[1, :3] = [1e16, 2.0**53, -1e-7]
-        text = write_csv_matrix(ScoreMatrix(data))
-        assert text.startswith("-0.0,5e-324,1e+308,3.0,-17.0,0.0,")
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        blob = b"".join(csv_blocks(ScoreMatrix(data)))
+        assert blob.startswith(b"-0.0,5e-324,1e+308,3.0,-17.0,0.0,")
+        assert hashlib.sha256(blob).hexdigest() == (
             "c48d476405689116760c69e645bae56b641aebe554849aea4334c0f53a29d478"
         )
+        assert write_csv_matrix(ScoreMatrix(data)) == blob.decode("ascii")
 
     def test_labels(self):
         rng = np.random.default_rng(7)
-        text = write_csv_matrix(LabelMatrix((rng.random((9, 6)) < 0.4).astype(np.int8)))
-        assert text.startswith("0,0,0,1,1,0\n1,0,0,0,1,1\n")
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        labels = LabelMatrix((rng.random((9, 6)) < 0.4).astype(np.int8))
+        blob = b"".join(csv_blocks(labels))
+        assert blob.startswith(b"0,0,0,1,1,0\n1,0,0,0,1,1\n")
+        assert hashlib.sha256(blob).hexdigest() == (
             "c02f18da6b78f226e5d6665eb0b4c9bb722e5a83ec4eae8d594cd7f29fda2efe"
         )
+        assert write_csv_matrix(labels) == blob.decode("ascii")
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1])
+    def test_blocks_are_whole_rows_of_the_per_row_writer(self, rows):
+        data = np.random.default_rng(rows).standard_normal((rows, 3))
+        chunks = list(csv_blocks(ScoreMatrix(data)))
+        assert [chunk.count(b"\n") for chunk in chunks] == [
+            min(CSV_BLOCK_ROWS, rows - lo) for lo in range(0, rows, CSV_BLOCK_ROWS)
+        ]
+        per_row = "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+        assert b"".join(chunks) == per_row.encode("ascii")
 
 
 class TestManifest:
@@ -466,7 +572,7 @@ class TestReadersFuzz:
     )
     def test_read_csv_matrix(self, kind, text):
         try:
-            read_csv_matrix(text, kind)
+            _read(text, kind)
         except MlcError:
             pass
 

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from mlc.model import (
     sigmoid,
 )
 
-from conftest import copy_params, random_image, step_gradients
+from conftest import copy_params, random_image, step_gradients, traced_peak
 
 # written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
 V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
@@ -245,12 +244,7 @@ class TestSgdStep:
         params = init_params(20, (16, 16), 4096, seed=0)
         features = rng.random((16, params.feature_dim))
         labels = (rng.random((16, 20)) < 0.2).astype(np.float64)
-        tracemalloc.start()
-        try:
-            sgd_step(params, features, labels, 0.1, 0.01)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: sgd_step(params, features, labels, 0.1, 0.01))
         assert peak < params.W1.nbytes / 4
 
     def test_label_shape_mismatch(self, rng):
@@ -368,12 +362,7 @@ class TestCheckpoint:
     def test_save_writes_the_weights_without_copying_them(self, tmp_path):
         params = init_params(20, (16, 16), 4096, seed=0)
         path = tmp_path / "model.params"
-        tracemalloc.start()
-        try:
-            write_atomic(path, save_params(params))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_atomic(path, save_params(params)))
         assert peak < params.W1.nbytes / 4
         assert path.read_bytes() == _saved(params)
 
@@ -382,13 +371,12 @@ class TestCheckpoint:
         path = tmp_path / "model.params"
         write_atomic(path, save_params(params))
         payload = sum(a.nbytes for a in (params.W1, params.b1, params.W2, params.b2))
-        tracemalloc.start()
-        try:
+
+        def load():
             with open(path, "rb") as stream:
-                loaded = load_params(stream)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+                return load_params(stream)
+
+        loaded, peak = traced_peak(load)
         assert peak < 1.25 * payload
         np.testing.assert_array_equal(loaded.W1, params.W1)
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,8 @@ from mlc.trainer import (
     predict,
     train,
 )
+
+from conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -399,11 +400,6 @@ class TestPredict:
         samples = [(rng.integers(0, 256, (side, side, 3), dtype=np.uint8), (0,)) for _ in range(n)]
         manifest = write_dataset(tmp_path, "img", samples, 3)
         params = init_params(3, (4, 4), 8, seed=0)
-        tracemalloc.start()
-        try:
-            scores = predict(params, manifest, (side, side), root=tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        scores, peak = traced_peak(lambda: predict(params, manifest, (side, side), root=tmp_path))
         assert scores.data.shape == (n, 3)
         assert peak < n * side * side * 3 * 8
