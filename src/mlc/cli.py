@@ -2,6 +2,8 @@
 
 Every subcommand is reproducible from its flags and seed alone. Exit codes:
 0 success, 2 usage error, 1 runtime error (message on stderr).
+`_read` opens every input file and hands it, as a binary stream, to the
+library reader that owns its format.
 """
 
 from __future__ import annotations
@@ -10,19 +12,14 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .augment import MODES
-from .errors import IoError, MlcError, ParseError
+from .errors import IoError, MlcError
 from .fusion import fuse
-from .io import (
-    csv_blocks, load_dataset, quantize, read_csv_matrix, read_manifest, write_atomic,
-    write_dataset,
-)
+from .io import csv_blocks, read_csv_matrix, read_manifest, write_atomic, write_dataset
 from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
-from .trainer import MIXUP_PHASES, PREDICT_CHUNK, TrainConfig, _augmented_batch, predict, train
+from .trainer import MIXUP_PHASES, TrainConfig, augmented_samples, predict, train
 
 
 class _UsageError(Exception):
@@ -59,18 +56,10 @@ def _input_size(args) -> tuple[int, int]:
     return size
 
 
-def _read_text(path: str) -> str:
-    """The ASCII text of the file at `path`; other bytes are a ParseError naming it."""
-    try:
-        return Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
-
-
-def _read_csv(path: str, kind: str):
-    """The matrix in the CSV file at `path`, read in row blocks."""
+def _read(path: str, reader, *args):
+    """`reader(stream, *args)` on the file at `path`, opened as a binary stream."""
     with open(path, "rb") as stream:
-        return read_csv_matrix(stream, kind)
+        return reader(stream, *args)
 
 
 def _size(parser: argparse.ArgumentParser, default: tuple[int, int]) -> None:
@@ -182,7 +171,7 @@ def _cmd_train(args) -> None:
         hidden=args.hidden,
     )
     _check_writable(args.out, args.log)
-    manifest = read_manifest(_read_text(args.manifest))
+    manifest = _read(args.manifest, read_manifest)
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
     write_atomic(args.out, save_params(report.params))
     print(
@@ -195,9 +184,8 @@ def _cmd_train(args) -> None:
 def _cmd_predict(args) -> None:
     size = _input_size(args)
     _check_writable(args.out)
-    with open(args.params, "rb") as stream:
-        params = load_params(stream)
-    manifest = read_manifest(_read_text(args.manifest))
+    params = _read(args.params, load_params)
+    manifest = _read(args.manifest, read_manifest)
     scores = predict(params, manifest, size, root=Path(args.manifest).parent)
     write_atomic(args.out, csv_blocks(scores))
     print(f"wrote {scores.num_rows}x{scores.num_classes} scores to {args.out}")
@@ -206,8 +194,8 @@ def _cmd_predict(args) -> None:
 def _cmd_evaluate(args) -> None:
     if args.k < 1:
         raise _UsageError(f"--k must be >= 1, got {args.k}")
-    scores = _read_csv(args.scores, "scores")
-    labels = _read_csv(args.labels, "labels")
+    scores = _read(args.scores, read_csv_matrix, "scores")
+    labels = _read(args.labels, read_csv_matrix, "labels")
     report = evaluate(scores, labels, k=args.k)
     print(format_report(report))
     print(machine_line(report))
@@ -216,7 +204,7 @@ def _cmd_evaluate(args) -> None:
 def _cmd_fuse(args) -> None:
     _check_writable(args.out)
     # each member is read as `fuse` draws it, so none lives beside its stack
-    members = (_read_csv(path, "scores") for path in args.inputs)
+    members = (_read(path, read_csv_matrix, "scores") for path in args.inputs)
     fused = fuse(members, sigmoid_first=args.sigmoid_first, count=len(args.inputs))
     write_atomic(args.out, csv_blocks(fused))
     print(f"fused {len(args.inputs)} matrices into {args.out}")
@@ -226,21 +214,9 @@ def _cmd_augment(args) -> None:
     size = _input_size(args)
     _config(TrainConfig, seed=args.seed)  # augment draws training's streams
     _check_writable(args.out_dir, directory=True)
-    manifest = read_manifest(_read_text(args.manifest))
-    images, labels = load_dataset(manifest, Path(args.manifest).parent), manifest.label_matrix()
-
-    def samples():
-        # training's batch function, one chunk at a time: epoch-0 streams
-        # keyed by image index and, for M3, mixup of consecutive pairs
-        for lo in range(0, len(images), PREDICT_CHUNK):
-            chunk = np.arange(lo, min(lo + PREDICT_CHUNK, len(images)))
-            mix_order = np.arange(len(chunk)) if args.mode == "M3" else None
-            pixels, targets = _augmented_batch(
-                images, labels, chunk, args.mode, size, args.seed, 0, mix_order
-            )
-            yield from zip(quantize(pixels), (tuple(map(int, np.flatnonzero(t))) for t in targets))
-
-    written = write_dataset(args.out_dir, "aug", samples(), manifest.num_classes)
+    manifest = _read(args.manifest, read_manifest)
+    samples = augmented_samples(manifest, args.mode, size, args.seed, Path(args.manifest).parent)
+    written = write_dataset(args.out_dir, "aug", samples, manifest.num_classes)
     print(f"wrote {len(written)} augmented samples to {Path(args.out_dir)}")
 
 
@@ -261,10 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MlcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MlcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

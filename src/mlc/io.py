@@ -1,10 +1,10 @@
 """Bit-exact file formats: binary PPM images, CSV matrices, TSV manifests.
 
-The format readers and writers are pure functions over bytes or text.
 Images are (H, W, 3) uint8 arrays, the PPM's own bytes; `quantize` turns
-computed [0, 1] values into such bytes. CSV matrices go in blocks of
-`CSV_BLOCK_ROWS` rows, so no whole file's text is held: `read_csv_matrix`
-parses an open binary stream block by block, and `csv_blocks` yields the
+computed [0, 1] values into such bytes. Text readers take an open binary
+stream, split into lines by the one line reader `ascii_blocks`. CSV
+matrices go in blocks of `CSV_BLOCK_ROWS` rows, so no whole file's text is
+held: `read_csv_matrix` parses block by block, and `csv_blocks` yields the
 encoded blocks for `write_atomic` (`write_csv_matrix` is their join).
 Three functions touch the filesystem: `write_atomic`, the one way the
 toolkit puts bytes on disk (str, bytes, or an iterable of buffers written
@@ -143,7 +143,7 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
         raise ValueError(f"kind must be 'scores' or 'labels', got {kind!r}")
     arrays = []
     width = None
-    blocks = _ascii_blocks(stream)
+    blocks = ascii_blocks(stream)
     for lineno, chunk in blocks:
         try:
             data, width = _parse_block(chunk, width, lineno)
@@ -160,9 +160,10 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
     return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
 
 
-def _ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
+def ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
     """(lines before it, ASCII bytes with b"\r\n" read as b"\n") of each block
-    of `CSV_BLOCK_ROWS` lines of `stream`; a non-ASCII byte is a ParseError."""
+    of `CSV_BLOCK_ROWS` lines of `stream`: the one line reader. A non-ASCII
+    byte is a ParseError naming the stream and the byte's offset."""
     lineno = offset = 0
     while raw := list(itertools.islice(stream, CSV_BLOCK_ROWS)):
         chunk = b"".join(raw)
@@ -170,12 +171,17 @@ def _ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
             try:
                 chunk.decode("ascii")
             except UnicodeDecodeError as exc:
-                name = getattr(stream, "name", "CSV stream")
+                name = getattr(stream, "name", "stream")
                 raise ParseError(f"{name}: non-ASCII byte at offset {offset + exc.start}") from None
         first, lineno, offset = lineno, lineno + len(raw), offset + len(chunk)
         del raw  # only the block's bytes are held while it is parsed
         # looking for b"\r" costs a small part of what replace's own search does
         yield first, chunk.replace(b"\r\n", b"\n") if b"\r" in chunk else chunk
+
+
+def ascii_lines(stream: BinaryIO) -> list[str]:
+    """Every line of `stream`, by `ascii_blocks`; after a final b"\n" the last is ""."""
+    return b"".join(chunk for _, chunk in ascii_blocks(stream)).decode("ascii").split("\n")
 
 
 def _parse_block(chunk: bytes, width: int | None, lineno: int) -> tuple[np.ndarray | None, int | None]:
@@ -258,15 +264,16 @@ class DatasetManifest:
         return LabelMatrix(out)
 
 
-def read_manifest(text: str) -> DatasetManifest:
-    """Parse 'path<TAB>i1 i2 ...' lines under a '#classes=C' header."""
-    lines = text.replace("\r\n", "\n").split("\n")
-    if not lines or not lines[0].startswith("#classes="):
+def read_manifest(stream: BinaryIO) -> DatasetManifest:
+    """Parse 'path<TAB>i1 i2 ...' lines under a '#classes=C' header from a
+    binary stream; an error echoes at most 40 characters of a bad line."""
+    lines = ascii_lines(stream)
+    if not lines[0].startswith("#classes="):
         raise MissingClassHeader("manifest must start with '#classes=C'")
     try:
         num_classes = int(lines[0][len("#classes="):])
     except ValueError:
-        raise MissingClassHeader(f"bad class count in {lines[0]!r}") from None
+        raise MissingClassHeader(f"bad class count in {lines[0][:40]!r}") from None
     entries = []
     for line in lines[1:]:
         if line == "":
@@ -275,7 +282,7 @@ def read_manifest(text: str) -> DatasetManifest:
         try:
             indices = tuple(sorted(int(tok) for tok in index_part.split()))
         except ValueError as exc:
-            raise ParseError(f"bad label index list {index_part!r}: {exc}") from None
+            raise ParseError(f"bad label index list {index_part[:40]!r}: {exc}") from None
         entries.append((path, indices))
     return DatasetManifest(tuple(entries), num_classes)
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import kernels
 from .augment import STREAM_INIT, rng_stream
 from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
+from .io import ascii_lines
 
 CHECKPOINT_V1 = "mlc-params v1"
 CHECKPOINT_V2 = "mlc-params v2"
@@ -208,18 +209,16 @@ def save_params(params: ModelParams) -> list[bytes | memoryview]:
 
 def load_params(stream: BinaryIO) -> ModelParams:
     """Decode a v2 or v1 checkpoint, chosen by its first line, from a seekable
-    binary stream; a v2 payload is read straight into the arrays.
+    binary stream; a v2 payload is read straight into the arrays, and v1
+    text is read again from where the v2 magic was checked, by `io.ascii_lines`.
 
     Fails only with ParseError, or with NonFinite from the ModelParams checks.
     """
-    head = stream.read(len(_V2_MAGIC))
-    if head == _V2_MAGIC:
+    start = stream.tell()
+    if stream.read(len(_V2_MAGIC)) == _V2_MAGIC:
         return _load_v2(stream)
-    try:
-        text = (head + stream.read()).decode("ascii")
-    except UnicodeDecodeError:
-        raise ParseError(f"not an {CHECKPOINT_V2!r} or ASCII {CHECKPOINT_V1!r} checkpoint") from None
-    return _load_v1(text)
+    stream.seek(start)
+    return _load_v1(ascii_lines(stream))
 
 
 def _dimensions(line: str | bytes) -> tuple[int, int, int, int]:
@@ -259,8 +258,8 @@ def _load_v2(stream: BinaryIO) -> ModelParams:
     )
 
 
-def _load_v1(text: str) -> ModelParams:
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln != ""]
+def _load_v1(lines: list[str]) -> ModelParams:
+    lines = [ln for ln in lines if ln != ""]
     if not lines or lines[0] != CHECKPOINT_V1:
         raise ParseError(f"missing checkpoint header {CHECKPOINT_V2!r} or {CHECKPOINT_V1!r}")
     if len(lines) < 2:

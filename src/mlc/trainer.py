@@ -15,11 +15,11 @@ replays to bitwise-identical parameters.
 A batch is built on arrays: `augment.apply_mode` writes each decoded uint8
 image, at `TrainConfig.input_size`, into one (n, H, W, 3) float64 array,
 its labels are rows of the label matrix, and `augment.mixup` pairs the
-whole batch's rows at once. `TrainConfig` owns every check on its values, the
-pool grid fitting the input size included. `sgd_step`, the model's only
-backward pass, updates the arrays of `init_params` in place; they are
-validated as `ModelParams` when made and once more before `train` returns
-them.
+whole batch's rows at once; `augmented_samples` gives `mlc augment` epoch
+0's batches. `TrainConfig` owns every check on its values, the pool grid
+fitting the input size included. `sgd_step`, the model's only backward
+pass, updates the arrays of `init_params` in place; they are validated as
+`ModelParams` when made and once more before `train` returns them.
 
 Batches never depend on the weights, so a one-thread ThreadPoolExecutor
 builds them (augmentation, mixup and pooling) one batch ahead, across epoch
@@ -49,7 +49,7 @@ from .augment import (
     MODES, STREAM_AUG, STREAM_MIX, STREAM_SHUFFLE, apply_mode, mixup, resize, rng_stream,
 )
 from .errors import DivergedLoss, EmptyInput, ShapeMismatch
-from .io import DatasetManifest, load_dataset, write_atomic
+from .io import DatasetManifest, load_dataset, quantize, write_atomic
 from .model import (
     ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
 )
@@ -59,7 +59,8 @@ from .types import LabelMatrix, ScoreMatrix
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
 MIXUP_PHASES = ("even", "odd")  # M3 mixes on the epochs whose parity is the phase's index
-PREDICT_CHUNK = 64  # images predict and augment hold as floats; even, so no mixup pair is split
+# images predict and augmented_samples hold as floats; even, so no mixup pair is split
+PREDICT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -298,3 +299,17 @@ def predict(
             pixels[j] = resize(image.astype(np.float64) / 255.0, *input_size)
         features[lo : lo + len(chunk)] = pooled_batch(pixels[: len(chunk)], params.pool_grid)
     return ScoreMatrix(forward_features(params, features))
+
+
+def augmented_samples(
+    manifest: DatasetManifest, mode: str, size: tuple[int, int], seed: int, root: str | Path = "."
+) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
+    """(uint8 pixels, label indices) of each epoch-0 sample of `mode`, for
+    `io.write_dataset`: training's batches of PREDICT_CHUNK images in manifest
+    order, M3 mixing consecutive pairs. Nothing is read before the first draw."""
+    images, labels = load_dataset(manifest, root), manifest.label_matrix()
+    for lo in range(0, len(images), PREDICT_CHUNK):
+        chunk = np.arange(lo, min(lo + PREDICT_CHUNK, len(images)))
+        mix_order = np.arange(len(chunk)) if mode == "M3" else None
+        pixels, targets = _augmented_batch(images, labels, chunk, mode, size, seed, 0, mix_order)
+        yield from zip(quantize(pixels), (tuple(map(int, np.flatnonzero(t))) for t in targets))

@@ -1,8 +1,11 @@
+import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlc.io import DatasetManifest, read_manifest
 from mlc.model import ModelParams, sgd_step
 
 
@@ -27,6 +30,15 @@ def random_sample(
     """Pixels (H, W, 3) and int8 labels (C,) of one random training example."""
     labels = (rng.random(num_classes) < 0.4).astype(np.int8)
     return random_image(rng, height, width), labels
+
+
+def manifest_of(source: str | Path) -> DatasetManifest:
+    """`read_manifest` of the file at a Path, or of str text UTF-8 encoded,
+    each read as the binary stream the reader takes."""
+    if isinstance(source, Path):
+        with open(source, "rb") as stream:
+            return read_manifest(stream)
+    return read_manifest(io.BytesIO(source.encode("utf-8")))
 
 
 def copy_params(params: ModelParams) -> ModelParams:

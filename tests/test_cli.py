@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import re
 from pathlib import Path
@@ -8,11 +9,11 @@ import pytest
 import mlc.io
 from mlc import cli
 from mlc.cli import main
-from mlc.io import DatasetManifest, read_csv_matrix, read_manifest, write_csv_matrix, write_manifest
+from mlc.io import DatasetManifest, read_csv_matrix, write_csv_matrix, write_manifest
 from mlc.trainer import _augmented_batch
 from mlc.types import LabelMatrix, ScoreMatrix
 
-from conftest import traced_peak
+from conftest import manifest_of, traced_peak
 
 # written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
 V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
@@ -56,7 +57,7 @@ def _tree_digest(root: Path) -> str:
 
 class TestGen:
     def test_writes_dataset(self, dataset):
-        manifest = read_manifest((dataset / "manifest.tsv").read_text())
+        manifest = manifest_of(dataset / "manifest.tsv")
         assert len(manifest) == 12
         assert (dataset / manifest.entries[0][0]).exists()
 
@@ -94,7 +95,7 @@ class TestTrainPredictEvaluate:
             "--size", "24", "24", "--out", str(scores_csv),
         ]) == 0
         labels_csv = tmp_path / "labels.csv"
-        manifest = read_manifest((dataset / "manifest.tsv").read_text())
+        manifest = manifest_of(dataset / "manifest.tsv")
         labels_csv.write_text(write_csv_matrix(manifest.label_matrix()))
         assert main([
             "evaluate", "--scores", str(scores_csv), "--labels", str(labels_csv), "--k", "3",
@@ -231,7 +232,7 @@ class TestAugment:
             "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M2",
             "--seed", "1", "--out-dir", str(out_dir), "--size", "24", "24",
         ]) == 0
-        manifest = read_manifest((out_dir / "manifest.tsv").read_text())
+        manifest = manifest_of(out_dir / "manifest.tsv")
         assert len(manifest) == 12
         names = [name for name, _ in manifest.entries] + ["manifest.tsv"]
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
@@ -242,7 +243,7 @@ class TestAugment:
             "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M3",
             "--seed", "1", "--out-dir", str(out_dir), "--size", "24", "24",
         ]) == 0
-        manifest = read_manifest((out_dir / "manifest.tsv").read_text())
+        manifest = manifest_of(out_dir / "manifest.tsv")
         assert len(manifest) == 6  # disjoint pairs of 12 inputs
 
     def test_empty_manifest_writes_empty_manifest(self, tmp_path):
@@ -266,7 +267,7 @@ class TestAugment:
     )
     def test_output_bytes_golden(self, dataset, tmp_path, mode, files, digest):
         # from the first 11 fixture images, so M3 has an odd leftover
-        manifest = read_manifest((dataset / "manifest.tsv").read_text())
+        manifest = manifest_of(dataset / "manifest.tsv")
         entries = manifest.entries[:11]
         src = tmp_path / "odd"
         src.mkdir()
@@ -304,7 +305,7 @@ class TestAugment:
             everything if mode == "M3" else None,
         )
         expected = [mlc.io.write_ppm(image) for image in mlc.io.quantize(pixels)]
-        written = read_manifest((out_dir / "manifest.tsv").read_text())
+        written = manifest_of(out_dir / "manifest.tsv")
         assert len(written) == len(expected) == (65 if mode == "M3" else 130)
         assert [(out_dir / name).read_bytes() for name, _ in written.entries] == expected
         assert [indices for _, indices in written.entries] == [
@@ -474,7 +475,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("entry", ["../outside.ppm", "ABSOLUTE"])
     def test_train_entry_outside_root_is_runtime_error(self, dataset, tmp_path, capsys, entry):
-        manifest = read_manifest((dataset / "manifest.tsv").read_text())
+        manifest = manifest_of(dataset / "manifest.tsv")
         outside = tmp_path / "outside.ppm"
         outside.write_bytes((dataset / manifest.entries[0][0]).read_bytes())
         (tmp_path / "ds").mkdir()
@@ -693,28 +694,66 @@ class TestExitCodes:
         assert err.startswith("error: ") and "--size" in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("target", ["file", "missing parent"])
+    @pytest.mark.parametrize("target", ["file", "missing parent", "writable"])
     def test_augment_out_dir_fails_before_reading(
         self, dataset, tmp_path, capsys, monkeypatch, target
     ):
         def no_read(*args, **kwargs):
             raise AssertionError("an input was read before the output directory was checked")
 
-        monkeypatch.setattr(cli, "load_dataset", no_read)
-        out_dir = tmp_path / "aug"
+        # `mlc augment` reads its manifest through `open` and `read_manifest`;
+        # the writable target shows that the patch is reached
+        monkeypatch.setattr(cli, "open", no_read, raising=False)
+        monkeypatch.setattr(cli, "read_manifest", no_read)
+        out_dir = tmp_path / "missing" / "aug" if target == "missing parent" else tmp_path / "aug"
         if target == "file":
             out_dir.write_text("not a directory\n")
-        else:
-            out_dir = tmp_path / "missing" / "aug"
-        assert main([
+        argv = [
             "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M3",
             "--out-dir", str(out_dir), "--size", "24", "24",
-        ]) == 1
+        ]
+        if target == "writable":
+            with pytest.raises(AssertionError, match="an input was read"):
+                main(argv)
+            assert list(tmp_path.iterdir()) == []
+            return
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out_dir}: ") and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == (["aug"] if target == "file" else [])
         if target == "file":
             assert out_dir.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["train", "predict", "augment"])
+    def test_lone_cr_manifest_is_runtime_error(self, dataset, tmp_path, capsys, command):
+        # a lone "\r" ends no line, so the whole manifest is one header line
+        # whose class count does not parse; the images it names are all there
+        for path in dataset.glob("*.ppm"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes((dataset / "manifest.tsv").read_bytes().replace(b"\n", b"\r"))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--mode", "M1", "--out", out],
+            "predict": ["predict", "--params", str(V1_FIXTURE), "--out", out],
+            "augment": ["augment", "--mode", "M3", "--out-dir", out],
+        }[command]
+        assert main([*argv, "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad class count in ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_bad_header_error_line_is_bounded(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("#classes=3\r" + "".join(f"img{k}.ppm\t0\r" for k in range(10_000)))
+        assert main([
+            "augment", "--manifest", str(manifest), "--mode", "M1",
+            "--out-dir", str(tmp_path / "aug"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert len(err) < 200
 
     @pytest.mark.parametrize("classes", [2**63 - 1, 10**20])
     @pytest.mark.parametrize("command", ["train", "predict", "augment"])
@@ -805,3 +844,19 @@ class TestExitCodes:
             f"default: {cfg.lr_decay_epoch}", f"default: {cfg.hidden}",
         ):
             assert token in text, token
+
+
+def test_cli_imports_no_numpy_and_no_private_names():
+    # batching and parsing stay behind the modules that own them
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad += [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            package = (node.module or "").split(".")[0]
+            if package == "numpy":
+                bad.append(node.module)
+            elif node.level > 0 or package == "mlc":
+                bad += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert bad == []

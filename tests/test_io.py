@@ -35,7 +35,6 @@ from mlc.io import (
     load_dataset,
     quantize,
     read_csv_matrix,
-    read_manifest,
     read_ppm,
     write_atomic,
     write_csv_matrix,
@@ -45,7 +44,7 @@ from mlc.io import (
 )
 from mlc.types import LabelMatrix, ScoreMatrix
 
-from conftest import traced_peak
+from conftest import manifest_of, traced_peak
 
 
 class TestPpm:
@@ -399,32 +398,41 @@ class TestCsvWriterBytes:
 
 class TestManifest:
     def test_basic_entry(self):
-        man = read_manifest("#classes=3\nimg0.ppm\t0 2\n")
+        man = manifest_of("#classes=3\nimg0.ppm\t0 2\n")
         assert man.num_classes == 3
         assert man.entries == (("img0.ppm", (0, 2)),)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            read_manifest("#classes=3\nimg0.ppm\t0 3\n")
+            manifest_of("#classes=3\nimg0.ppm\t0 3\n")
 
     def test_empty_label_list(self):
-        man = read_manifest("#classes=3\nimg1.ppm\t\n")
+        man = manifest_of("#classes=3\nimg1.ppm\t\n")
         assert man.entries == (("img1.ppm", ()),)
 
     def test_missing_header(self):
         with pytest.raises(MissingClassHeader):
-            read_manifest("img0.ppm\t0\n")
+            manifest_of("img0.ppm\t0\n")
 
     def test_round_trip_identity(self):
         man = DatasetManifest((("a.ppm", (0, 2)), ("b.ppm", ()), ("c.ppm", (1,))), 3)
-        assert read_manifest(write_manifest(man)) == man
+        assert manifest_of(write_manifest(man)) == man
 
     def test_text_round_trip_on_canonical_input(self):
         text = "#classes=4\na.ppm\t1 3\nb.ppm\t\n"
-        assert write_manifest(read_manifest(text)) == text
+        assert write_manifest(manifest_of(text)) == text
+
+    def test_crlf_lines_read_as_lf_lines(self):
+        text = "#classes=4\na.ppm\t1 3\nb.ppm\t\n\nc.ppm\t0\n"
+        assert manifest_of(text.replace("\n", "\r\n")) == manifest_of(text)
+
+    def test_non_ascii_digit_is_parse_error_at_its_offset(self):
+        # int() reads U+0661, an Arabic-Indic one, as 1
+        with pytest.raises(ParseError, match="non-ASCII byte at offset 19$"):
+            manifest_of("#classes=3\nimg.ppm\t\u0661\n")
 
     def test_label_matrix_preserves_row_order(self):
-        man = read_manifest("#classes=3\nx.ppm\t2\ny.ppm\t0 1\n")
+        man = manifest_of("#classes=3\nx.ppm\t2\ny.ppm\t0 1\n")
         np.testing.assert_array_equal(man.label_matrix().data, [[0, 0, 1], [1, 1, 0]])
 
     def test_row_order_permutation(self, rng):
@@ -583,6 +591,6 @@ class TestReadersFuzz:
     )
     def test_read_manifest(self, header, body):
         try:
-            read_manifest(header + body)
+            manifest_of(header + body)
         except MlcError:
             pass

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,23 @@ class TestCheckpoint:
     def test_non_ascii_is_parse_error(self):
         with pytest.raises(ParseError):
             _load("mlc-params v1\n1 1 1 1\n\u00e9\n".encode("utf-8"))
+
+    def test_v1_non_ascii_error_names_the_file_and_offset(self, tmp_path):
+        blob = bytearray(V1_FIXTURE.read_bytes())
+        offset = len(blob) // 2
+        blob[offset] = 0xE9
+        path = tmp_path / "model.v1.params"
+        path.write_bytes(bytes(blob))
+        message = re.escape(f"{path}: non-ASCII byte at offset {offset}")
+        with open(path, "rb") as stream, pytest.raises(ParseError, match=message):
+            load_params(stream)
+
+    def test_v1_is_read_from_where_the_magic_was_checked(self):
+        stream = io.BytesIO(b"prefix" + V1_FIXTURE.read_bytes())
+        stream.seek(len(b"prefix"))
+        loaded = load_params(stream)
+        with open(V1_FIXTURE, "rb") as fixture:
+            assert _saved(loaded) == _saved(load_params(fixture))
 
     def test_truncated_body(self, rng):
         blob = _saved(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mlc.errors import IoError
-from mlc.io import read_manifest, read_ppm
+from mlc.io import read_ppm
 from mlc.synthgen import SynthConfig, census, generate, palette, render
+
+from conftest import manifest_of
 
 
 class TestConfig:
@@ -59,8 +61,7 @@ class TestGenerate:
         cfg = SynthConfig(num_images=10, image_size=(24, 24), seed=1)
         manifest = generate(cfg, tmp_path)
         assert len(manifest) == 10
-        text = (tmp_path / "manifest.tsv").read_text()
-        assert read_manifest(text) == manifest
+        assert manifest_of(tmp_path / "manifest.tsv") == manifest
         names = [name for name, _ in manifest.entries] + ["manifest.tsv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 

@@ -17,12 +17,14 @@ from mlc.errors import (
     GridTooLarge,
     PixelOutOfRange,
 )
-from mlc.io import DatasetManifest, load_dataset, write_dataset
+from mlc.io import DatasetManifest, load_dataset, quantize, write_dataset
 from mlc.model import ModelParams, forward_features, init_params, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import (
     PREDICT_CHUNK,
     TrainConfig,
+    _augmented_batch,
+    augmented_samples,
     effective_lrs,
     mixup_active,
     predict,
@@ -403,3 +405,30 @@ class TestPredict:
         scores, peak = traced_peak(lambda: predict(params, manifest, (side, side), root=tmp_path))
         assert scores.data.shape == (n, 3)
         assert peak < n * side * side * 3 * 8
+
+
+class TestAugmentedSamples:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chunked_samples_equal_one_whole_batch(self, tmp_path, rng, mode):
+        # 130 images: chunks of 64, 64 and 2, and for M3 65 pairs
+        samples = [
+            (rng.integers(0, 256, (24, 24, 3), dtype=np.uint8), (int(k % 3), 3))
+            for k in range(130)
+        ]
+        manifest = write_dataset(tmp_path, "img", samples, 4)
+        everything = np.arange(130)
+        pixels, targets = _augmented_batch(
+            [p for p, _ in samples], manifest.label_matrix(), everything, mode, (20, 18), 1, 0,
+            everything if mode == "M3" else None,
+        )
+        drawn = list(augmented_samples(manifest, mode, (20, 18), 1, root=tmp_path))
+        assert len(drawn) == len(pixels) == (65 if mode == "M3" else 130)
+        for (got, indices), want, row in zip(drawn, quantize(pixels), targets):
+            assert got.tobytes() == want.tobytes()
+            assert indices == tuple(int(i) for i in np.flatnonzero(row))
+
+    def test_reads_nothing_before_the_first_draw(self, tmp_path):
+        manifest = DatasetManifest((("missing.ppm", (0,)),), 3)
+        samples = augmented_samples(manifest, "M1", (8, 8), 0, root=tmp_path)
+        with pytest.raises(DataLoadError):
+            next(samples)
