@@ -21,15 +21,12 @@ fitting the input size included. `sgd_step`, the model's only backward
 pass, updates the arrays of `init_params` in place; they are validated as
 `ModelParams` when made and once more before `train` returns them.
 
-Batches never depend on the weights, so a one-thread ThreadPoolExecutor
-builds them (augmentation, mixup and pooling) one batch ahead, across epoch
-boundaries too: the calling thread takes batch k's future, submits batch
-k+1 and then runs the SGD step on batch k. A build error is re-raised, as
-itself, by the `result()` that would have returned that batch, and leaving
-the executor's block joins the worker on every exit path. For the duration
-of `train` the loaded OpenBLAS, if any, is held to one thread, leaving the
-second core to the worker; its thread count is restored on every exit.
-Neither changes a computed bit.
+`_built_ahead` is the one way the model is run: while the calling thread
+uses an item, one worker thread makes the next, `train`'s batch
+(augmentation, mixup and pooling, across epoch boundaries too) or
+`predict`'s pooled block, and OpenBLAS is held to one thread, so no byte
+depends on OPENBLAS_NUM_THREADS. A build error comes out as itself; leaving
+the block joins the worker and restores the thread count on every exit path.
 """
 
 from __future__ import annotations
@@ -59,7 +56,8 @@ from .types import LabelMatrix, ScoreMatrix
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
 MIXUP_PHASES = ("even", "odd")  # M3 mixes on the epochs whose parity is the phase's index
-# images predict and augmented_samples hold as floats; even, so no mixup pair is split
+# images predict and augmented_samples hold as floats, and the rows of each predict
+# forward; even, so no mixup pair is split
 PREDICT_CHUNK = 64
 
 
@@ -104,7 +102,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainReport:
     epoch_losses: tuple[float, ...]
-    epoch_lrs: tuple[tuple[float, float], ...]  # (head, body) per epoch
     params: ModelParams
     wall_time_s: float
 
@@ -221,6 +218,20 @@ def _one_blas_thread() -> Iterator[None]:
         set_(old)
 
 
+@contextmanager
+def _built_ahead(items: Iterator) -> Iterator[Iterator]:
+    """An iterator over `items` (never None) whose next item one worker thread
+    makes while the caller uses the current one, OpenBLAS held to one thread."""
+    def ahead(worker: ThreadPoolExecutor) -> Iterator:
+        pending = worker.submit(next, items, None)
+        while (item := pending.result()) is not None:
+            pending = worker.submit(next, items, None)
+            yield item
+
+    with _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-ahead") as worker:
+        yield ahead(worker)
+
+
 def train(
     manifest: DatasetManifest,
     cfg: TrainConfig,
@@ -238,18 +249,14 @@ def train(
 
     log_lines = []
     epoch_losses = []
-    epoch_lrs = []
     first_loss = None
-    batches = _training_batches(images, labels, cfg)
-    with _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-batches") as worker:
-        pending = worker.submit(next, batches, None)
+    with _built_ahead(_training_batches(images, labels, cfg)) as batches:
         for epoch in range(cfg.epochs):
             lr_head, lr_body = effective_lrs(cfg, epoch)
             loss_sum = 0.0
             row_count = 0
             for batch_no in range(num_batches):
-                features, targets = pending.result()
-                pending = worker.submit(next, batches, None)
+                features, targets = next(batches)
                 batch_loss = sgd_step(params, features, targets, lr_head, lr_body)
                 rows = len(targets)
                 batch_mean = batch_loss / rows
@@ -265,14 +272,12 @@ def train(
 
             mean_loss = loss_sum / row_count
             epoch_losses.append(mean_loss)
-            epoch_lrs.append((lr_head, lr_body))
             log_lines.append(f"{epoch} {lr_head:g} {mean_loss:.9g}")
 
     if log_path is not None:
         write_atomic(log_path, "\n".join(log_lines) + "\n")
     return TrainReport(
         epoch_losses=tuple(epoch_losses),
-        epoch_lrs=tuple(epoch_lrs),
         # validated again: the loss guard never sees the last step's update
         params=replace(params),
         wall_time_s=time.perf_counter() - start,
@@ -287,18 +292,27 @@ def predict(
 ) -> ScoreMatrix:
     """Raw logits per image: byte / 255, plain resize to input_size, no augmentation.
 
-    Pooled PREDICT_CHUNK images at a time; all rows share one forward pass.
+    Each forward is of one PREDICT_CHUNK-row pooled block, zero-padded after the
+    last image, so a row depends on its image and its place in its block only.
     """
     check_pool_grid(params.pool_grid, input_size)
     images = load_dataset(manifest, root)
-    features = np.empty((len(images), params.feature_dim))
-    pixels = _pixel_batch(min(len(images), PREDICT_CHUNK), input_size)
-    for lo in range(0, len(images), PREDICT_CHUNK):
-        chunk = images[lo : lo + PREDICT_CHUNK]
-        for j, image in enumerate(chunk):
-            pixels[j] = resize(image.astype(np.float64) / 255.0, *input_size)
-        features[lo : lo + len(chunk)] = pooled_batch(pixels[: len(chunk)], params.pool_grid)
-    return ScoreMatrix(forward_features(params, features))
+
+    def pooled_blocks() -> Iterator[np.ndarray]:
+        pixels = _pixel_batch(min(len(images), PREDICT_CHUNK), input_size)
+        for lo in range(0, len(images), PREDICT_CHUNK):
+            chunk = images[lo : lo + PREDICT_CHUNK]
+            for j, image in enumerate(chunk):
+                pixels[j] = resize(image.astype(np.float64) / 255.0, *input_size)
+            features = pooled_batch(pixels[: len(chunk)], params.pool_grid)
+            yield np.pad(features, ((0, PREDICT_CHUNK - len(chunk)), (0, 0)))
+
+    scores = np.empty((len(images), params.num_classes))
+    with _built_ahead(pooled_blocks()) as blocks:
+        for lo, features in zip(range(0, len(images), PREDICT_CHUNK), blocks):
+            rows = scores[lo : lo + PREDICT_CHUNK]
+            rows[:] = forward_features(params, features)[: len(rows)]
+    return ScoreMatrix(scores)
 
 
 def augmented_samples(

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -84,14 +85,23 @@ class TestSchedule:
             assert head == pytest.approx(cfg.lr_head * factor)
             assert body == pytest.approx(cfg.lr_body * factor)
 
-    def test_report_sees_decay(self, small_dataset):
+    def test_report_sees_decay(self, small_dataset, monkeypatch):
         manifest, root = small_dataset
         cfg = small_cfg(epochs=3, lr_decay_epoch=1)
-        lrs = train(manifest, cfg, root=root).epoch_lrs
-        assert len(lrs) == 3
-        assert lrs[0][0] == pytest.approx(0.1)
-        assert lrs[1][0] == pytest.approx(0.01)
-        assert lrs[2][1] == pytest.approx(0.001)
+        lrs = []
+        sgd_step = trainer.sgd_step
+
+        def step(params, features, targets, lr_head, lr_body):
+            lrs.append((lr_head, lr_body))
+            return sgd_step(params, features, targets, lr_head, lr_body)
+
+        monkeypatch.setattr(trainer, "sgd_step", step)
+        train(manifest, cfg, root=root)
+        # 24 images in batches of 8: 3 steps per epoch
+        assert len(lrs) == 3 * 3
+        assert all(head == pytest.approx(0.1) for head, _ in lrs[0:3])
+        assert all(head == pytest.approx(0.01) for head, _ in lrs[3:6])
+        assert all(body == pytest.approx(0.001) for _, body in lrs[6:9])
 
     def test_mixup_phase(self):
         cfg = small_cfg(mode="M3", mixup_phase="even")
@@ -136,7 +146,6 @@ class TestTrain:
         manifest, root = small_dataset
         report = train(manifest, small_cfg(), root=root)
         assert len(report.epoch_losses) == 3
-        assert len(report.epoch_lrs) == 3
         assert all(np.isfinite(v) for v in report.epoch_losses)
         assert report.wall_time_s > 0
 
@@ -272,8 +281,28 @@ def _fail_at_epoch_1_batch_3(monkeypatch):
 
 
 class TestPipeline:
-    """train builds batches on one worker thread and holds OpenBLAS to one
-    thread; neither outlives train on any exit path."""
+    """train and predict build their inputs on one worker thread and hold
+    OpenBLAS to one thread; neither outlives them on any exit path."""
+
+    def test_one_owner_of_the_worker_and_the_blas_hold(self):
+        # (file, top-level definition, callee) of every call of these names in mlc
+        names = ("ThreadPoolExecutor", "_one_blas_thread", "_built_ahead")
+        calls = []
+        for path in sorted(Path(trainer.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                        if name in names:
+                            calls.append((path.name, getattr(top, "name", None), name))
+        owned = [call for call in calls if call[2] != "_built_ahead"]
+        assert sorted(owned) == [
+            ("trainer.py", "_built_ahead", "ThreadPoolExecutor"),
+            ("trainer.py", "_built_ahead", "_one_blas_thread"),
+        ]
+        users = {top for _, top, name in calls if name == "_built_ahead"}
+        assert {"train", "predict"} <= users
 
     @pytest.mark.parametrize("exit_path", ["return", "diverged", "worker-error", "interrupt"])
     def test_nothing_outlives_train(self, small_dataset, monkeypatch, exit_path):
@@ -311,6 +340,45 @@ class TestPipeline:
         if blas is not None:
             assert set(steps) == {1}
 
+    @pytest.mark.parametrize("exit_path", ["return", "worker-error", "interrupt"])
+    def test_nothing_outlives_predict(self, tmp_path, rng, monkeypatch, exit_path):
+        samples = [(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8), (0,)) for _ in range(130)]
+        manifest = write_dataset(tmp_path, "img", samples, 3)
+        params = init_params(3, (4, 4), 16, seed=0)
+        threads, blas = threading.active_count(), _blas_threads()
+        forwards, resized = [], []
+        forward_features_, resize_ = trainer.forward_features, trainer.resize
+
+        def forward(*args):
+            forwards.append(_blas_threads())
+            if exit_path == "interrupt" and len(forwards) == 2:
+                raise KeyboardInterrupt
+            return forward_features_(*args)
+
+        def resize_on_record(*args):
+            resized.append(threading.current_thread())
+            if exit_path == "worker-error" and len(resized) == PREDICT_CHUNK + 3:
+                raise PixelOutOfRange("injected in block 1")
+            return resize_(*args)
+
+        monkeypatch.setattr(trainer, "forward_features", forward)
+        monkeypatch.setattr(trainer, "resize", resize_on_record)
+        if exit_path == "return":
+            assert predict(params, manifest, (16, 16), root=tmp_path).data.shape == (130, 3)
+            assert len(forwards) == 3
+        elif exit_path == "worker-error":
+            with pytest.raises(PixelOutOfRange, match="injected"):
+                predict(params, manifest, (16, 16), root=tmp_path)
+            assert threading.main_thread() not in resized
+            assert len(forwards) == 1
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                predict(params, manifest, (16, 16), root=tmp_path)
+        assert threading.active_count() == threads
+        assert _blas_threads() == blas
+        if blas is not None:
+            assert set(forwards) == {1}
+
     def test_builds_at_most_one_batch_ahead(self, small_dataset, monkeypatch):
         manifest, root = small_dataset
         events = []
@@ -343,6 +411,25 @@ class TestPipeline:
                 [sys.executable, "-m", "mlc.cli", "train", "--manifest", str(root / "manifest.tsv"),
                  "--mode", "M3", "--size", "24", "24", "--epochs", "1", "--decay-epoch", "0",
                  "--hidden", "4096", "--seed", "5", "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_scores_do_not_depend_on_blas_threads(self, tmp_path, rng):
+        samples = [(rng.integers(0, 256, (32, 32, 3), dtype=np.uint8), (0,)) for _ in range(20)]
+        write_dataset(tmp_path, "img", samples, 3)
+        params = tmp_path / "model.params"
+        params.write_bytes(b"".join(save_params(init_params(3, (8, 8), 300, seed=1))))
+        src = Path(trainer.__file__).parents[1]
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            subprocess.run(
+                [sys.executable, "-m", "mlc.cli", "predict", "--params", str(params),
+                 "--manifest", str(tmp_path / "manifest.tsv"), "--size", "32", "32",
+                 "--out", str(out)],
                 env=env, check=True, timeout=120,
             )
             blobs.append(out.read_bytes())
@@ -392,7 +479,13 @@ class TestPredict:
         assert PREDICT_CHUNK == 64
         for n in (1, 63, 64, 65, 130):
             stack = np.stack([resize(pixels / 255.0, *size) for pixels, _ in samples[:n]])
-            expected = forward_features(params, pooled_batch(stack, params.pool_grid))
+            # every forward is of one pooled block, zero-padded to PREDICT_CHUNK rows
+            padded = np.zeros((-(-n // PREDICT_CHUNK) * PREDICT_CHUNK, params.feature_dim))
+            padded[:n] = pooled_batch(stack, params.pool_grid)
+            expected = np.concatenate([
+                forward_features(params, padded[lo : lo + PREDICT_CHUNK])
+                for lo in range(0, n, PREDICT_CHUNK)
+            ])[:n]
             manifest = DatasetManifest(full.entries[:n], 3)
             scores = predict(params, manifest, size, root=tmp_path)
             assert scores.data.tobytes() == expected.tobytes(), n
@@ -405,6 +498,32 @@ class TestPredict:
         scores, peak = traced_peak(lambda: predict(params, manifest, (side, side), root=tmp_path))
         assert scores.data.shape == (n, 3)
         assert peak < n * side * side * 3 * 8
+
+    def test_rows_do_not_depend_on_the_other_rows(self, tmp_path, rng):
+        # the default model shape; at some smaller shapes a row's place in its block counts
+        cfg = TrainConfig()
+        samples = [(rng.integers(0, 256, (20, 20, 3), dtype=np.uint8), (0,)) for _ in range(70)]
+        full = write_dataset(tmp_path, "img", samples, 6)
+        params = init_params(6, cfg.pool_grid, cfg.hidden, seed=0)
+
+        def scores(entries):
+            return predict(params, DatasetManifest(entries, 6), (20, 20), root=tmp_path).data
+
+        whole = scores(full.entries)
+        assert scores(full.entries[::-1]).tobytes() == whole[::-1].tobytes()
+        for n in (1, 10, 17):
+            assert scores(full.entries[:n]).tobytes() == whole[:n].tobytes(), n
+
+    def test_memory_does_not_grow_with_the_forward(self, tmp_path, rng):
+        # at hidden 4096 one forward over all n rows held 2 x n x 4096 floats
+        params = init_params(3, (16, 16), 4096, seed=0)
+        peaks = []
+        for n in (64, 256):
+            samples = [(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8), (0,)) for _ in range(n)]
+            manifest = write_dataset(tmp_path / str(n), "img", samples, 3)
+            _, peak = traced_peak(lambda: predict(params, manifest, (16, 16), tmp_path / str(n)))
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
 class TestAugmentedSamples:
