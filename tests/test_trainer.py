@@ -500,7 +500,11 @@ class TestPredict:
         assert peak < n * side * side * 3 * 8
 
     def test_rows_do_not_depend_on_the_other_rows(self, tmp_path, rng):
-        # the default model shape; at some smaller shapes a row's place in its block counts
+        # The prefixes keep each row at its place in a same-shaped block, so only its own
+        # pixels reach it: that part holds on any BLAS. The reversed copy moves rows within
+        # and across blocks; at the default model shape the OpenBLAS dgemm kernels measured
+        # so far give every row the same bytes there too, but at some smaller shapes they do
+        # not, and another kernel may not at this one.
         cfg = TrainConfig()
         samples = [(rng.integers(0, 256, (20, 20, 3), dtype=np.uint8), (0,)) for _ in range(70)]
         full = write_dataset(tmp_path, "img", samples, 6)
