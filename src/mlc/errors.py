@@ -86,11 +86,16 @@ class EmptyInput(MlcError):
 # -- pipeline errors ---------------------------------------------------------
 
 class DataLoadError(MlcError):
-    """A dataset file is missing or unreadable."""
+    """A dataset image is missing or unreadable, or a manifest entry leaves
+    the dataset root."""
 
 
 class DivergedLoss(MlcError):
     """A batch's mean loss is non-finite or over trainer.DIVERGENCE_FACTOR times the first's."""
+
+
+class NoVisibleArrangement(MlcError):
+    """Synthetic generation found no draw that leaves every labeled shape visible."""
 
 
 class IoError(MlcError):

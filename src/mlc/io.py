@@ -9,9 +9,9 @@ encoded blocks for `write_atomic` (`write_csv_matrix` is their join).
 Three functions touch the filesystem: `write_atomic`, the one way the
 toolkit puts bytes on disk (str, bytes, or an iterable of buffers written
 in order unjoined, as `model.save_params` gives a checkpoint that
-`model.load_params` reads back from a stream), and `load_dataset` and
-`write_dataset`, the one reader and the one writer of a dataset directory
-(manifest.tsv plus one PPM per entry, at paths relative to the manifest).
+`model.load_params` reads back from a stream), `read_image`, the one image
+reader, and `write_dataset`, the one writer of a dataset directory
+(manifest.tsv plus one PPM per entry, at paths under the manifest's own).
 """
 
 from __future__ import annotations
@@ -236,7 +236,8 @@ def write_csv_matrix(matrix: ScoreMatrix | LabelMatrix) -> str:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Ordered image paths with their label index sets; order defines row order."""
+    """Ordered image paths with their label index sets; order defines row order.
+    A path that is absolute or has a `..` component leaves the root: DataLoadError."""
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
     num_classes: int
@@ -247,6 +248,9 @@ class DatasetManifest:
         for path, indices in self.entries:
             if not path:
                 raise ParseError("manifest entry with empty path")
+            pure = PurePath(path)
+            if pure.is_absolute() or ".." in pure.parts:
+                raise DataLoadError(f"manifest entry {path!r} leaves the dataset root")
             for idx in indices:
                 if not 0 <= idx < self.num_classes:
                     raise IndexOutOfRange(f"label index {idx} outside [0, {self.num_classes})")
@@ -294,28 +298,17 @@ def write_manifest(manifest: DatasetManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_dataset(manifest: DatasetManifest, root: str | Path) -> list[np.ndarray]:
-    """Every manifest image, decoded by `read_ppm`, in manifest order.
-
-    Entry paths are relative to `root` and must stay under it: an absolute
-    path or a `..` component is a DataLoadError, raised before any read.
-    """
-    root = Path(root)
-    for rel_path, _ in manifest.entries:
-        pure = PurePath(rel_path)
-        if pure.is_absolute() or ".." in pure.parts:
-            raise DataLoadError(f"manifest entry {rel_path!r} leaves the dataset root")
-    images = []
-    for rel_path, _ in manifest.entries:
-        try:
-            blob = (root / rel_path).read_bytes()
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise DataLoadError(f"cannot read {root / rel_path}: {exc}") from exc
-        try:
-            images.append(read_ppm(blob))
-        except MlcError as exc:
-            raise DataLoadError(f"{root / rel_path}: {exc}") from exc
-    return images
+def read_image(root: str | Path, rel_path: str) -> np.ndarray:
+    """`read_ppm` of the image at `root / rel_path`; any failure is a DataLoadError naming it."""
+    path = Path(root) / rel_path
+    try:
+        blob = path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise DataLoadError(f"cannot read {path}: {exc}") from exc
+    try:
+        return read_ppm(blob)
+    except MlcError as exc:
+        raise DataLoadError(f"{path}: {exc}") from exc
 
 
 def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -> DatasetManifest:

@@ -67,9 +67,9 @@ class ModelParams:
 
 def init_params(
     num_classes: int,
-    pool_grid: tuple[int, int] = (16, 16),
-    hidden: int = 4096,
-    seed: int = 0,
+    pool_grid: tuple[int, int],
+    hidden: int,
+    seed: int,
 ) -> ModelParams:
     """Seeded uniform init in +/- 1/sqrt(fan_in) per layer; weights too large
     to allocate are ShapeMismatch."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .augment import STREAM_GEN, rng_stream
-from .errors import ShapeMismatch
+from .errors import NoVisibleArrangement, ShapeMismatch
 from .io import DatasetManifest, quantize, write_dataset
 
 # saturated RGB corners, then half-intensity corners; all byte-exact
@@ -121,7 +121,9 @@ def render(cfg: SynthConfig, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
         visible = census(pixels, cfg.num_classes)
         if all(visible[j] >= _MIN_VISIBLE_PIXELS for j in classes):
             return pixels, tuple(int(j) for j in classes)
-    raise RuntimeError(f"image {index}: no visible arrangement in {_MAX_DRAW_ATTEMPTS} attempts")
+    raise NoVisibleArrangement(
+        f"image {index}: no visible arrangement in {_MAX_DRAW_ATTEMPTS} attempts"
+    )
 
 
 def generate(cfg: SynthConfig, out_dir: str | Path) -> DatasetManifest:

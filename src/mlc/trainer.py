@@ -46,7 +46,7 @@ from .augment import (
     MODES, STREAM_AUG, STREAM_MIX, STREAM_SHUFFLE, apply_mode, mixup, resize, rng_stream,
 )
 from .errors import DivergedLoss, EmptyInput, ShapeMismatch
-from .io import DatasetManifest, load_dataset, quantize, write_atomic
+from .io import DatasetManifest, quantize, read_image, write_atomic
 from .model import (
     ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
 )
@@ -242,7 +242,8 @@ def train(
     start = time.perf_counter()
     if len(manifest) == 0:
         raise EmptyInput("manifest lists no images to train on")
-    images, labels = load_dataset(manifest, root), manifest.label_matrix()
+    images = [read_image(root, path) for path, _ in manifest.entries]  # each epoch draws all
+    labels = manifest.label_matrix()
     num_batches = len(range(0, len(images), cfg.batch_size))
     # sgd_step updates these arrays in place
     params = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
@@ -292,24 +293,27 @@ def predict(
 ) -> ScoreMatrix:
     """Raw logits per image: byte / 255, plain resize to input_size, no augmentation.
 
-    Each forward is of one PREDICT_CHUNK-row pooled block, zero-padded after the
-    last image, so a row depends on its image and its place in its block only.
+    Each forward is of one PREDICT_CHUNK-row pooled block, its images read as it
+    is built and zero-padded after the last, so only one block's images are held
+    and a row depends on its image and its place in its block only.
     """
     check_pool_grid(params.pool_grid, input_size)
-    images = load_dataset(manifest, root)
+    n = len(manifest)
+    if n == 0:
+        raise EmptyInput("manifest lists no images to score")
 
     def pooled_blocks() -> Iterator[np.ndarray]:
-        pixels = _pixel_batch(min(len(images), PREDICT_CHUNK), input_size)
-        for lo in range(0, len(images), PREDICT_CHUNK):
-            chunk = images[lo : lo + PREDICT_CHUNK]
-            for j, image in enumerate(chunk):
-                pixels[j] = resize(image.astype(np.float64) / 255.0, *input_size)
+        pixels = _pixel_batch(min(n, PREDICT_CHUNK), input_size)
+        for lo in range(0, n, PREDICT_CHUNK):
+            chunk = manifest.entries[lo : lo + PREDICT_CHUNK]
+            for j, (path, _) in enumerate(chunk):
+                pixels[j] = resize(read_image(root, path).astype(np.float64) / 255.0, *input_size)
             features = pooled_batch(pixels[: len(chunk)], params.pool_grid)
             yield np.pad(features, ((0, PREDICT_CHUNK - len(chunk)), (0, 0)))
 
-    scores = np.empty((len(images), params.num_classes))
+    scores = np.empty((n, params.num_classes))
     with _built_ahead(pooled_blocks()) as blocks:
-        for lo, features in zip(range(0, len(images), PREDICT_CHUNK), blocks):
+        for lo, features in zip(range(0, n, PREDICT_CHUNK), blocks):
             rows = scores[lo : lo + PREDICT_CHUNK]
             rows[:] = forward_features(params, features)[: len(rows)]
     return ScoreMatrix(scores)
@@ -320,8 +324,11 @@ def augmented_samples(
 ) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     """(uint8 pixels, label indices) of each epoch-0 sample of `mode`, for
     `io.write_dataset`: training's batches of PREDICT_CHUNK images in manifest
-    order, M3 mixing consecutive pairs. Nothing is read before the first draw."""
-    images, labels = load_dataset(manifest, root), manifest.label_matrix()
+    order, M3 mixing consecutive pairs. Nothing is read before the first draw,
+    which reads every image: `write_dataset` draws before it touches its
+    directory, so a bad input image leaves that directory as it was."""
+    images = [read_image(root, path) for path, _ in manifest.entries]
+    labels = manifest.label_matrix()
     for lo in range(0, len(images), PREDICT_CHUNK):
         chunk = np.arange(lo, min(lo + PREDICT_CHUNK, len(images)))
         mix_order = np.arange(len(chunk)) if mode == "M3" else None

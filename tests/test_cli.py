@@ -473,6 +473,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_predict_empty_manifest_is_runtime_error(self, tmp_path, capsys):
+        # no reader accepts the 0-byte CSV such a run would write
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("#classes=3\n")
+        out = tmp_path / "scores.csv"
+        assert main([
+            "predict", "--params", str(V1_FIXTURE), "--manifest", str(manifest),
+            "--size", "24", "24", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_gen_without_a_visible_arrangement_is_runtime_error(self, tmp_path, capsys):
+        # no draw of twelve shapes on 32x32 leaves all visible; image 0 fails before --out is made
+        out = tmp_path / "g"
+        assert main([
+            "gen", "--out", str(out), "--num", "20", "--size", "32", "32",
+            "--classes", "12", "--min-concepts", "12", "--max-concepts", "12",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "no visible arrangement" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["../outside.ppm", "ABSOLUTE"])
     def test_train_entry_outside_root_is_runtime_error(self, dataset, tmp_path, capsys, entry):
         manifest = manifest_of(dataset / "manifest.tsv")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import os
@@ -32,9 +33,9 @@ from mlc.io import (
     CSV_BLOCK_ROWS,
     DatasetManifest,
     csv_blocks,
-    load_dataset,
     quantize,
     read_csv_matrix,
+    read_image,
     read_ppm,
     write_atomic,
     write_csv_matrix,
@@ -155,13 +156,27 @@ class TestQuantize:
             quantize(data)
 
 
-def test_load_dataset_keeps_one_byte_per_channel(tmp_path, rng):
+def test_read_image_keeps_one_byte_per_channel(tmp_path, rng):
     n, side = 50, 64
     samples = [(rng.integers(0, 256, (side, side, 3), dtype=np.uint8), (0,)) for _ in range(n)]
     manifest = write_dataset(tmp_path, "img", samples, 1)
-    images, peak = traced_peak(lambda: load_dataset(manifest, tmp_path))
+    images, peak = traced_peak(lambda: [read_image(tmp_path, p) for p, _ in manifest.entries])
     assert [img.tobytes() for img in images] == [pixels.tobytes() for pixels, _ in samples]
     assert peak < 1.5 * n * side * side * 3
+
+
+def test_read_image_is_the_one_caller_of_read_ppm():
+    # (file, top-level definition) of every call of read_ppm in mlc
+    callers = []
+    for path in sorted(Path(mlc.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    if name == "read_ppm":
+                        callers.append((path.name, getattr(top, "name", None)))
+    assert callers == [("io.py", "read_image")]
 
 
 def _read(text: str | bytes, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
@@ -413,6 +428,10 @@ class TestManifest:
     def test_missing_header(self):
         with pytest.raises(MissingClassHeader):
             manifest_of("img0.ppm\t0\n")
+
+    def test_entries_under_the_root_accepted(self):
+        man = manifest_of("#classes=3\nsub/a.ppm\t0\n./b.ppm\t1\na..b.ppm\t2\n")
+        assert [path for path, _ in man.entries] == ["sub/a.ppm", "./b.ppm", "a..b.ppm"]
 
     def test_round_trip_identity(self):
         man = DatasetManifest((("a.ppm", (0, 2)), ("b.ppm", ()), ("c.ppm", (1,))), 3)

@@ -18,7 +18,7 @@ from mlc.errors import (
     GridTooLarge,
     PixelOutOfRange,
 )
-from mlc.io import DatasetManifest, load_dataset, quantize, write_dataset
+from mlc.io import DatasetManifest, quantize, read_image, write_dataset
 from mlc.model import ModelParams, forward_features, init_params, pooled_batch, save_params
 from mlc.synthgen import SynthConfig, generate
 from mlc.trainer import (
@@ -231,14 +231,12 @@ class TestTrain:
             assert len(calls) == 6
 
     def test_missing_image_raises_data_load_error(self, tmp_path):
-        manifest = DatasetManifest((("missing.ppm", (0,)),), 2)
         with pytest.raises(DataLoadError):
-            load_dataset(manifest, tmp_path)
+            read_image(tmp_path, "missing.ppm")
 
     def test_nul_byte_in_entry_is_data_load_error(self, tmp_path):
-        manifest = DatasetManifest((("a\x00b.ppm", (0,)),), 2)
         with pytest.raises(DataLoadError, match="cannot read"):
-            load_dataset(manifest, tmp_path)
+            read_image(tmp_path, "a\x00b.ppm")
 
     @pytest.mark.parametrize("entry", ["../outside.ppm", "sub/../../outside.ppm", "ABSOLUTE"])
     def test_entries_outside_the_root_rejected_before_reading(
@@ -247,17 +245,14 @@ class TestTrain:
         manifest, root = small_dataset
         outside = tmp_path / "outside.ppm"
         outside.write_bytes((root / manifest.entries[0][0]).read_bytes())
-        dataset_root = tmp_path / "ds"
-        dataset_root.mkdir()
         entry = str(outside) if entry == "ABSOLUTE" else entry
-        escaping = DatasetManifest((manifest.entries[0], (entry, (0,))), manifest.num_classes)
 
         def no_read(blob):
             raise AssertionError("an image was read before the path check")
 
         monkeypatch.setattr("mlc.io.read_ppm", no_read)
         with pytest.raises(DataLoadError, match="leaves the dataset root"):
-            load_dataset(escaping, dataset_root)
+            DatasetManifest((manifest.entries[0], (entry, (0,))), manifest.num_classes)
 
 
 def _blas_threads():
@@ -528,6 +523,23 @@ class TestPredict:
             _, peak = traced_peak(lambda: predict(params, manifest, (16, 16), tmp_path / str(n)))
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+
+    def test_memory_does_not_grow_with_the_images(self, tmp_path, rng):
+        # a block's images are read as it is built; 576 more decoded 64x64 images are 6.75 MiB
+        params = init_params(3, (4, 4), 8, seed=0)
+        peaks = []
+        for n in (64, 640):
+            samples = ((rng.integers(0, 256, (64, 64, 3), dtype=np.uint8), (0,)) for _ in range(n))
+            manifest = write_dataset(tmp_path / str(n), "img", samples, 3)
+            _, peak = traced_peak(lambda: predict(params, manifest, (64, 64), tmp_path / str(n)))
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2**20, peaks
+
+    def test_empty_manifest_raises(self):
+        # as in train: no reader accepts the scores of no rows
+        params = init_params(3, (4, 4), 8, seed=0)
+        with pytest.raises(EmptyInput):
+            predict(params, DatasetManifest((), 3), (8, 8))
 
 
 class TestAugmentedSamples:
