@@ -19,7 +19,7 @@ from .io import csv_blocks, read_csv_matrix, read_manifest, write_atomic, write_
 from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
-from .trainer import MIXUP_PHASES, TrainConfig, augmented_samples, predict, train
+from .trainer import TrainConfig, augmented_samples, predict, train
 
 
 class _UsageError(Exception):
@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="learning-rate decay factor")
     p.add_argument("--decay-epoch", type=int, default=cfg.lr_decay_epoch,
                    help="epoch at which the decay applies")
-    p.add_argument("--mixup-phase", choices=MIXUP_PHASES, default=cfg.mixup_phase,
-                   help="epochs on which M3 mixup is active")
     p.add_argument("--pool-grid", nargs=2, type=int, default=list(cfg.pool_grid),
                    metavar=("GH", "GW"), help="adaptive pooling grid")
     p.add_argument("--hidden", type=int, default=cfg.hidden, help="hidden layer width")
@@ -164,7 +162,6 @@ def _cmd_train(args) -> None:
         lr_decay_factor=args.decay_factor,
         lr_decay_epoch=args.decay_epoch,
         mode=args.mode,
-        mixup_phase=args.mixup_phase,
         input_size=_input_size(args),
         seed=args.seed,
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),

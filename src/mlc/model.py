@@ -22,9 +22,7 @@ import numpy as np
 from . import kernels
 from .augment import STREAM_INIT, rng_stream
 from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
-from .io import ascii_lines
 
-CHECKPOINT_V1 = "mlc-params v1"
 CHECKPOINT_V2 = "mlc-params v2"
 
 
@@ -184,15 +182,12 @@ def sgd_step(
 
 
 # -- checkpoint format ---------------------------------------------------------
-# v2 (written): the ASCII lines "mlc-params v2" and "gh gw hidden classes",
-# each ending in "\n", then the raw little-endian float64 bytes of b1, b2,
-# W1 (row-major) and W2, and nothing after them. The bytes depend only on
-# the weights, so equal weights give equal files on every host.
-# v1 (still read): line 1 "mlc-params v1"; line 2 "gh gw hidden classes";
-# then b1, b2, the rows of W1 and the rows of W2 as comma-separated repr()
-# floats.
+# The ASCII lines "mlc-params v2" and "gh gw hidden classes", each ending in
+# "\n", then the raw little-endian float64 bytes of b1, b2, W1 (row-major)
+# and W2, and nothing after them. The bytes depend only on the weights, so
+# equal weights give equal files on every host.
 
-_V2_MAGIC = (CHECKPOINT_V2 + "\n").encode("ascii")
+_MAGIC = (CHECKPOINT_V2 + "\n").encode("ascii")
 
 
 def save_params(params: ModelParams) -> list[bytes | memoryview]:
@@ -208,79 +203,44 @@ def save_params(params: ModelParams) -> list[bytes | memoryview]:
 
 
 def load_params(stream: BinaryIO) -> ModelParams:
-    """Decode a v2 or v1 checkpoint, chosen by its first line, from a seekable
-    binary stream; a v2 payload is read straight into the arrays, and v1
-    text is read again from where the v2 magic was checked, by `io.ascii_lines`.
+    """Decode an `mlc-params v2` checkpoint from a seekable binary stream.
 
-    Fails only with ParseError, or with NonFinite from the ModelParams checks.
+    The dimensions and the exact payload length are checked before anything
+    is allocated, so the stream must seek; then the payload is read straight
+    into the arrays. Fails only with ParseError, or with NonFinite from the
+    ModelParams checks.
     """
-    start = stream.tell()
-    if stream.read(len(_V2_MAGIC)) == _V2_MAGIC:
-        return _load_v2(stream)
-    stream.seek(start)
-    return _load_v1(ascii_lines(stream))
-
-
-def _dimensions(line: str | bytes) -> tuple[int, int, int, int]:
-    """Parse the "gh gw hidden classes" line; all four must be positive."""
+    if stream.read(len(_MAGIC)) != _MAGIC:
+        raise ParseError(f"missing checkpoint header {CHECKPOINT_V2!r}")
+    line = stream.readline()
+    if not line.endswith(b"\n"):
+        raise ParseError("checkpoint has no dimension line")
     try:
         dims = tuple(int(tok) for tok in line.split())
     except ValueError:
         raise ParseError("bad checkpoint dimension line") from None
     if len(dims) != 4 or min(dims) < 1:
         raise ParseError("checkpoint dimensions must be four positive integers")
-    return dims
-
-
-def _load_v2(stream: BinaryIO) -> ModelParams:
-    line = stream.readline()
-    if not line.endswith(b"\n"):
-        raise ParseError("v2 checkpoint has no dimension line")
-    gh, gw, hidden, classes = _dimensions(line)
+    gh, gw, hidden, classes = dims
     d = gh * gw * 3
     counts = (hidden, classes, d * hidden, hidden * classes)
-    # the exact payload length is checked before anything is allocated
-    offset = stream.tell()
-    payload = stream.seek(0, os.SEEK_END) - offset
-    stream.seek(offset)
     expected = 8 * sum(counts)
+    try:
+        offset = stream.tell()
+        payload = stream.seek(0, os.SEEK_END) - offset
+        stream.seek(offset)
+    except OSError as exc:
+        name = getattr(stream, "name", "stream")
+        raise ParseError(f"{name}: checkpoint stream cannot seek: {exc.strerror or exc}") from None
     if payload != expected:
-        raise ParseError(f"v2 checkpoint has {payload} payload bytes, expected {expected}")
+        raise ParseError(f"checkpoint has {payload} payload bytes, expected {expected}")
     arrays = []
     for count in counts:
         arr = np.empty(count, dtype="<f8")
         if stream.readinto(memoryview(arr).cast("B")) != 8 * count:
-            raise ParseError(f"v2 checkpoint payload ends before its {expected} bytes")
+            raise ParseError(f"checkpoint payload ends before its {expected} bytes")
         arrays.append(arr.astype(np.float64, copy=False))  # a no-op on little-endian hosts
     b1, b2, w1, w2 = arrays
     return ModelParams(
         pool_grid=(gh, gw), W1=w1.reshape(d, hidden), b1=b1, W2=w2.reshape(hidden, classes), b2=b2
     )
-
-
-def _load_v1(lines: list[str]) -> ModelParams:
-    lines = [ln for ln in lines if ln != ""]
-    if not lines or lines[0] != CHECKPOINT_V1:
-        raise ParseError(f"missing checkpoint header {CHECKPOINT_V2!r} or {CHECKPOINT_V1!r}")
-    if len(lines) < 2:
-        raise ParseError("bad checkpoint dimension line")
-    gh, gw, hidden, classes = _dimensions(lines[1])
-    d = gh * gw * 3
-    expected = 2 + 2 + d + hidden
-    if len(lines) != expected:
-        raise ParseError(f"checkpoint has {len(lines)} lines, expected {expected}")
-
-    def row(line: str, width: int) -> np.ndarray:
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(f"checkpoint row has {len(cells)} cells, expected {width}")
-        try:
-            return np.array([float(c) for c in cells], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"bad checkpoint value: {exc}") from None
-
-    b1 = row(lines[2], hidden)
-    b2 = row(lines[3], classes)
-    w1 = np.stack([row(lines[4 + i], hidden) for i in range(d)])
-    w2 = np.stack([row(lines[4 + d + i], classes) for i in range(hidden)])
-    return ModelParams(pool_grid=(gh, gw), W1=w1, b1=b1, W2=w2, b2=b2)

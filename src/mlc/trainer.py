@@ -1,12 +1,12 @@
 """Mini-batch SGD training with mode-specific augmentation and test scoring.
 
 Modes: M1 = random flip only, M2 = flip + random-resized-crop, M3 = the M2
-pipeline plus mixup on alternating epochs (random disjoint pairs within
-each batch; an odd leftover passes through unmixed). The learning rate of
-each parameter group is multiplied by lr_decay_factor from lr_decay_epoch
-on; W2/b2 form the head group, W1/b1 the body group. Training stops with
-DivergedLoss at the first batch whose mean loss is not finite or exceeds
-DIVERGENCE_FACTOR times the first batch's.
+pipeline plus mixup on the even epochs 0, 2, 4 ... (random disjoint pairs
+within each batch; an odd leftover passes through unmixed). The learning
+rate of each parameter group is multiplied by lr_decay_factor from
+lr_decay_epoch on; W2/b2 form the head group, W1/b1 the body group.
+Training stops with DivergedLoss at the first batch whose mean loss is not
+finite or exceeds DIVERGENCE_FACTOR times the first batch's.
 
 Everything random is keyed off (seed, stream, epoch, index) Philox
 streams, and batches reduce in a fixed order, so a (seed, config) pair
@@ -55,7 +55,6 @@ from .types import LabelMatrix, ScoreMatrix
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
-MIXUP_PHASES = ("even", "odd")  # M3 mixes on the epochs whose parity is the phase's index
 # images predict and augmented_samples hold as floats, and the rows of each predict
 # forward; even, so no mixup pair is split
 PREDICT_CHUNK = 64
@@ -70,7 +69,6 @@ class TrainConfig:
     lr_decay_factor: float = 0.1
     lr_decay_epoch: int = 20
     mode: str = "M1"
-    mixup_phase: str = "even"
     input_size: tuple[int, int] = (64, 64)
     seed: int = 0
     pool_grid: tuple[int, int] = (16, 16)
@@ -90,8 +88,6 @@ class TrainConfig:
             raise ValueError(f"lr_decay_epoch must be in [0, epochs), got {self.lr_decay_epoch}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mixup_phase not in MIXUP_PHASES:
-            raise ValueError(f"mixup_phase must be one of {MIXUP_PHASES}, got {self.mixup_phase!r}")
         if min(self.input_size) < 1 or min(self.pool_grid) < 1 or self.hidden < 1:
             raise ValueError("input_size, pool_grid and hidden must be positive")
         (gh, gw), (height, width) = self.pool_grid, self.input_size
@@ -112,7 +108,7 @@ def effective_lrs(cfg: TrainConfig, epoch: int) -> tuple[float, float]:
 
 
 def mixup_active(cfg: TrainConfig, epoch: int) -> bool:
-    return cfg.mode == "M3" and epoch % 2 == MIXUP_PHASES.index(cfg.mixup_phase)
+    return cfg.mode == "M3" and epoch % 2 == 0
 
 
 def _pixel_batch(n: int, size: tuple[int, int]) -> np.ndarray:
@@ -221,14 +217,19 @@ def _one_blas_thread() -> Iterator[None]:
 @contextmanager
 def _built_ahead(items: Iterator) -> Iterator[Iterator]:
     """An iterator over `items` (never None) whose next item one worker thread
-    makes while the caller uses the current one, OpenBLAS held to one thread."""
+    makes while the caller uses the current one, OpenBLAS held to one thread.
+
+    numpy's overflow and invalid-value warnings are off in the block: a
+    non-finite loss or score is reported as DivergedLoss or NonFinite instead.
+    """
     def ahead(worker: ThreadPoolExecutor) -> Iterator:
         pending = worker.submit(next, items, None)
         while (item := pending.result()) is not None:
             pending = worker.submit(next, items, None)
             yield item
 
-    with _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-ahead") as worker:
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet, _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-ahead") as worker:
         yield ahead(worker)
 
 

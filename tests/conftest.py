@@ -8,6 +8,9 @@ import pytest
 from mlc.io import DatasetManifest, read_manifest
 from mlc.model import ModelParams, sgd_step
 
+# the bytes of save_params(init_params(3, (2, 2), 5, seed=0))
+CHECKPOINT = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.params"
+
 
 @pytest.fixture
 def rng():

@@ -1,6 +1,10 @@
 import ast
 import hashlib
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +14,11 @@ import mlc.io
 from mlc import cli
 from mlc.cli import main
 from mlc.io import DatasetManifest, read_csv_matrix, write_csv_matrix, write_manifest
+from mlc.model import ModelParams, save_params
 from mlc.trainer import _augmented_batch
 from mlc.types import LabelMatrix, ScoreMatrix
 
-from conftest import manifest_of, traced_peak
-
-# written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
-V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
+from conftest import CHECKPOINT, manifest_of, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -120,26 +122,10 @@ class TestTrainPredictEvaluate:
             loaded = load_params(stream)
         assert loaded.num_classes == 6
 
-    def test_predict_reads_v1_and_v2_alike(self, dataset, tmp_path):
-        from mlc.model import init_params, save_params
-
-        v2 = tmp_path / "model.v2.params"
-        v2.write_bytes(b"".join(save_params(init_params(3, pool_grid=(2, 2), hidden=5, seed=0))))
-        outputs = []
-        for params in (V1_FIXTURE, v2):
-            out = tmp_path / f"{params.name}.csv"
-            assert main([
-                "predict", "--params", str(params), "--manifest", str(dataset / "manifest.tsv"),
-                "--size", "24", "24", "--out", str(out),
-            ]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0].splitlines()) == 12
-
     def test_predict_scores_golden(self, dataset, tmp_path):
         out = tmp_path / "scores.csv"
         assert main([
-            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset / "manifest.tsv"),
             "--size", "24", "24", "--out", str(out),
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
@@ -147,8 +133,6 @@ class TestTrainPredictEvaluate:
         )
 
     def test_failed_write_keeps_old_scores(self, dataset, tmp_path, monkeypatch):
-        import os
-
         out = tmp_path / "scores.csv"
         out.write_bytes(b"old\n")
 
@@ -157,7 +141,7 @@ class TestTrainPredictEvaluate:
 
         monkeypatch.setattr(os, "replace", fail)
         assert main([
-            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset / "manifest.tsv"),
             "--size", "24", "24", "--out", str(out),
         ]) == 1
         assert out.read_bytes() == b"old\n"
@@ -378,7 +362,7 @@ class TestInterruptedDatasetWrite:
 # included), 1 any other failure. {data} is the fixture dataset and {tmp} a
 # directory holding s.csv (2x2 scores) and y.csv (2x2 labels).
 _TRAIN = "--mode M1 --size 24 24 --decay-epoch 0 --pool-grid 2 2 --hidden 4 --out {tmp}/m.params"
-_PREDICT = "--params {v1} --manifest {data}/manifest.tsv --out {tmp}/p.csv"
+_PREDICT = "--params {params} --manifest {data}/manifest.tsv --out {tmp}/p.csv"
 _EVALUATE = "--scores {tmp}/s.csv --labels {tmp}/y.csv"
 EXIT_CODE_TABLE = [
     ("gen", 0, "--out {tmp}/g --num 2 --size 16 16"),
@@ -389,7 +373,7 @@ EXIT_CODE_TABLE = [
     ("train", 1, "--manifest {tmp}/none.tsv --epochs 1 " + _TRAIN),
     ("predict", 0, _PREDICT + " --size 24 24"),
     ("predict", 2, _PREDICT + " --size 0 24"),
-    ("predict", 1, _PREDICT.replace("{v1}", "{tmp}/none.params") + " --size 24 24"),
+    ("predict", 1, _PREDICT.replace("{params}", "{tmp}/none.params") + " --size 24 24"),
     ("evaluate", 0, _EVALUATE + " --k 1"),
     ("evaluate", 2, _EVALUATE + " --k 0"),
     ("evaluate", 1, _EVALUATE + " --k 3"),
@@ -408,7 +392,7 @@ EXIT_CODE_TABLE = [
 def test_readme_exit_code_table(dataset, tmp_path, capsys, command, code, args):
     (tmp_path / "s.csv").write_text("0.5,0.1\n0.2,0.9\n")
     (tmp_path / "y.csv").write_text("1,0\n0,1\n")
-    argv = [command, *args.format(data=dataset, tmp=tmp_path, v1=V1_FIXTURE).split()]
+    argv = [command, *args.format(data=dataset, tmp=tmp_path, params=CHECKPOINT).split()]
     try:
         got = main(argv)
     except SystemExit as exc:  # argparse's usage errors
@@ -479,7 +463,7 @@ class TestExitCodes:
         manifest.write_text("#classes=3\n")
         out = tmp_path / "scores.csv"
         assert main([
-            "predict", "--params", str(V1_FIXTURE), "--manifest", str(manifest),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(manifest),
             "--size", "24", "24", "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
@@ -541,7 +525,7 @@ class TestExitCodes:
             "evaluate": ["evaluate", "--scores", str(bad), "--labels", str(good)],
             "fuse": ["fuse", str(good), str(bad), "--out", str(tmp_path / "f.csv")],
             "train": ["train", *manifest, "--mode", "M1", "--out", str(tmp_path / "x.params")],
-            "predict": ["predict", "--params", str(V1_FIXTURE), *manifest,
+            "predict": ["predict", "--params", str(CHECKPOINT), *manifest,
                         "--out", str(tmp_path / "s.csv")],
             "augment": ["augment", *manifest, "--mode", "M3", "--out-dir", str(tmp_path / "a")],
         }[command]
@@ -618,7 +602,7 @@ class TestExitCodes:
         out = tmp_path / "scores"
         out.mkdir()
         assert main([
-            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset / "manifest.tsv"),
             "--size", "24", "24", "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
@@ -698,6 +682,67 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_predict_v1_checkpoint_names_the_v2_header(self, dataset, tmp_path, capsys):
+        # the first lines of a checkpoint in the retired text format
+        params = tmp_path / "old.params"
+        params.write_text("mlc-params v1\n2 2 5 3\n0.02160163177293639,0.13603346174552106\n")
+        assert main([
+            "predict", "--params", str(params), "--manifest", str(dataset / "manifest.tsv"),
+            "--size", "24", "24", "--out", str(tmp_path / "s.csv"),
+        ]) == 1
+        assert capsys.readouterr().err == "error: missing checkpoint header 'mlc-params v2'\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_predict_from_a_pipe_is_parse_error(self, dataset, tmp_path, capsys):
+        # the payload length is checked by seeking, which a pipe cannot do
+        fifo = tmp_path / "model.params"
+        os.mkfifo(fifo)
+        # a reader held open lets the writer open without blocking, and the
+        # writer held open lets `mlc predict` open the pipe without blocking
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer = os.open(fifo, os.O_WRONLY)
+        try:
+            os.write(writer, CHECKPOINT.read_bytes())
+            code = main([
+                "predict", "--params", str(fifo), "--manifest", str(dataset / "manifest.tsv"),
+                "--size", "24", "24", "--out", str(tmp_path / "s.csv"),
+            ])
+        finally:
+            os.close(writer)
+            os.close(reader)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fifo}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_overflow_prints_only_the_error_line(self, dataset, tmp_path, command):
+        # a real process: pytest would capture numpy's warnings before stderr
+        if command == "train":
+            args = [
+                "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1", "--size", "24", "24",
+                "--batch-size", "4", "--pool-grid", "4", "4", "--hidden", "8", "--epochs", "3",
+                "--decay-epoch", "1", "--lr-head", "1e200", "--lr-body", "1e200",
+                "--out", str(tmp_path / "m.params"),
+            ]
+        else:
+            huge = ModelParams(
+                (2, 2), np.full((12, 5), 1e305), np.full(5, 1e305), np.full((5, 3), 1e305),
+                np.full(3, 1e305),
+            )
+            (tmp_path / "huge.params").write_bytes(b"".join(save_params(huge)))
+            args = [
+                "--params", str(tmp_path / "huge.params"), "--manifest",
+                str(dataset / "manifest.tsv"), "--size", "24", "24", "--out", str(tmp_path / "s.csv"),
+            ]
+        run = subprocess.run(
+            [sys.executable, "-m", "mlc.cli", command, *args],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1, run.stderr
+
     def test_augment_config_error_is_usage_error(self, dataset, tmp_path, capsys):
         assert main([
             "augment", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
@@ -712,7 +757,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "load_params", no_read)
         out = tmp_path / "s.csv"
         assert main([
-            "predict", "--params", str(V1_FIXTURE), "--manifest", str(dataset / "manifest.tsv"),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset / "manifest.tsv"),
             "--size", "0", "16", "--out", str(out),
         ]) == 2
         err = capsys.readouterr().err
@@ -761,7 +806,7 @@ class TestExitCodes:
         out = str(tmp_path / "out")
         argv = {
             "train": ["train", "--mode", "M1", "--out", out],
-            "predict": ["predict", "--params", str(V1_FIXTURE), "--out", out],
+            "predict": ["predict", "--params", str(CHECKPOINT), "--out", out],
             "augment": ["augment", "--mode", "M3", "--out-dir", out],
         }[command]
         assert main([*argv, "--manifest", str(manifest)]) == 1
@@ -792,7 +837,7 @@ class TestExitCodes:
         argv = {
             "train": ["train", "--mode", "M1", "--epochs", "1", "--decay-epoch", "0",
                       "--hidden", "4", "--size", "24", "24", "--out", str(tmp_path / "x")],
-            "predict": ["predict", "--params", str(V1_FIXTURE), "--size", "24", "24",
+            "predict": ["predict", "--params", str(CHECKPOINT), "--size", "24", "24",
                         "--out", str(tmp_path / "x")],
             "augment": ["augment", "--mode", "M1", "--out-dir", str(tmp_path / "x")],
         }[command]
@@ -820,7 +865,7 @@ class TestExitCodes:
         argv = {
             "gen": ["gen", "--out", str(tmp_path / "x"), "--num", "1"],
             "train": [*train, "--hidden", "4"],
-            "predict": ["predict", "--params", str(V1_FIXTURE), "--manifest", manifest,
+            "predict": ["predict", "--params", str(CHECKPOINT), "--manifest", manifest,
                         "--out", str(tmp_path / "x")],
             "augment": ["augment", "--manifest", manifest, "--mode", "M1",
                         "--out-dir", str(tmp_path / "x")],
@@ -885,3 +930,21 @@ def test_cli_imports_no_numpy_and_no_private_names():
             elif node.level > 0 or package == "mlc":
                 bad += [alias.name for alias in node.names if alias.name.startswith("_")]
     assert bad == []
+
+
+def test_readme_cli_block_parses():
+    # every `mlc` command of the README's CLI example, backslash-continued
+    # lines joined, is one the parser accepts, so the docs keep no dead flag
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines() if line.startswith("mlc ")
+    ]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

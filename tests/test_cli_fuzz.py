@@ -69,7 +69,6 @@ SPECS = {
         ("--lr-body", [RATES], False),
         ("--decay-factor", [RATES], False),
         ("--decay-epoch", [(["0", "1"], ["2", "-1"])], True),
-        ("--mixup-phase", [(["even", "odd"], ["both"])], False),
         ("--pool-grid", [GRID, GRID], False),
         ("--hidden", [(["1", "4", "8"], ["0"])], True),
         ("--log", [OUTS], False),

@@ -1,7 +1,5 @@
 import io
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +20,7 @@ from mlc.model import (
     sigmoid,
 )
 
-from conftest import copy_params, random_image, step_gradients, traced_peak
-
-# written by the v1 text writer from init_params(3, (2, 2), 5, seed=0)
-V1_FIXTURE = Path(__file__).parent / "data" / "init_c3_g2x2_h5_seed0.v1.params"
+from conftest import CHECKPOINT, copy_params, random_image, step_gradients, traced_peak
 
 
 def tiny_params(rng, pool_grid=(2, 2), hidden=4, classes=3, scale=0.5):
@@ -301,40 +296,17 @@ class TestCheckpoint:
             assert arr.dtype == np.float64 and arr.dtype.isnative
             assert arr.flags.writeable and arr.flags.c_contiguous
 
-    def test_v1_fixture_loads_to_the_same_model(self):
-        params = init_params(3, pool_grid=(2, 2), hidden=5, seed=0)
-        with open(V1_FIXTURE, "rb") as stream:
-            from_v1 = load_params(stream)
-        from_v2 = _load(_saved(params))
-        for name in ("W1", "b1", "W2", "b2"):
-            np.testing.assert_array_equal(getattr(from_v1, name), getattr(params, name))
-            np.testing.assert_array_equal(getattr(from_v2, name), getattr(params, name))
-        assert _saved(from_v1) == _saved(params)
+    def test_fixture_is_the_saved_init(self):
+        assert CHECKPOINT.read_bytes() == _saved(init_params(3, pool_grid=(2, 2), hidden=5, seed=0))
 
     def test_missing_header(self):
-        with pytest.raises(ParseError):
-            _load(b"not-a-checkpoint\n1 1 1 1\n")
+        for head in (b"not-a-checkpoint\n", b"mlc-params v1\n", b"", b"mlc-params v2"):
+            with pytest.raises(ParseError, match="missing checkpoint header 'mlc-params v2'"):
+                _load(head + b"2 2 5 3\n")
 
     def test_non_ascii_is_parse_error(self):
         with pytest.raises(ParseError):
-            _load("mlc-params v1\n1 1 1 1\n\u00e9\n".encode("utf-8"))
-
-    def test_v1_non_ascii_error_names_the_file_and_offset(self, tmp_path):
-        blob = bytearray(V1_FIXTURE.read_bytes())
-        offset = len(blob) // 2
-        blob[offset] = 0xE9
-        path = tmp_path / "model.v1.params"
-        path.write_bytes(bytes(blob))
-        message = re.escape(f"{path}: non-ASCII byte at offset {offset}")
-        with open(path, "rb") as stream, pytest.raises(ParseError, match=message):
-            load_params(stream)
-
-    def test_v1_is_read_from_where_the_magic_was_checked(self):
-        stream = io.BytesIO(b"prefix" + V1_FIXTURE.read_bytes())
-        stream.seek(len(b"prefix"))
-        loaded = load_params(stream)
-        with open(V1_FIXTURE, "rb") as fixture:
-            assert _saved(loaded) == _saved(load_params(fixture))
+            _load("mlc-params v2\n1 1 1 \u00e9\n".encode("utf-8"))
 
     def test_truncated_body(self, rng):
         blob = _saved(init_params(3, pool_grid=(1, 1), hidden=2, seed=0))
@@ -342,9 +314,6 @@ class TestCheckpoint:
             _load(blob[:-1])
         with pytest.raises(ParseError):
             _load(blob + b"\0")
-        text = V1_FIXTURE.read_text(encoding="ascii")
-        with pytest.raises(ParseError):
-            _load(("\n".join(text.splitlines()[:-1]) + "\n").encode("ascii"))
 
     def test_short_read_is_parse_error(self):
         # the stream's length promises the whole payload, but its reads fall short
@@ -359,12 +328,9 @@ class TestCheckpoint:
             b"mlc-params v2\n0 1 1 1\n" + bytes(8 * 3),
             b"mlc-params v2\n1 1 1 0\n" + bytes(8 * 4),
             b"mlc-params v2\n-1 -1 1 1\n" + bytes(8 * 6),
-            b"mlc-params v1\n0 1 1 1\n0\n0\n0\n",
-            b"mlc-params v1\n-1 -1 1 1\n0\n0\n0\n0\n0\n0\n",
             b"mlc-params v2\n1 1 1\n",
         ],
-        ids=["v2-zero-gh", "v2-zero-classes", "v2-negative-grid", "v1-zero-gh",
-             "v1-negative-grid", "v2-three-dims"],
+        ids=["v2-zero-gh", "v2-zero-classes", "v2-negative-grid", "v2-three-dims"],
     )
     def test_nonpositive_dimensions_rejected(self, blob):
         with pytest.raises(ParseError):

@@ -25,6 +25,7 @@ from mlc.trainer import (
     PREDICT_CHUNK,
     TrainConfig,
     _augmented_batch,
+    _training_batches,
     augmented_samples,
     effective_lrs,
     mixup_active,
@@ -65,10 +66,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(mode="M4")
 
-    def test_bad_phase(self):
-        with pytest.raises(ValueError):
-            small_cfg(mixup_phase="never")
-
     @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])
     def test_nonpositive_rates(self, value):
         for field in ("lr_head", "lr_body", "lr_decay_factor"):
@@ -104,10 +101,8 @@ class TestSchedule:
         assert all(body == pytest.approx(0.001) for _, body in lrs[6:9])
 
     def test_mixup_phase(self):
-        cfg = small_cfg(mode="M3", mixup_phase="even")
+        cfg = small_cfg(mode="M3")
         assert [mixup_active(cfg, e) for e in range(4)] == [True, False, True, False]
-        cfg = small_cfg(mode="M3", mixup_phase="odd")
-        assert [mixup_active(cfg, e) for e in range(4)] == [False, True, False, True]
         cfg = small_cfg(mode="M2")
         assert not any(mixup_active(cfg, e) for e in range(4))
 
@@ -121,20 +116,24 @@ class TestTrain:
         assert a.epoch_losses == b.epoch_losses
 
     def test_m3_without_active_mixup_equals_m2(self, small_dataset):
-        # single epoch with odd phase: mixup never fires, so M3 == M2 exactly
+        # epoch 1 is unmixed, so M3 draws exactly M2's batches there
         manifest, root = small_dataset
-        m2 = train(manifest, small_cfg(epochs=1, lr_decay_epoch=0, mode="M2"), root=root)
-        m3 = train(
-            manifest,
-            small_cfg(epochs=1, lr_decay_epoch=0, mode="M3", mixup_phase="odd"),
-            root=root,
+        images = [read_image(root, path) for path, _ in manifest.entries]
+        labels = manifest.label_matrix()
+        m2, m3 = (
+            list(_training_batches(images, labels, small_cfg(epochs=2, lr_decay_epoch=0, mode=mode)))
+            for mode in ("M2", "M3")
         )
-        assert b"".join(save_params(m2.params)) == b"".join(save_params(m3.params))
+        per_epoch = len(m2) // 2
+        for (f2, t2), (f3, t3) in zip(m2[per_epoch:], m3[per_epoch:], strict=True):
+            np.testing.assert_array_equal(f3, f2)
+            np.testing.assert_array_equal(t3, t2)
+        assert not np.array_equal(m3[0][0], m2[0][0])  # epoch 0 mixes
 
     def test_m3_with_active_mixup_differs_from_m2(self, small_dataset):
         manifest, root = small_dataset
         m2 = train(manifest, small_cfg(mode="M2"), root=root)
-        m3 = train(manifest, small_cfg(mode="M3", mixup_phase="even"), root=root)
+        m3 = train(manifest, small_cfg(mode="M3"), root=root)
         assert b"".join(save_params(m2.params)) != b"".join(save_params(m3.params))
 
     def test_loss_decreases_on_learnable_data(self, small_dataset):
