@@ -9,13 +9,15 @@ library reader that owns its format.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .augment import MODES
 from .errors import IoError, MlcError
 from .fusion import fuse
-from .io import csv_blocks, read_csv_matrix, read_manifest, write_atomic, write_dataset
+from .io import MANIFEST_NAME, csv_blocks, read_csv_matrix, read_manifest, write_atomic, write_dataset
 from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
@@ -33,12 +35,16 @@ def _config(factory, **fields):
         raise _UsageError(str(exc)) from None
 
 
-def _check_writable(*targets: str | None, directory: bool = False) -> None:
+def _check_writable(*targets: str | None, inputs: Sequence[str] = (), directory: bool = False) -> None:
     """Raise IoError unless each given output target could be written: a
-    file, or with `directory` a directory that exists or can be made.
+    file, or with `directory` a dataset directory that exists or can be
+    made, whose MANIFEST_NAME is the file checked below. A target whose file
+    resolves to one of `inputs`, or to another target's, is refused too.
 
-    Run before any input is read, so a bad target costs no work.
+    Run before any input is read, so a bad target costs no work and no
+    command writes over what it reads.
     """
+    taken = {os.path.realpath(path): "an input" for path in inputs}
     for target in filter(None, targets):
         path = Path(target)
         if path.exists() and path.is_dir() != directory:
@@ -46,6 +52,11 @@ def _check_writable(*targets: str | None, directory: bool = False) -> None:
             raise IoError(f"cannot write {target}: {reason}")
         if not path.parent.is_dir():
             raise IoError(f"cannot write {target}: {path.parent} is not a directory")
+        written = path / MANIFEST_NAME if directory else path
+        real = os.path.realpath(written)
+        if real in taken:
+            raise IoError(f"cannot write {written}: it is {taken[real]}")
+        taken[real] = "another output"
 
 
 def _input_size(args) -> tuple[int, int]:
@@ -149,7 +160,7 @@ def _cmd_gen(args) -> None:
         seed=args.seed,
     )
     manifest = generate(cfg, args.out)
-    print(f"wrote {len(manifest)} images and manifest.tsv to {args.out}")
+    print(f"wrote {len(manifest)} images and {MANIFEST_NAME} to {args.out}")
 
 
 def _cmd_train(args) -> None:
@@ -167,7 +178,7 @@ def _cmd_train(args) -> None:
         pool_grid=(args.pool_grid[0], args.pool_grid[1]),
         hidden=args.hidden,
     )
-    _check_writable(args.out, args.log)
+    _check_writable(args.out, args.log, inputs=[args.manifest])
     manifest = _read(args.manifest, read_manifest)
     report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
     write_atomic(args.out, save_params(report.params))
@@ -180,7 +191,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_predict(args) -> None:
     size = _input_size(args)
-    _check_writable(args.out)
+    _check_writable(args.out, inputs=[args.params, args.manifest])
     params = _read(args.params, load_params)
     manifest = _read(args.manifest, read_manifest)
     scores = predict(params, manifest, size, root=Path(args.manifest).parent)
@@ -199,7 +210,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
-    _check_writable(args.out)
+    _check_writable(args.out, inputs=args.inputs)
     # each member is read as `fuse` draws it, so none lives beside its stack
     members = (_read(path, read_csv_matrix, "scores") for path in args.inputs)
     fused = fuse(members, sigmoid_first=args.sigmoid_first, count=len(args.inputs))
@@ -210,7 +221,7 @@ def _cmd_fuse(args) -> None:
 def _cmd_augment(args) -> None:
     size = _input_size(args)
     _config(TrainConfig, seed=args.seed)  # augment draws training's streams
-    _check_writable(args.out_dir, directory=True)
+    _check_writable(args.out_dir, inputs=[args.manifest], directory=True)
     manifest = _read(args.manifest, read_manifest)
     samples = augmented_samples(manifest, args.mode, size, args.seed, Path(args.manifest).parent)
     written = write_dataset(args.out_dir, "aug", samples, manifest.num_classes)

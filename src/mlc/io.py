@@ -84,9 +84,10 @@ def read_ppm(blob: bytes) -> np.ndarray:
         start = pos
         while pos < len(blob) and blob[pos : pos + 1].isdigit():
             pos += 1
-        if pos == start:
-            raise BadHeader("header field is not an ASCII integer")
-        fields.append(int(blob[start:pos]))
+        try:
+            fields.append(int(blob[start:pos]))
+        except ValueError:  # no digit, or past int's 4300-digit limit
+            raise BadHeader("header field is not an ASCII integer") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise BadHeader(f"non-positive dimensions {width}x{height}")
@@ -179,11 +180,6 @@ def ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
         yield first, chunk.replace(b"\r\n", b"\n") if b"\r" in chunk else chunk
 
 
-def ascii_lines(stream: BinaryIO) -> list[str]:
-    """Every line of `stream`, by `ascii_blocks`; after a final b"\n" the last is ""."""
-    return b"".join(chunk for _, chunk in ascii_blocks(stream)).decode("ascii").split("\n")
-
-
 def _parse_block(chunk: bytes, width: int | None, lineno: int) -> tuple[np.ndarray | None, int | None]:
     """The rows of one block, whose first line is line `lineno` + 1, and the
     row width; no rows (None) for a block of empty lines."""
@@ -234,6 +230,10 @@ def write_csv_matrix(matrix: ScoreMatrix | LabelMatrix) -> str:
     return b"".join(csv_blocks(matrix)).decode("ascii")
 
 
+# the file that `write_dataset` writes a dataset's manifest to
+MANIFEST_NAME = "manifest.tsv"
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Ordered image paths with their label index sets; order defines row order.
@@ -270,12 +270,14 @@ class DatasetManifest:
 
 def read_manifest(stream: BinaryIO) -> DatasetManifest:
     """Parse 'path<TAB>i1 i2 ...' lines under a '#classes=C' header from a
-    binary stream; an error echoes at most 40 characters of a bad line."""
-    lines = ascii_lines(stream)
+    binary stream; C and each index are ASCII digits only. An error echoes
+    at most 40 characters of a bad line."""
+    # `ascii_blocks` admits only ASCII, so `_digits` accepts only 0-9
+    lines = b"".join(chunk for _, chunk in ascii_blocks(stream)).decode("ascii").split("\n")
     if not lines[0].startswith("#classes="):
         raise MissingClassHeader("manifest must start with '#classes=C'")
     try:
-        num_classes = int(lines[0][len("#classes="):])
+        num_classes = _digits(lines[0][len("#classes="):])
     except ValueError:
         raise MissingClassHeader(f"bad class count in {lines[0][:40]!r}") from None
     entries = []
@@ -284,11 +286,18 @@ def read_manifest(stream: BinaryIO) -> DatasetManifest:
             continue
         path, _, index_part = line.partition("\t")
         try:
-            indices = tuple(sorted(int(tok) for tok in index_part.split()))
-        except ValueError as exc:
-            raise ParseError(f"bad label index list {index_part[:40]!r}: {exc}") from None
+            indices = tuple(sorted(map(_digits, index_part.split())))
+        except ValueError:
+            raise ParseError(f"bad label index list {index_part[:40]!r}") from None
         entries.append((path, indices))
     return DatasetManifest(tuple(entries), num_classes)
+
+
+def _digits(text: str) -> int:
+    """`int(text)` of ASCII `text` made of digits alone, else (or past 4300 digits) ValueError."""
+    if not text.isdigit():
+        raise ValueError(text)
+    return int(text)
 
 
 def write_manifest(manifest: DatasetManifest) -> str:
@@ -326,7 +335,7 @@ def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -
     head = list(itertools.islice(samples, 1))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.tsv").unlink(missing_ok=True)
+        (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     entries = []
@@ -335,5 +344,5 @@ def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -
         write_atomic(out_dir / name, write_ppm(pixels))
         entries.append((name, labels))
     manifest = DatasetManifest(tuple(entries), num_classes)
-    write_atomic(out_dir / "manifest.tsv", write_manifest(manifest))
+    write_atomic(out_dir / MANIFEST_NAME, write_manifest(manifest))
     return manifest

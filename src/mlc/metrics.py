@@ -33,7 +33,6 @@ class MetricsReport:
     or_: float
     of1: float
     k: int
-    per_class_ap: np.ndarray  # NaN for classes with no positives
 
     def panel(self) -> tuple[float, ...]:
         return (self.map, self.lp, self.lr, self.lf1, self.op, self.or_, self.of1)
@@ -52,19 +51,6 @@ def top_k_binarize(scores: np.ndarray, k: int) -> np.ndarray:
     return pred
 
 
-def confusion_counts(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Per-class (TP, FP, FN) of (n, C) 0/1 arrays, stacked as a (C, 3) array."""
-    if pred.shape != truth.shape:
-        raise ShapeMismatch(f"pred {pred.shape} vs truth {truth.shape}")
-    # one-byte boolean masks, counted per column: no (n, C) integer temporaries
-    p = pred.astype(bool)
-    y = truth.astype(bool)
-    tp = np.count_nonzero(p & y, axis=0)
-    fp = np.count_nonzero(p & ~y, axis=0)
-    fn = np.count_nonzero(~p & y, axis=0)
-    return np.stack([tp, fp, fn], axis=1).astype(np.int64)
-
-
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # 0/0 counts as 0: never-predicted / never-present classes score zero
     out = np.zeros(num.shape, dtype=np.float64)
@@ -72,32 +58,8 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def label_centric_prf(counts: np.ndarray) -> tuple[float, float, float]:
-    """Macro metrics: per-class P, R and F1 averaged uniformly over classes.
-
-    The F1 is the mean of per-class F1 values, not the harmonic mean of the
-    averaged P and R.
-    """
-    tp = counts[:, 0].astype(np.float64)
-    fp = counts[:, 1].astype(np.float64)
-    fn = counts[:, 2].astype(np.float64)
-    lp = float(_safe_div(tp, tp + fp).mean())
-    lr = float(_safe_div(tp, tp + fn).mean())
-    lf1 = float(_safe_div(2.0 * tp, 2.0 * tp + fp + fn).mean())
-    return lp, lr, lf1
-
-
 def harmonic_f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-
-
-def overall_prf(counts: np.ndarray, n: int, k: int) -> tuple[float, float, float]:
-    """Micro metrics from pooled counts; O-P uses n*k predicted positives."""
-    tp = float(counts[:, 0].sum())
-    positives = float((counts[:, 0] + counts[:, 2]).sum())
-    op = tp / (n * k) if n * k > 0 else 0.0
-    or_ = tp / positives if positives > 0 else 0.0
-    return op, or_, harmonic_f1(op, or_)
 
 
 def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -134,22 +96,32 @@ def mean_ap(scores: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def evaluate(scores: ScoreMatrix, truth: LabelMatrix, k: int = TOP_K) -> MetricsReport:
-    """Full panel: binarize at top-k, pool counts, average APs.
+    """Full panel: binarize at top-k, count each class's TP, FP and FN, average APs.
 
-    The wrappers guarantee finite scores and 0/1 labels; only their shapes
-    are compared here.
+    L-P, L-R and L-F1 average per-class values uniformly over classes (L-F1
+    is not the harmonic mean of L-P and L-R); O-P, O-R and O-F1 pool the
+    counts, and O-P divides by the n*k predicted positives. The wrappers
+    guarantee finite scores and 0/1 labels; only shapes are compared here.
     """
     s, y = scores.data, truth.data
     if s.shape != y.shape:
         raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
-    pred = top_k_binarize(s, k)
-    counts = confusion_counts(pred, y)
-    lp, lr, lf1 = label_centric_prf(counts)
-    op, or_, of1 = overall_prf(counts, n=scores.num_rows, k=k)
-    map_, per_class = mean_ap(s, y)
+    pred = top_k_binarize(s, k).astype(bool)
+    # AllClassesEmpty unless some label is 1, so below n*k and the positives are > 0
+    map_, _ = mean_ap(s, y)
+    # one-byte boolean masks, counted per column: no (n, C) integer temporaries
+    y = y.astype(bool)
+    tp = np.count_nonzero(pred & y, axis=0).astype(np.float64)
+    fp = np.count_nonzero(pred & ~y, axis=0).astype(np.float64)
+    fn = np.count_nonzero(~pred & y, axis=0).astype(np.float64)
+    hits = float(tp.sum())
+    op, or_ = hits / (scores.num_rows * k), hits / float((tp + fn).sum())
     return MetricsReport(
-        map=map_, lp=lp, lr=lr, lf1=lf1, op=op, or_=or_, of1=of1,
-        k=k, per_class_ap=per_class,
+        map=map_,
+        lp=float(_safe_div(tp, tp + fp).mean()),
+        lr=float(_safe_div(tp, tp + fn).mean()),
+        lf1=float(_safe_div(2.0 * tp, 2.0 * tp + fp + fn).mean()),
+        op=op, or_=or_, of1=harmonic_f1(op, or_), k=k,
     )
 
 

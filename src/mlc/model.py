@@ -188,6 +188,8 @@ def sgd_step(
 # equal weights give equal files on every host.
 
 _MAGIC = (CHECKPOINT_V2 + "\n").encode("ascii")
+# the most bytes read for the dimension line: four 15-digit integers fit
+_DIMS_LINE_MAX = 64
 
 
 def save_params(params: ModelParams) -> list[bytes | memoryview]:
@@ -212,16 +214,14 @@ def load_params(stream: BinaryIO) -> ModelParams:
     """
     if stream.read(len(_MAGIC)) != _MAGIC:
         raise ParseError(f"missing checkpoint header {CHECKPOINT_V2!r}")
-    line = stream.readline()
+    line = stream.readline(_DIMS_LINE_MAX)
     if not line.endswith(b"\n"):
-        raise ParseError("checkpoint has no dimension line")
-    try:
-        dims = tuple(int(tok) for tok in line.split())
-    except ValueError:
-        raise ParseError("bad checkpoint dimension line") from None
-    if len(dims) != 4 or min(dims) < 1:
+        raise ParseError(f"checkpoint has no dimension line in {_DIMS_LINE_MAX} bytes")
+    # only what save_params writes: ASCII digits, no sign or leading zero, one space apart
+    fields = line[:-1].split(b" ")
+    if len(fields) != 4 or not all(f.isdigit() and f[:1] != b"0" for f in fields):
         raise ParseError("checkpoint dimensions must be four positive integers")
-    gh, gw, hidden, classes = dims
+    gh, gw, hidden, classes = map(int, fields)
     d = gh * gw * 3
     counts = (hidden, classes, d * hidden, hidden * classes)
     expected = 8 * sum(counts)

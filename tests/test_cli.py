@@ -794,6 +794,47 @@ class TestExitCodes:
         if target == "file":
             assert out_dir.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            ("augment --manifest {ds}/manifest.tsv --mode M1 --out-dir {link}",
+             "{link}/manifest.tsv: it is an input"),
+            ("train --manifest {ds}/manifest.tsv --mode M1 --out {ds}/x.bin --log {ds}/x.bin",
+             "{ds}/x.bin: it is another output"),
+            ("train --manifest {ds}/manifest.tsv --mode M1 --out {link}/manifest.tsv",
+             "{link}/manifest.tsv: it is an input"),
+            ("predict --params {ds}/m.params --manifest {ds}/manifest.tsv --out {ds}/m.params",
+             "{ds}/m.params: it is an input"),
+            ("predict --params {ds}/m.params --manifest {ds}/manifest.tsv --out {ds}/manifest.tsv",
+             "{ds}/manifest.tsv: it is an input"),
+            ("fuse {ds}/a.csv {ds}/b.csv --out {link}/b.csv", "{link}/b.csv: it is an input"),
+        ],
+        ids=["augment-into-the-manifest-dir", "train-log-is-out", "train-out-is-manifest",
+             "predict-out-is-params", "predict-out-is-manifest", "fuse-out-is-a-member"],
+    )
+    def test_output_over_an_input_or_another_output_is_refused(
+        self, dataset, tmp_path, capsys, monkeypatch, argv, refused
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the targets were checked")
+
+        # every input is opened through `open`; `link` is a symlink to `ds`
+        monkeypatch.setattr(cli, "open", no_read, raising=False)
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for path in dataset.iterdir():
+            (ds / path.name).write_bytes(path.read_bytes())
+        (ds / "m.params").write_bytes(CHECKPOINT.read_bytes())
+        (ds / "a.csv").write_text("0.5,0.1\n")
+        (ds / "b.csv").write_text("0.2,0.9\n")
+        (tmp_path / "link").symlink_to(ds)
+        before = _tree(ds)
+        paths = {"ds": ds, "link": tmp_path / "link"}
+        assert main(argv.format(**paths).split()) == 1
+        assert capsys.readouterr().err == f"error: cannot write {refused.format(**paths)}\n"
+        assert _tree(ds) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "link"]
+
     @pytest.mark.parametrize("command", ["train", "predict", "augment"])
     def test_lone_cr_manifest_is_runtime_error(self, dataset, tmp_path, capsys, command):
         # a lone "\r" ends no line, so the whole manifest is one header line

@@ -77,8 +77,9 @@ class TestPpm:
             read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
 
     def test_bad_header(self):
-        # the second has no whitespace between the magic and the width
-        for blob in (b"P6\nx y\n255\n", b"P62 1 255\n" + bytes(6)):
+        # the second has no whitespace between the magic and the width; the
+        # third's width is past the 4300 digits that `int` converts
+        for blob in (b"P6\nx y\n255\n", b"P62 1 255\n" + bytes(6), b"P6 " + b"1" * 5000 + b" 1 255\n"):
             with pytest.raises(BadHeader):
                 read_ppm(blob)
 
@@ -434,8 +435,30 @@ class TestManifest:
         assert [path for path, _ in man.entries] == ["sub/a.ppm", "./b.ppm", "a..b.ppm"]
 
     def test_round_trip_identity(self):
-        man = DatasetManifest((("a.ppm", (0, 2)), ("b.ppm", ()), ("c.ppm", (1,))), 3)
+        man = DatasetManifest((("a.ppm", (0, 2)), ("b.ppm", ()), ("c.ppm", (1, 10))), 12)
         assert manifest_of(write_manifest(man)) == man
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("#classes=1_2\na.ppm\t0\n", MissingClassHeader, "bad class count in"),
+            ("#classes=+3\na.ppm\t0\n", MissingClassHeader, "bad class count in"),
+            ("#classes= 6\na.ppm\t0\n", MissingClassHeader, "bad class count in"),
+            ("#classes=-1\na.ppm\t0\n", MissingClassHeader, "bad class count in"),
+            ("#classes=12\na.ppm\t1_0\n", ParseError, "bad label index list"),
+            ("#classes=12\na.ppm\t0 +3\n", ParseError, "bad label index list"),
+            ("#classes=12\na.ppm\t-1\n", ParseError, "bad label index list"),
+            ("#classes=" + "1" * 5000 + "\na.ppm\t0\n", MissingClassHeader, "bad class count in"),
+            ("#classes=12\na.ppm\t" + "1" * 5000 + "\n", ParseError, "bad label index list"),
+        ],
+        ids=["count-underscore", "count-sign", "count-space", "count-negative",
+             "index-underscore", "index-sign", "index-negative", "count-5000-digits", "index-5000-digits"],
+    )
+    def test_integers_are_ascii_digits_only(self, text, error, message):
+        # `int()` reads the first seven as 12, 3, 6, -1, 10, 3 and -1, and
+        # raises a bare ValueError on the last two, past its 4300-digit limit
+        with pytest.raises(error, match=message):
+            manifest_of(text)
 
     def test_text_round_trip_on_canonical_input(self):
         text = "#classes=4\na.ppm\t1 3\nb.ppm\t\n"
@@ -605,8 +628,11 @@ class TestReadersFuzz:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        header=st.sampled_from(["", "#classes=", "#classes=3\n", "#classes=0\n", "#classes=-2\n"]),
-        body=st.text(max_size=120) | st.text(alphabet="ab./\t0123456789- \r\n", max_size=120),
+        header=st.sampled_from(
+            ["", "#classes=", "#classes=3\n", "#classes=0\n", "#classes=-2\n", "#classes=+3\n",
+             "#classes=1_2\n"]
+        ),
+        body=st.text(max_size=120) | st.text(alphabet="ab./\t0123456789-+_ \r\n", max_size=120),
     )
     def test_read_manifest(self, header, body):
         try:

@@ -5,14 +5,11 @@ from mlc.errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
 from mlc.metrics import (
     MetricsReport,
     average_precision,
-    confusion_counts,
     evaluate,
     format_report,
     harmonic_f1,
-    label_centric_prf,
     machine_line,
     mean_ap,
-    overall_prf,
     top_k_binarize,
 )
 from mlc.types import LabelMatrix, ScoreMatrix
@@ -100,57 +97,66 @@ class TestTopK:
         )
 
 
+# top-1 of these scores predicts PRED: per class TP (1, 1, 0), FP (0, 0, 0), FN (0, 0, 1)
+PRED = np.array([[1, 0, 0], [0, 1, 0]])
+TRUTH = np.array([[1, 0, 1], [0, 1, 0]])
+
+
+def _evaluate_predictions(pred, truth, k=1):
+    """`evaluate` of 0/1 predictions as scores: with k ones in every row of
+    `pred`, its top-k is `pred` itself."""
+    return evaluate(ScoreMatrix(np.asarray(pred, dtype=np.float64)), LabelMatrix(truth), k=k)
+
+
+def _k_hot(rng, n, c, k):
+    """(n, c) 0/1 rows with exactly k ones each."""
+    return top_k_binarize(rng.random((n, c)), k).astype(int)
+
+
 class TestConfusionCounts:
+    """`evaluate`'s per-class TP, FP and FN, read back from the panel."""
+
     def test_hand_derived(self):
-        pred = np.array([[1, 0, 0], [0, 1, 0]])
-        truth = np.array([[1, 0, 1], [0, 1, 0]])
-        counts = confusion_counts(pred, truth)
-        np.testing.assert_array_equal(counts[:, 0], [1, 1, 0])  # TP
-        np.testing.assert_array_equal(counts[:, 1], [0, 0, 0])  # FP
-        np.testing.assert_array_equal(counts[:, 2], [0, 0, 1])  # FN
+        report = _evaluate_predictions(PRED, TRUTH)
+        tp = report.op * 2 * 1  # O-P = TP / (n * k)
+        fn = tp / report.or_ - tp  # O-R = TP / (TP + FN)
+        assert (tp, 2 * 1 - tp, fn) == pytest.approx((2, 0, 1), abs=1e-12)
 
     def test_perfect_prediction(self, rng):
-        truth = (rng.random((5, 4)) < 0.5).astype(int)
-        counts = confusion_counts(truth, truth)
-        np.testing.assert_array_equal(counts[:, 1], 0)
-        np.testing.assert_array_equal(counts[:, 2], 0)
+        truth = _k_hot(rng, 5, 4, 2)
+        report = _evaluate_predictions(truth, truth, k=2)
+        assert (report.map, report.op, report.or_, report.of1) == (1.0, 1.0, 1.0, 1.0)  # FP = FN = 0
 
     def test_complement_prediction_no_tp(self, rng):
-        truth = (rng.random((5, 4)) < 0.5).astype(int)
-        counts = confusion_counts(1 - truth, truth)
-        np.testing.assert_array_equal(counts[:, 0], 0)
+        truth = _k_hot(rng, 5, 4, 2)
+        report = _evaluate_predictions(1 - truth, truth, k=2)
+        assert report.panel()[1:] == (0.0,) * 6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            confusion_counts(np.zeros((2, 3)), np.zeros((3, 3)))
+            evaluate(ScoreMatrix(np.zeros((2, 3))), LabelMatrix(np.ones((2, 4), dtype=int)), k=1)
 
 
 class TestLabelCentric:
     def test_hand_derived_two_thirds(self):
-        counts = confusion_counts(
-            np.array([[1, 0, 0], [0, 1, 0]]), np.array([[1, 0, 1], [0, 1, 0]])
-        )
-        lp, lr, lf1 = label_centric_prf(counts)
-        assert (lp, lr, lf1) == pytest.approx((2 / 3, 2 / 3, 2 / 3), abs=1e-12)
+        report = _evaluate_predictions(PRED, TRUTH)
+        assert (report.lp, report.lr, report.lf1) == pytest.approx((2 / 3, 2 / 3, 2 / 3), abs=1e-12)
 
-    def test_perfect(self, rng):
+    def test_perfect(self):
         truth = np.eye(4, dtype=int)
-        lp, lr, lf1 = label_centric_prf(confusion_counts(truth, truth))
-        assert (lp, lr, lf1) == (1.0, 1.0, 1.0)
+        report = _evaluate_predictions(truth, truth)
+        assert (report.lp, report.lr, report.lf1) == (1.0, 1.0, 1.0)
 
     def test_no_true_positives(self):
         truth = np.array([[1, 0], [0, 1]])
-        lp, lr, lf1 = label_centric_prf(confusion_counts(1 - truth, truth))
-        assert (lp, lr, lf1) == (0.0, 0.0, 0.0)
+        report = _evaluate_predictions(1 - truth, truth)
+        assert (report.lp, report.lr, report.lf1) == (0.0, 0.0, 0.0)
 
 
 class TestOverall:
     def test_hand_derived_k1(self):
-        counts = confusion_counts(
-            np.array([[1, 0, 0], [0, 1, 0]]), np.array([[1, 0, 1], [0, 1, 0]])
-        )
-        op, or_, of1 = overall_prf(counts, n=2, k=1)
-        assert (op, or_, of1) == pytest.approx((1.0, 2 / 3, 0.8), abs=1e-12)
+        report = _evaluate_predictions(PRED, TRUTH)
+        assert (report.op, report.or_, report.of1) == pytest.approx((1.0, 2 / 3, 0.8), abs=1e-12)
 
     def test_published_triples_consistency(self):
         # published (O-P, O-R, O-F1) operating points in percent; the stored
@@ -159,9 +165,11 @@ class TestOverall:
         for p, r, f1 in triples:
             assert harmonic_f1(p, r) == pytest.approx(f1, abs=0.1)
 
-    def test_zero_counts(self):
-        counts = np.zeros((3, 3), dtype=int)
-        assert overall_prf(counts, n=2, k=1) == (0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3)], ids=["all-zero", "no-rows"])
+    def test_no_positive_label_is_all_classes_empty(self, shape):
+        # with no positive, O-R has no denominator and mAP no class: the panel is undefined
+        with pytest.raises(AllClassesEmpty):
+            evaluate(ScoreMatrix(np.zeros(shape)), LabelMatrix(np.zeros(shape, dtype=int)), k=1)
 
 
 class TestAveragePrecision:
@@ -296,7 +304,7 @@ class TestFormatting:
     def _report(self):
         return MetricsReport(
             map=0.83333, lp=0.5, lr=0.25, lf1=1 / 3, op=0.54, or_=0.665,
-            of1=harmonic_f1(0.54, 0.665), k=3, per_class_ap=np.array([0.8, 0.9]),
+            of1=harmonic_f1(0.54, 0.665), k=3,
         )
 
     def test_machine_line_four_decimals(self):

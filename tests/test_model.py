@@ -329,12 +329,28 @@ class TestCheckpoint:
             b"mlc-params v2\n1 1 1 0\n" + bytes(8 * 4),
             b"mlc-params v2\n-1 -1 1 1\n" + bytes(8 * 6),
             b"mlc-params v2\n1 1 1\n",
+            # `int()` reads these as (2, 2, 5, 3) and (1, 1, 1, 1); only
+            # ASCII digits one space apart, as save_params writes, are read
+            b"mlc-params v2\n+2 0_2 5\t3\n" + bytes(8 * (5 + 3 + 12 * 5 + 5 * 3)),
+            b"mlc-params v2\n01 1  1 1\n" + bytes(8 * 6),
         ],
-        ids=["v2-zero-gh", "v2-zero-classes", "v2-negative-grid", "v2-three-dims"],
+        ids=["v2-zero-gh", "v2-zero-classes", "v2-negative-grid", "v2-three-dims",
+             "v2-sign-underscore-tab", "v2-leading-zero-two-spaces"],
     )
     def test_nonpositive_dimensions_rejected(self, blob):
         with pytest.raises(ParseError):
             _load(blob)
+
+    def test_dimension_line_read_is_bounded(self):
+        # a header then 20 MiB with no newline: the reader gives up after a few dozen bytes
+        stream = io.BytesIO(b"mlc-params v2\n" + b"1" * (20 << 20))
+
+        def load():
+            with pytest.raises(ParseError, match="no dimension line"):
+                load_params(stream)
+
+        _, peak = traced_peak(load)
+        assert peak < 1 << 20
 
     def test_nonfinite_weight_rejected_on_load(self):
         params = ModelParams((1, 1), np.zeros((3, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
