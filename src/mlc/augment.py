@@ -43,7 +43,14 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize an (H, W, 3) array with half-pixel-center bilinear interpolation."""
+    """Resize an (H, W, 3) array of byte / 255 values in [0, 1] with
+    half-pixel-center bilinear interpolation.
+
+    At its own size the input is returned as it is: there every tap weight
+    is 0.0, so interpolation would give back the same bits.
+    """
+    if data.shape[:2] == (out_h, out_w):
+        return data
     # interpolation can overshoot [0, 1] by one ulp; clamp it back
     return np.clip(kernels.resize_bilinear(data, out_h, out_w), 0.0, 1.0)
 

@@ -17,7 +17,10 @@ from pathlib import Path
 from .augment import MODES
 from .errors import IoError, MlcError
 from .fusion import fuse
-from .io import MANIFEST_NAME, csv_blocks, read_csv_matrix, read_manifest, write_atomic, write_dataset
+from .io import (
+    MANIFEST_NAME, DatasetManifest, csv_blocks, read_csv_matrix, read_manifest, write_atomic,
+    write_dataset,
+)
 from .metrics import TOP_K, evaluate, format_report, machine_line
 from .model import load_params, save_params
 from .synthgen import SynthConfig, generate
@@ -57,6 +60,13 @@ def _check_writable(*targets: str | None, inputs: Sequence[str] = (), directory:
         if real in taken:
             raise IoError(f"cannot write {written}: it is {taken[real]}")
         taken[real] = "another output"
+
+
+def _listed_images(manifest: DatasetManifest, root: Path) -> list[Path]:
+    """The image files `manifest` lists under `root`, as `_check_writable`
+    inputs. A path with a NUL byte names no file, and its read fails as a
+    DataLoadError, so it is left out."""
+    return [root / path for path, _ in manifest.entries if "\0" not in path]
 
 
 def _input_size(args) -> tuple[int, int]:
@@ -180,7 +190,10 @@ def _cmd_train(args) -> None:
     )
     _check_writable(args.out, args.log, inputs=[args.manifest])
     manifest = _read(args.manifest, read_manifest)
-    report = train(manifest, cfg, root=Path(args.manifest).parent, log_path=args.log)
+    root = Path(args.manifest).parent
+    # the images are known once the manifest is read, and none is read yet
+    _check_writable(args.out, args.log, inputs=_listed_images(manifest, root))
+    report = train(manifest, cfg, root=root, log_path=args.log)
     write_atomic(args.out, save_params(report.params))
     print(
         f"trained {args.mode} for {cfg.epochs} epochs in {report.wall_time_s:.1f}s; "
@@ -194,7 +207,9 @@ def _cmd_predict(args) -> None:
     _check_writable(args.out, inputs=[args.params, args.manifest])
     params = _read(args.params, load_params)
     manifest = _read(args.manifest, read_manifest)
-    scores = predict(params, manifest, size, root=Path(args.manifest).parent)
+    root = Path(args.manifest).parent
+    _check_writable(args.out, inputs=_listed_images(manifest, root))
+    scores = predict(params, manifest, size, root=root)
     write_atomic(args.out, csv_blocks(scores))
     print(f"wrote {scores.num_rows}x{scores.num_classes} scores to {args.out}")
 

@@ -6,6 +6,15 @@ toward the lower class index in top-k and toward the lower image index in
 AP ranking. Per-class 0/0 precision, recall or F1 terms count as 0; classes
 without a single positive are excluded from mAP (their AP is reported as
 NaN) since AP is undefined there.
+
+Neither ranking sorts stably unless equal scores force it. Top-k takes each
+row's k-th largest score with one `np.partition`: every larger score is in,
+and the scores equal to it fill the row's remaining places in class order
+(a running count, taken only on rows with more such scores than places).
+AP sorts a class's column once and finds each positive's rank by binary
+search, as 1 + the count of strictly greater scores; a class in which a
+positive's score equals another score, or which holds a NaN, takes the
+stable argsort instead. Both give the bits the stable sorts give.
 """
 
 from __future__ import annotations
@@ -44,10 +53,29 @@ def top_k_binarize(scores: np.ndarray, k: int) -> np.ndarray:
         raise ShapeMismatch(f"expected (n, C) scores, got shape {scores.shape}")
     if not 1 <= k <= scores.shape[1]:
         raise KTooLarge(f"k={k} outside [1, {scores.shape[1]}]")
+    # the list index copies the k-th largest out, so the partitioned copy is freed
+    kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, [scores.shape[1] - k]]
+    pred, tied = scores > kth, scores == kth
+    # places left for the scores equal to the k-th; where they outnumber
+    # the places, the lowest class indices take them
+    room = k - np.count_nonzero(pred, axis=1)
+    ties = np.count_nonzero(tied, axis=1)
+    crowded = ties > room
+    if crowded.any():
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
+    pred |= tied
+    # a NaN sorts as the largest in the partition but ranks last, and leaves its row short
+    short = ties < room
+    if short.any():
+        pred[short] = _stable_top_k(scores[short], k)
+    return pred.view(np.int8)
+
+
+def _stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     # stable argsort on -scores keeps ascending original index among equal scores
     order = np.argsort(-scores, axis=1, kind="stable")
-    pred = np.zeros(scores.shape, dtype=np.int8)
-    np.put_along_axis(pred, order[:, :k], 1, axis=1)
+    pred = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(pred, order[:, :k], True, axis=1)
     return pred
 
 
@@ -63,7 +91,8 @@ def harmonic_f1(p: float, r: float) -> float:
 
 
 def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
-    """AP of one class: mean precision at each rank that retrieves a positive.
+    """AP of one class from its 0/1 truth: mean precision at each rank that
+    retrieves a positive.
 
     Images sort by descending score, equal scores by ascending image index.
     """
@@ -74,6 +103,20 @@ def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
     positives = int(y.sum())
     if positives == 0:
         raise NoPositives("average precision needs at least one positive")
+    ascending = np.sort(s)
+    hit_scores = s[y == 1]
+    at_most = np.searchsorted(ascending, hit_scores, side="right")
+    below = np.searchsorted(ascending, hit_scores, side="left")
+    # a NaN sorts last here, as the largest, but ranks last in the stable sort
+    if np.isnan(ascending[-1]) or (at_most - below > 1).any():
+        return _stable_average_precision(s, y, positives)
+    # untied, a positive's rank is 1 + the count of strictly greater scores
+    ranks = np.sort(len(s) + 1 - at_most).astype(np.float64)
+    hits = np.arange(1, positives + 1, dtype=np.float64)
+    return float((hits / ranks).sum() / positives)
+
+
+def _stable_average_precision(s: np.ndarray, y: np.ndarray, positives: int) -> float:
     order = np.argsort(-s, kind="stable")
     hits = y[order].astype(np.float64)
     ranks = np.arange(1, len(hits) + 1, dtype=np.float64)
@@ -106,7 +149,7 @@ def evaluate(scores: ScoreMatrix, truth: LabelMatrix, k: int = TOP_K) -> Metrics
     s, y = scores.data, truth.data
     if s.shape != y.shape:
         raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
-    pred = top_k_binarize(s, k).astype(bool)
+    pred = top_k_binarize(s, k).view(bool)
     # AllClassesEmpty unless some label is 1, so below n*k and the positives are > 0
     map_, _ = mean_ap(s, y)
     # one-byte boolean masks, counted per column: no (n, C) integer temporaries

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlc import augment
+from mlc import augment, kernels
 from mlc.augment import apply_mode, mixup, resize, rng_stream
 
 from conftest import random_image, random_pixels, random_sample
@@ -88,9 +88,12 @@ class TestFlip:
 
 class TestResize:
     def test_same_size_is_identity(self, rng):
-        img = random_image(rng, 6, 4)
-        out = resize(img, 6, 4)
-        assert np.abs(out - img).max() == 0.0
+        # the interpolation a same-size resize skips gives back the input's bits
+        for h, w in [(1, 1), (6, 4), (5, 9), (64, 64)]:
+            img = unit(random_pixels(rng, h, w))
+            assert resize(img, h, w) is img
+            interpolated = np.clip(kernels.resize_bilinear(img, h, w), 0.0, 1.0)
+            assert interpolated.tobytes() == img.tobytes()
 
     def test_constant_image(self):
         out = resize(np.full((3, 3, 3), 0.7), 5, 8)

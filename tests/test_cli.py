@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mlc.io
-from mlc import cli
+from mlc import cli, trainer
 from mlc.cli import main
 from mlc.io import DatasetManifest, read_csv_matrix, write_csv_matrix, write_manifest
 from mlc.model import ModelParams, save_params
@@ -832,6 +832,38 @@ class TestExitCodes:
         paths = {"ds": ds, "link": tmp_path / "link"}
         assert main(argv.format(**paths).split()) == 1
         assert capsys.readouterr().err == f"error: cannot write {refused.format(**paths)}\n"
+        assert _tree(ds) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "link"]
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            ("train --manifest {ds}/manifest.tsv --mode M1 --out {ds}/img_00000.ppm",
+             "{ds}/img_00000.ppm"),
+            ("train --manifest {ds}/manifest.tsv --mode M1 --out {ds}/x.bin "
+             "--log {link}/img_00003.ppm", "{link}/img_00003.ppm"),
+            ("predict --params {ds}/m.params --manifest {ds}/manifest.tsv "
+             "--out {link}/img_00001.ppm", "{link}/img_00001.ppm"),
+        ],
+        ids=["train-out-is-an-image", "train-log-is-an-image", "predict-out-is-an-image"],
+    )
+    def test_output_over_a_listed_image_is_refused(
+        self, dataset, tmp_path, capsys, monkeypatch, argv, refused
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("an image was read before the targets were checked")
+
+        monkeypatch.setattr(trainer, "read_image", no_read)
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for path in dataset.iterdir():
+            (ds / path.name).write_bytes(path.read_bytes())
+        (ds / "m.params").write_bytes(CHECKPOINT.read_bytes())
+        (tmp_path / "link").symlink_to(ds)
+        before = _tree(ds)
+        paths = {"ds": ds, "link": tmp_path / "link"}
+        assert main(argv.format(**paths).split()) == 1
+        assert capsys.readouterr().err == f"error: cannot write {refused.format(**paths)}: it is an input\n"
         assert _tree(ds) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "link"]
 

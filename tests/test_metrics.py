@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlc import metrics
 from mlc.errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
 from mlc.metrics import (
     MetricsReport,
@@ -13,6 +14,26 @@ from mlc.metrics import (
     top_k_binarize,
 )
 from mlc.types import LabelMatrix, ScoreMatrix
+
+# -- the stable-argsort rankings `metrics` used before its fast sorts; the
+#    panel must keep their bits -------------------------------------------------
+
+
+def reference_top_k(scores, k):
+    order = np.argsort(-scores, axis=1, kind="stable")
+    pred = np.zeros(scores.shape, dtype=np.int8)
+    np.put_along_axis(pred, order[:, :k], 1, axis=1)
+    return pred
+
+
+def reference_ap(scores, truth):
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(truth)
+    order = np.argsort(-s, kind="stable")
+    hits = y[order].astype(np.float64)
+    ranks = np.arange(1, len(hits) + 1, dtype=np.float64)
+    precision_at_rank = np.cumsum(hits) / ranks
+    return float(precision_at_rank[hits == 1].sum() / int(y.sum()))
+
 
 # -- independent definition-level oracle (plain python, no shared code) --------
 
@@ -316,3 +337,115 @@ class TestFormatting:
         text = format_report(self._report())
         for name in ("mAP", "L-P", "L-R", "L-F1", "O-P", "O-R", "O-F1"):
             assert name in text
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _reference_results(monkeypatch, scores, truth, k):
+    """`mean_ap` and `evaluate` with the stable-argsort rankings swapped in."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "top_k_binarize", reference_top_k)
+        patch.setattr(metrics, "average_precision", reference_ap)
+        return mean_ap(scores, truth), evaluate(ScoreMatrix(scores), LabelMatrix(truth), k=k)
+
+
+def _tie_heavy(rng, kind, n, c):
+    if kind == "integers":
+        return rng.integers(-2, 3, size=(n, c)).astype(np.float64)
+    if kind == "signed-zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, c))
+    if kind == "equal-columns":
+        scores = rng.standard_normal((n, c))
+        scores[:, rng.random(c) < 0.5] = 0.25
+        return scores
+    return rng.standard_normal((n, c))
+
+
+class TestStableSortBits:
+    """The fast rankings against the stable-argsort reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["integers", "signed-zeros", "equal-columns", "normal"])
+    def test_matches_reference(self, rng, monkeypatch, kind):
+        shapes = [(1, 1), (1, 6), (9, 1)] + [
+            (int(rng.integers(1, 30)), int(rng.integers(1, 9))) for _ in range(30)
+        ]
+        for n, c in shapes:
+            scores = _tie_heavy(rng, kind, n, c)
+            truth = (rng.random((n, c)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+            truth[0, 0] = 1
+            for k in range(1, c + 1):
+                np.testing.assert_array_equal(
+                    top_k_binarize(scores, k), reference_top_k(scores, k), strict=True
+                )
+                (ref_map, ref_per_class), ref = _reference_results(monkeypatch, scores, truth, k)
+                map_, per_class = mean_ap(scores, truth)
+                assert _hex([map_, *per_class]) == _hex([ref_map, *ref_per_class])
+                report = evaluate(ScoreMatrix(scores), LabelMatrix(truth), k=k)
+                assert _hex(report.panel()) == _hex(ref.panel())
+            for j in np.flatnonzero(truth.any(axis=0)):
+                got = average_precision(scores[:, j], truth[:, j])
+                assert float(got).hex() == float(reference_ap(scores[:, j], truth[:, j])).hex()
+
+    def test_non_finite_scores_rank_like_the_stable_sort(self, rng):
+        # NaN ranks last and infinities at the ends, as in the stable sort on -scores
+        for _ in range(40):
+            scores = rng.integers(-1, 2, size=(6, 5)).astype(np.float64)
+            scores[rng.random(scores.shape) < 0.3] = np.nan
+            scores[rng.random(scores.shape) < 0.1] = np.inf
+            scores[rng.random(scores.shape) < 0.1] = -np.inf
+            for k in range(1, 6):
+                np.testing.assert_array_equal(top_k_binarize(scores, k), reference_top_k(scores, k))
+            truth = np.array([1, 0, 1, 0, 0, 1])
+            got = average_precision(scores[:, 0], truth)
+            assert float(got).hex() == float(reference_ap(scores[:, 0], truth)).hex()
+
+    def test_golden_panel(self):
+        # recorded with the stable-argsort rankings
+        rng = np.random.default_rng(20)
+        truth = (rng.random((4096, 80)) < 0.05).astype(np.int8)
+        scores = 1.5 * truth + rng.standard_normal((4096, 80))
+        report = evaluate(ScoreMatrix(scores), LabelMatrix(truth), k=3)
+        assert _hex(report.panel()) == [
+            "0x1.55d4d76daa4fap-2", "0x1.8a997d28df163p-2", "0x1.2b9a59f2ee5a6p-2",
+            "0x1.541778e403170p-2", "0x1.8ac0000000000p-2", "0x1.2ba5ab5ccc315p-2",
+            "0x1.54afa110b8b0fp-2",
+        ]
+
+
+class TestFastPath:
+    """`evaluate` sorts stably only a class in which a positive's score is tied."""
+
+    @pytest.fixture
+    def stable_sorts(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            if kwargs.get("kind") == "stable":
+                calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        return calls
+
+    @staticmethod
+    def _inputs(rng):
+        truth = (rng.random((500, 12)) < 0.2).astype(np.int8)
+        truth[0] = 1
+        return rng.standard_normal((500, 12)), truth
+
+    def test_tie_free_scores_sort_nothing_stably(self, rng, stable_sorts):
+        scores, truth = self._inputs(rng)
+        evaluate(ScoreMatrix(scores), LabelMatrix(truth), k=3)
+        assert stable_sorts == []
+
+    def test_one_tied_positive_column_sorts_once(self, rng, monkeypatch, stable_sorts):
+        scores, truth = self._inputs(rng)
+        positives = np.flatnonzero(truth[:, 4])
+        scores[positives[:2], 4] = 0.5  # two positives share a score
+        report = evaluate(ScoreMatrix(scores), LabelMatrix(truth), k=3)
+        assert len(stable_sorts) == 1
+        _, ref = _reference_results(monkeypatch, scores, truth, 3)
+        assert _hex(report.panel()) == _hex(ref.panel())
