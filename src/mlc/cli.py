@@ -39,14 +39,11 @@ def _config(factory, **fields):
 
 
 def _check_writable(*targets: str | None, inputs: Sequence[str] = (), directory: bool = False) -> None:
-    """Raise IoError unless each given output target could be written: a
-    file, or with `directory` a dataset directory that exists or can be
-    made, whose MANIFEST_NAME is the file checked below. A target whose file
-    resolves to one of `inputs`, or to another target's, is refused too.
-
-    Run before any input is read, so a bad target costs no work and no
-    command writes over what it reads.
-    """
+    """Raise IoError unless each output target could be written: a file, or
+    with `directory` a dataset directory that exists or can be made, whose
+    MANIFEST_NAME is the file checked. A target whose file resolves to one of
+    `inputs`, or to another target's, is refused too. Run before any input
+    is read, so a bad target costs no work and writes over no input."""
     taken = {os.path.realpath(path): "an input" for path in inputs}
     for target in filter(None, targets):
         path = Path(target)
@@ -62,11 +59,18 @@ def _check_writable(*targets: str | None, inputs: Sequence[str] = (), directory:
         taken[real] = "another output"
 
 
-def _listed_images(manifest: DatasetManifest, root: Path) -> list[Path]:
-    """The image files `manifest` lists under `root`, as `_check_writable`
-    inputs. A path with a NUL byte names no file, and its read fails as a
-    DataLoadError, so it is left out."""
-    return [root / path for path, _ in manifest.entries if "\0" not in path]
+def _read_manifest(path: str, *targets: str | None) -> tuple[DatasetManifest, Path]:
+    """The manifest at `path` and its directory, the root of its images. A target
+    that is a listed image, or the directory holding one, is refused with IoError."""
+    manifest, root = _read(path, read_manifest), Path(path).parent
+    # a path with a NUL byte names no file, and its read fails as a DataLoadError
+    listed = [root / name for name, _ in manifest.entries if "\0" not in name]
+    held = dict.fromkeys(map(os.path.realpath, {image.parent for image in listed}), "holds")
+    held.update(dict.fromkeys(map(os.path.realpath, listed), "is"))
+    for target in filter(None, targets):
+        if verb := held.get(os.path.realpath(target)):
+            raise IoError(f"cannot write {target}: it {verb} an input")
+    return manifest, root
 
 
 def _input_size(args) -> tuple[int, int]:
@@ -189,10 +193,7 @@ def _cmd_train(args) -> None:
         hidden=args.hidden,
     )
     _check_writable(args.out, args.log, inputs=[args.manifest])
-    manifest = _read(args.manifest, read_manifest)
-    root = Path(args.manifest).parent
-    # the images are known once the manifest is read, and none is read yet
-    _check_writable(args.out, args.log, inputs=_listed_images(manifest, root))
+    manifest, root = _read_manifest(args.manifest, args.out, args.log)
     report = train(manifest, cfg, root=root, log_path=args.log)
     write_atomic(args.out, save_params(report.params))
     print(
@@ -205,10 +206,8 @@ def _cmd_train(args) -> None:
 def _cmd_predict(args) -> None:
     size = _input_size(args)
     _check_writable(args.out, inputs=[args.params, args.manifest])
+    manifest, root = _read_manifest(args.manifest, args.out)
     params = _read(args.params, load_params)
-    manifest = _read(args.manifest, read_manifest)
-    root = Path(args.manifest).parent
-    _check_writable(args.out, inputs=_listed_images(manifest, root))
     scores = predict(params, manifest, size, root=root)
     write_atomic(args.out, csv_blocks(scores))
     print(f"wrote {scores.num_rows}x{scores.num_classes} scores to {args.out}")
@@ -237,8 +236,8 @@ def _cmd_augment(args) -> None:
     size = _input_size(args)
     _config(TrainConfig, seed=args.seed)  # augment draws training's streams
     _check_writable(args.out_dir, inputs=[args.manifest], directory=True)
-    manifest = _read(args.manifest, read_manifest)
-    samples = augmented_samples(manifest, args.mode, size, args.seed, Path(args.manifest).parent)
+    manifest, root = _read_manifest(args.manifest, args.out_dir)
+    samples = augmented_samples(manifest, args.mode, size, args.seed, root)
     written = write_dataset(args.out_dir, "aug", samples, manifest.num_classes)
     print(f"wrote {len(written)} augmented samples to {Path(args.out_dir)}")
 

@@ -139,6 +139,16 @@ class TestRandomResizedCrop:
             assert out.min() >= unit(pixels).min() - 1e-12
             assert out.max() <= unit(pixels).max() + 1e-12
 
+    @pytest.mark.parametrize("shape, corner", [((1, 64), (0, 31)), ((64, 1), (31, 0))])
+    def test_thin_image_falls_back_to_the_centred_window(self, rng, shape, corner):
+        # a sampled window is at least 2 pixels on each side, so every
+        # attempt fails and the fallback is the centred 1x1 window
+        pixels = random_pixels(rng, *shape)
+        window = augment._random_crop(pixels, rng_stream(1, 2, 0, 0))
+        top, left = corner
+        np.testing.assert_array_equal(window, pixels[top : top + 1, left : left + 1])
+        assert np.shares_memory(window, pixels)
+
 
 class TestMixup:
     def test_label_or_table(self):

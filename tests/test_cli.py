@@ -297,8 +297,12 @@ class TestAugment:
         ]
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))}
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under `root` with its bytes; a directory's are None."""
+    return {
+        str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+        for p in sorted(root.rglob("*"))
+    }
 
 
 def _interrupt_at_image(monkeypatch, nth: int) -> None:
@@ -839,13 +843,21 @@ class TestExitCodes:
         "argv, refused",
         [
             ("train --manifest {ds}/manifest.tsv --mode M1 --out {ds}/img_00000.ppm",
-             "{ds}/img_00000.ppm"),
+             "{ds}/img_00000.ppm: it is an input"),
             ("train --manifest {ds}/manifest.tsv --mode M1 --out {ds}/x.bin "
-             "--log {link}/img_00003.ppm", "{link}/img_00003.ppm"),
+             "--log {link}/img_00003.ppm", "{link}/img_00003.ppm: it is an input"),
             ("predict --params {ds}/m.params --manifest {ds}/manifest.tsv "
-             "--out {link}/img_00001.ppm", "{link}/img_00001.ppm"),
+             "--out {link}/img_00001.ppm", "{link}/img_00001.ppm: it is an input"),
+            ("augment --manifest {ds}/m2.tsv --mode M2 --size 16 16 --out-dir {ds}/sub",
+             "{ds}/sub: it holds an input"),
+            ("augment --manifest {ds}/m2.tsv --mode M2 --size 16 16 --out-dir {link}/links",
+             "{link}/links: it holds an input"),
+            ("augment --manifest {ds}/m2.tsv --mode M2 --size 16 16 --out-dir {ds}/named",
+             "{ds}/named: it holds an input"),
         ],
-        ids=["train-out-is-an-image", "train-log-is-an-image", "predict-out-is-an-image"],
+        ids=["train-out-is-an-image", "train-log-is-an-image", "predict-out-is-an-image",
+             "augment-out-dir-holds-an-image", "augment-out-dir-holds-a-linked-image",
+             "augment-out-dir-holds-an-image-named-manifest"],
     )
     def test_output_over_a_listed_image_is_refused(
         self, dataset, tmp_path, capsys, monkeypatch, argv, refused
@@ -860,12 +872,35 @@ class TestExitCodes:
             (ds / path.name).write_bytes(path.read_bytes())
         (ds / "m.params").write_bytes(CHECKPOINT.read_bytes())
         (tmp_path / "link").symlink_to(ds)
+        # m2.tsv lists an image where augment writes its first one, a symlink
+        # there (its target is elsewhere) and an image where augment writes
+        # its manifest
+        for folder in ("sub", "links", "named"):
+            (ds / folder).mkdir()
+        (ds / "sub" / "aug_00000.ppm").write_bytes((dataset / "img_00000.ppm").read_bytes())
+        (ds / "links" / "aug_00000.ppm").symlink_to("../img_00001.ppm")
+        (ds / "named" / "manifest.tsv").write_bytes((dataset / "img_00002.ppm").read_bytes())
+        header = (dataset / "manifest.tsv").read_text().splitlines()[0]
+        (ds / "m2.tsv").write_text(
+            f"{header}\nsub/aug_00000.ppm\t0\nlinks/aug_00000.ppm\t1\nnamed/manifest.tsv\t0\n"
+        )
         before = _tree(ds)
         paths = {"ds": ds, "link": tmp_path / "link"}
         assert main(argv.format(**paths).split()) == 1
-        assert capsys.readouterr().err == f"error: cannot write {refused.format(**paths)}: it is an input\n"
+        assert capsys.readouterr().err == f"error: cannot write {refused.format(**paths)}\n"
         assert _tree(ds) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "link"]
+
+    def test_predict_reads_its_manifest_before_its_checkpoint(self, tmp_path, capsys):
+        # both inputs are bad, and the manifest's error is the one reported
+        (tmp_path / "manifest.tsv").write_text("no header\n")
+        (tmp_path / "bad.params").write_text("not a checkpoint\n")
+        assert main([
+            "predict", "--params", str(tmp_path / "bad.params"),
+            "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(tmp_path / "s.csv"),
+        ]) == 1
+        assert capsys.readouterr().err == "error: manifest must start with '#classes=C'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.params", "manifest.tsv"]
 
     @pytest.mark.parametrize("command", ["train", "predict", "augment"])
     def test_lone_cr_manifest_is_runtime_error(self, dataset, tmp_path, capsys, command):
@@ -1003,6 +1038,24 @@ def test_cli_imports_no_numpy_and_no_private_names():
             elif node.level > 0 or package == "mlc":
                 bad += [alias.name for alias in node.names if alias.name.startswith("_")]
     assert bad == []
+
+
+def test_cli_reads_manifests_only_through_the_listed_image_guard():
+    # a command that read a manifest past `_read_manifest` could write over its images
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    guard = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_read_manifest"
+    )
+
+    def uses(root):
+        return [
+            node for node in ast.walk(root)
+            if getattr(node, "id", getattr(node, "attr", None)) == "read_manifest"
+        ]
+
+    assert len(uses(guard)) == 1
+    assert uses(tree) == uses(guard)
 
 
 def test_readme_cli_block_parses():

@@ -88,6 +88,14 @@ class TestPpm:
         with pytest.raises(BadHeader):
             read_ppm(header + bytes(12))
 
+    @pytest.mark.parametrize(
+        "blob", [b"P6 1 1 255", b"P6 1 1 255x" + bytes(3)],
+        ids=["ends-at-maxval", "byte-after-maxval"],
+    )
+    def test_missing_whitespace_after_maxval(self, blob):
+        with pytest.raises(BadHeader, match="missing whitespace after maxval"):
+            read_ppm(blob)
+
     def test_write_red_pixel_exact_bytes(self):
         img = np.array([[[255, 0, 0]]], dtype=np.uint8)
         assert write_ppm(img) == b"P6\n1 1\n255\n" + bytes([255, 0, 0])

@@ -193,6 +193,21 @@ class TestOverall:
             evaluate(ScoreMatrix(np.zeros(shape)), LabelMatrix(np.zeros(shape, dtype=int)), k=1)
 
 
+@pytest.mark.parametrize(
+    "function, scores, other",
+    [
+        (top_k_binarize, np.zeros(3), 1),
+        (average_precision, np.zeros(3), np.array([1, 0])),
+        (average_precision, np.zeros((2, 1)), np.ones((2, 1))),
+        (mean_ap, np.zeros((2, 3)), np.ones((2, 2))),
+    ],
+    ids=["top-k-rank1", "ap-lengths-differ", "ap-rank2", "map-shapes-differ"],
+)
+def test_shape_mismatch(function, scores, other):
+    with pytest.raises(ShapeMismatch):
+        function(scores, other)
+
+
 class TestAveragePrecision:
     def test_positive_ranked_first(self):
         assert average_precision(np.array([0.9, 0.3]), np.array([1, 0])) == 1.0

@@ -278,6 +278,16 @@ class TestPipeline:
     """train and predict build their inputs on one worker thread and hold
     OpenBLAS to one thread; neither outlives them on any exit path."""
 
+    @pytest.mark.parametrize("old", [None, 3], ids=["no-openblas", "openblas"])
+    def test_blas_hold_sets_one_thread_and_restores(self, monkeypatch, old):
+        # None: no OpenBLAS is loaded, and the block runs with nothing set
+        seen = []
+        calls = None if old is None else (lambda: old, seen.append)
+        monkeypatch.setattr(trainer, "_openblas_thread_calls", lambda: calls)
+        with trainer._one_blas_thread():
+            seen.append("block")
+        assert seen == (["block"] if old is None else [1, "block", old])
+
     def test_one_owner_of_the_worker_and_the_blas_hold(self):
         # (file, top-level definition, callee) of every call of these names in mlc
         names = ("ThreadPoolExecutor", "_one_blas_thread", "_built_ahead")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlc.errors import NonBinaryLabel, NonFinite
+from mlc.errors import NonBinaryLabel, NonFinite, ShapeMismatch
 from mlc.types import LabelMatrix, ScoreMatrix
 
 
@@ -24,3 +24,9 @@ class TestScoreMatrix:
         mat = ScoreMatrix(np.array([[-1e300, 1e300]]))
         assert mat.num_rows == 1 and mat.num_classes == 2
 
+
+@pytest.mark.parametrize("matrix", [LabelMatrix, ScoreMatrix])
+@pytest.mark.parametrize("shape", [(3,), (2, 0), (1, 2, 1)], ids=["rank1", "no-classes", "rank3"])
+def test_matrix_rejects_other_than_n_by_c(matrix, shape):
+    with pytest.raises(ShapeMismatch, match=r"expected \(n, C\)"):
+        matrix(np.zeros(shape, dtype=np.int8))
