@@ -51,8 +51,10 @@ def resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """
     if data.shape[:2] == (out_h, out_w):
         return data
+    out = kernels.resize_bilinear(data, out_h, out_w)
     # interpolation can overshoot [0, 1] by one ulp; clamp it back
-    return np.clip(kernels.resize_bilinear(data, out_h, out_w), 0.0, 1.0)
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _random_crop(data: np.ndarray, rng: np.random.Generator) -> np.ndarray:

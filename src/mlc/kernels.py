@@ -3,7 +3,9 @@
 One vectorized numpy implementation per kernel, so the bytes a run writes
 depend only on its flags and seed. `adaptive_pool` works on a whole
 (n, H, W, C) batch at once; `resize_bilinear` and `paint_shapes` work on
-one float64 (H, W, C) image.
+one float64 (H, W, C) image. Resize and pooling build their results in
+place in the arrays they allocate; each sums and interpolates in the same
+order as the per-pixel loops the tests keep as references.
 
 Coordinates follow the half-pixel-center convention: source position of
 output pixel i is (i + 0.5) * (in / out) - 0.5, clamped to the image border.
@@ -35,26 +37,45 @@ def _taps(size_in: int, size_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def resize_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resize: lerp every source row along x, then the rows along y."""
+    """Separable bilinear resize: lerp every source row along x, then the rows along y.
+
+    Each lerp is `lo + w * (hi - lo)`, gathered with `np.take` and formed in
+    place in the gathered array.
+    """
     y0, y1, dy = _taps(src.shape[0], out_h)
     x0, x1, dx = _taps(src.shape[1], out_w)
-    left = src[:, x0]
-    rows = left + dx[:, None] * (src[:, x1] - left)
-    top = rows[y0]
-    return top + dy[:, None, None] * (rows[y1] - top)
+    left = np.take(src, x0, axis=1)
+    rows = np.take(src, x1, axis=1)
+    rows -= left
+    rows *= dx[:, None]
+    rows += left
+    top = np.take(rows, y0, axis=0)
+    out = np.take(rows, y1, axis=0)
+    out -= top
+    out *= dy[:, None, None]
+    out += top
+    return out
 
 
 def adaptive_pool(src: np.ndarray, gh: int, gw: int) -> np.ndarray:
     """Average-pool an (n, H, W, C) batch to (n, gh, gw, C).
 
     Bin (i, j) covers rows [floor(i*H/gh), ceil((i+1)*H/gh)) and columns
-    analogously. When the bins divide the image evenly they tile it and a
-    reshape pools every bin at once; otherwise each bin is pooled over the
-    whole batch in turn. Both sum each bin in the same order.
+    analogously, and is summed from 0.0 row by row, left to right, then
+    divided by its size. When the bins divide the image evenly they tile
+    it, and one accumulator adds each in-bin offset, in that order, for
+    every bin at once; otherwise each bin is pooled over the whole batch in
+    turn.
     """
     n, in_h, in_w, nc = src.shape
     if in_h % gh == 0 and in_w % gw == 0:
-        return src.reshape(n, gh, in_h // gh, gw, in_w // gw, nc).mean(axis=(2, 4))
+        bh, bw = in_h // gh, in_w // gw
+        bins = src.reshape(n, gh, bh, gw, bw, nc)
+        acc = np.zeros((n, gh, gw, nc))
+        for k in range(bh * bw):
+            acc += bins[:, :, k // bw, :, k % bw, :]
+        acc /= bh * bw
+        return acc
     out = np.empty((n, gh, gw, nc), dtype=np.float64)
     for i in range(gh):
         r0 = (i * in_h) // gh

@@ -25,8 +25,11 @@ pass, updates the arrays of `init_params` in place; they are validated as
 uses an item, one worker thread makes the next, `train`'s batch
 (augmentation, mixup and pooling, across epoch boundaries too) or
 `predict`'s pooled block, and OpenBLAS is held to one thread, so no byte
-depends on OPENBLAS_NUM_THREADS. A build error comes out as itself; leaving
-the block joins the worker and restores the thread count on every exit path.
+depends on OPENBLAS_NUM_THREADS. `train` also hands the worker to
+`sgd_step` as its `StepHelper`: once the next batch is built, the worker
+applies some of W1's row blocks while the caller applies the others, with
+the bytes of a serial step. A build error comes out as itself; leaving the
+block joins the worker and restores the thread count on every exit path.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .augment import (
 from .errors import DivergedLoss, EmptyInput, ShapeMismatch
 from .io import DatasetManifest, quantize, read_image, write_atomic
 from .model import (
-    ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
+    ModelParams, StepHelper, check_pool_grid, forward_features, init_params, pooled_batch,
+    sgd_step,
 )
 from .types import LabelMatrix, ScoreMatrix
 
@@ -215,9 +219,12 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 @contextmanager
-def _built_ahead(items: Iterator) -> Iterator[Iterator]:
+def _built_ahead(items: Iterator) -> Iterator[tuple[Iterator, ThreadPoolExecutor]]:
     """An iterator over `items` (never None) whose next item one worker thread
-    makes while the caller uses the current one, OpenBLAS held to one thread.
+    makes while the caller uses the current one, and that worker, OpenBLAS
+    held to one thread. A task the caller submits to the worker runs after
+    the item being built, on the same thread, so the build's memory stays in
+    one thread's allocator arena.
 
     numpy's overflow and invalid-value warnings are off in the block: a
     non-finite loss or score is reported as DivergedLoss or NonFinite instead.
@@ -230,7 +237,7 @@ def _built_ahead(items: Iterator) -> Iterator[Iterator]:
 
     quiet = np.errstate(over="ignore", invalid="ignore")
     with quiet, _one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="mlc-ahead") as worker:
-        yield ahead(worker)
+        yield ahead(worker), worker
 
 
 def train(
@@ -252,14 +259,15 @@ def train(
     log_lines = []
     epoch_losses = []
     first_loss = None
-    with _built_ahead(_training_batches(images, labels, cfg)) as batches:
+    with _built_ahead(_training_batches(images, labels, cfg)) as (batches, worker):
+        helper = StepHelper(worker, params)
         for epoch in range(cfg.epochs):
             lr_head, lr_body = effective_lrs(cfg, epoch)
             loss_sum = 0.0
             row_count = 0
             for batch_no in range(num_batches):
                 features, targets = next(batches)
-                batch_loss = sgd_step(params, features, targets, lr_head, lr_body)
+                batch_loss = sgd_step(params, features, targets, lr_head, lr_body, helper)
                 rows = len(targets)
                 batch_mean = batch_loss / rows
                 if first_loss is None:
@@ -313,7 +321,7 @@ def predict(
             yield np.pad(features, ((0, PREDICT_CHUNK - len(chunk)), (0, 0)))
 
     scores = np.empty((n, params.num_classes))
-    with _built_ahead(pooled_blocks()) as blocks:
+    with _built_ahead(pooled_blocks()) as (blocks, _):
         for lo, features in zip(range(0, n, PREDICT_CHUNK), blocks):
             rows = scores[lo : lo + PREDICT_CHUNK]
             rows[:] = forward_features(params, features)[: len(rows)]

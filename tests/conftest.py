@@ -1,4 +1,6 @@
 import io
+import itertools
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -76,3 +78,57 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+class InjectedFault(Exception):
+    """Raised by `scripted_claims` on the caller in place of a block."""
+
+
+def scripted_claims(blocks: int, owner):
+    """A stand-in for `itertools.count` in `mlc.model` (patch `mlc.model.count`),
+    and the list of (step, block, taker) claims made through it; block None is
+    a claim past the last block, which ends that thread's part of the step.
+
+    Step s (the s-th count made) gives `sgd_step` the same block offsets, but
+    hands block k only to the thread that `owner(s, k)` names: "caller" (the
+    thread that called this), "helper" (any other), None (either), or
+    "caller fails", which raises InjectedFault on the caller in place of the
+    block and leaves the step's other blocks to either thread. Offsets past the
+    last of the `blocks` blocks go to whoever asks. A claim that waits 10 s
+    raises AssertionError.
+    """
+    caller = threading.current_thread()
+    claims = []
+    steps = itertools.count()
+
+    class Claims:
+        def __init__(self, start: int, step: int):
+            self.start, self.step, self.step_no = start, step, next(steps)
+            self.k, self.failed = 0, False
+            self.ready = threading.Condition()
+
+        def __iter__(self):
+            return self
+
+        def __next__(self) -> int:
+            me = "caller" if threading.current_thread() is caller else "helper"
+            with self.ready:
+                def mine() -> bool:
+                    if self.k >= blocks or self.failed:
+                        return True
+                    want = owner(self.step_no, self.k)
+                    return want in (None, me) or (want == "caller fails" and me == "caller")
+
+                if not self.ready.wait_for(mine, timeout=10):
+                    raise AssertionError(f"block {self.k} of step {self.step_no} never claimed")
+                k, self.k = self.k, self.k + 1
+                self.ready.notify_all()
+                if k < blocks:
+                    if not self.failed and owner(self.step_no, k) == "caller fails":
+                        self.failed = True
+                        claims.append((self.step_no, k, "caller fails"))
+                        raise InjectedFault(f"injected at block {k} of step {self.step_no}")
+                claims.append((self.step_no, k if k < blocks else None, me))
+            return self.start + k * self.step
+
+    return Claims, claims

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mlc import kernels
+from mlc import augment, kernels
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -67,6 +67,22 @@ def pool_reference(batch, gh, gw):
     return out
 
 
+def resize_as_before(src, out_h, out_w):
+    """The clamped resize as it was before the in-place kernel, kept as the oracle."""
+    y0, y1, dy = kernels._taps(src.shape[0], out_h)
+    x0, x1, dx = kernels._taps(src.shape[1], out_w)
+    left = src[:, x0]
+    rows = left + dx[:, None] * (src[:, x1] - left)
+    top = rows[y0]
+    return np.clip(top + dy[:, None, None] * (rows[y1] - top), 0.0, 1.0)
+
+
+def even_pool_as_before(batch, gh, gw):
+    """Evenly tiled pooling as it was before the accumulator loop, kept as the oracle."""
+    n, in_h, in_w, nc = batch.shape
+    return batch.reshape(n, gh, in_h // gh, gw, in_w // gw, nc).mean(axis=(2, 4))
+
+
 class TestResizeBilinear:
     def test_hand_derived_1x2_to_1x4(self):
         src = np.zeros((1, 2, 3))
@@ -102,6 +118,32 @@ class TestResizeBilinear:
             kernels.resize_bilinear(view, 11, 5),
             kernels.resize_bilinear(np.ascontiguousarray(view), 11, 5),
         )
+
+    def test_clamped_resize_equals_the_frozen_one(self):
+        # 400 shapes, a quarter each of upscales, downscales, identities and
+        # 1-pixel sides; half the inputs are byte / 255 values as decoded images give
+        rng = np.random.default_rng(20)
+        for case in range(400):
+            in_h, in_w = (int(v) for v in rng.integers(1, 80, 2))
+            kind = case % 4
+            if kind == 0:
+                out_h, out_w = in_h + int(rng.integers(1, 40)), in_w + int(rng.integers(1, 40))
+            elif kind == 1:
+                out_h, out_w = max(1, in_h // 2), max(1, in_w // 3)
+            elif kind == 2:
+                out_h, out_w = in_h, in_w
+            else:
+                in_h, in_w = (1, in_w) if case % 8 == 3 else (in_h, 1)
+                out_h, out_w = (int(v) for v in rng.integers(1, 80, 2))
+                out_h, out_w = (1, out_w) if case % 16 < 8 else (out_h, 1)
+            if case % 2:
+                src = rng.integers(0, 256, (in_h, in_w, 3)).astype(np.float64) / 255.0
+            else:
+                src = rng.random((in_h, in_w, 3))
+            expected = resize_as_before(src, out_h, out_w)
+            assert augment.resize(src, out_h, out_w).tobytes() == expected.tobytes(), case
+            clamped = np.clip(kernels.resize_bilinear(src, out_h, out_w), 0.0, 1.0)
+            assert clamped.tobytes() == expected.tobytes(), case
 
     def test_cached_taps_are_read_only(self):
         taps = kernels._taps(7, 5)
@@ -158,6 +200,20 @@ class TestAdaptivePool:
         np.testing.assert_array_equal(
             kernels.adaptive_pool(batch, gh, gw), pool_reference(batch, gh, gw)
         )
+
+    def test_even_bins_equal_the_frozen_mean(self):
+        # grids 1x1 to 64x64 with random bin shapes, and 128 -> 2 (4096 values a bin)
+        rng = np.random.default_rng(21)
+        cases = [(16, 2, 2, 64, 64)]
+        for g in range(1, 65):
+            gw = int(rng.integers(1, 65))
+            bh, bw = (int(v) for v in rng.integers(1, max(2, 128 // max(g, gw)) + 1, 2))
+            cases.append((int(rng.integers(1, 5)), g, gw, bh, bw))
+        for n, gh, gw, bh, bw in cases:
+            batch = rng.random((n, gh * bh, gw * bw, 3))
+            pooled = kernels.adaptive_pool(batch, gh, gw)
+            expected = even_pool_as_before(batch, gh, gw)
+            assert pooled.tobytes() == expected.tobytes(), (gh, gw, bh, bw)
 
     def test_batch_rows_are_independent(self, rng):
         batch = rng.random((5, 9, 7, 3))

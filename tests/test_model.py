@@ -1,15 +1,20 @@
 import io
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlc import model, trainer
 from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMismatch
 from mlc.io import write_atomic
 from mlc.model import (
     ModelParams,
+    StepHelper,
     bce_loss,
     forward_features,
     init_params,
@@ -20,7 +25,10 @@ from mlc.model import (
     sigmoid,
 )
 
-from conftest import CHECKPOINT, copy_params, random_image, step_gradients, traced_peak
+from conftest import (
+    CHECKPOINT, InjectedFault, copy_params, random_image, scripted_claims, step_gradients,
+    traced_peak,
+)
 
 
 def tiny_params(rng, pool_grid=(2, 2), hidden=4, classes=3, scale=0.5):
@@ -247,6 +255,96 @@ class TestSgdStep:
         params = tiny_params(rng)
         with pytest.raises(ShapeMismatch):
             sgd_step(params, rng.random((2, 12)), np.zeros((2, 4)), 0.1, 0.01)
+
+
+def _step_case(grid, hidden, rows, seed=4):
+    rng = np.random.default_rng(seed)
+    params = init_params(5, grid, hidden, seed=seed)
+    features = rng.random((rows, params.feature_dim))
+    labels = (rng.random((rows, 5)) < 0.4).astype(np.float64)
+    blocks = -(-params.feature_dim // (model._W1_BLOCK_BYTES // (8 * hidden)))
+    return params, features, labels, blocks
+
+
+OWNERS = {
+    "none": lambda step, k: "caller",
+    "all": lambda step, k: "helper",
+    "alternate": lambda step, k: ("caller", "helper")[k % 2],
+}
+
+
+class TestStepHelper:
+    """A helper thread takes some of W1's row blocks; no byte may depend on which."""
+
+    @pytest.mark.parametrize("owner", sorted(OWNERS))
+    @pytest.mark.parametrize("rows", [1, 16])
+    # d = 12, 768 and 45: 45 is no multiple of 16 rows (hidden 4096), 768 none of 218 (300)
+    @pytest.mark.parametrize("grid", [(2, 2), (16, 16), (3, 5)])
+    @pytest.mark.parametrize("hidden", [4096, 300, 7])
+    def test_helper_cannot_change_bytes(self, monkeypatch, hidden, grid, rows, owner):
+        # both steps under train's one-thread BLAS hold: OpenBLAS's thread
+        # count itself changes some matmuls' bits (at hidden 300, for one)
+        params, features, labels, blocks = _step_case(grid, hidden, rows)
+        serial, shared = copy_params(params), copy_params(params)
+        with trainer._built_ahead(iter(())) as (_, pool):
+            serial_loss = sgd_step(serial, features, labels, 0.1, 0.01)
+            claims_type, claims = scripted_claims(blocks, OWNERS[owner])
+            monkeypatch.setattr(model, "count", claims_type)
+            loss = sgd_step(shared, features, labels, 0.1, 0.01, StepHelper(pool, shared))
+        assert [(k, who) for _, k, who in claims if k is not None] == [
+            (k, OWNERS[owner](0, k)) for k in range(blocks)
+        ]
+        assert np.float64(loss).tobytes() == np.float64(serial_loss).tobytes()
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(shared, name).tobytes() == getattr(serial, name).tobytes(), name
+
+    def test_free_claims_under_contention_match_the_serial_steps(self):
+        # the real count, 30 chained steps, a 1 us switch interval and a busy
+        # third thread: a block lost or applied twice changes W1's bytes
+        params, features, labels, _ = _step_case((16, 16), 4096, 16)
+        serial, shared = copy_params(params), copy_params(params)
+        stop = threading.Event()
+
+        def busy():
+            while not stop.is_set():
+                np.sort(np.arange(2000.0)[::-1])
+
+        other = threading.Thread(target=busy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other.start()
+            with trainer._built_ahead(iter(())) as (_, pool):
+                helper = StepHelper(pool, shared)
+                for _ in range(30):
+                    want = sgd_step(serial, features, labels, 0.1, 0.01)
+                    assert sgd_step(shared, features, labels, 0.1, 0.01, helper) == want
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(shared, name).tobytes() == getattr(serial, name).tobytes(), name
+
+    def test_error_in_the_callers_blocks_joins_the_helper(self, monkeypatch):
+        # the helper takes block 0, the caller fails at block 1, and the helper
+        # is left the other 46 blocks, which it applies before sgd_step raises
+        params, features, labels, blocks = _step_case((16, 16), 4096, 16)
+        owner = lambda step, k: "caller fails" if k == 1 else "helper"  # noqa: E731
+        claims_type, claims = scripted_claims(blocks, owner)
+        monkeypatch.setattr(model, "count", claims_type)
+        with trainer._built_ahead(iter(())) as (_, pool):
+            with pytest.raises(InjectedFault):
+                sgd_step(params, features, labels, 0.1, 0.01, StepHelper(pool, params))
+            done = list(claims)
+            w1 = params.W1.copy()
+            time.sleep(0.05)
+            assert params.W1.tobytes() == w1.tobytes()
+        assert (0, None, "helper") in done
+        assert [k for _, k, who in done if who == "helper" and k is not None] == [
+            0, *range(2, blocks)
+        ]
 
 
 def _saved(params: ModelParams) -> bytes:

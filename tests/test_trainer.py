@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlc import trainer
+from mlc import model, trainer
 from mlc.augment import MODES, resize
 from mlc.errors import (
     DataLoadError,
@@ -33,7 +34,7 @@ from mlc.trainer import (
     train,
 )
 
-from conftest import traced_peak
+from conftest import InjectedFault, scripted_claims, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +89,9 @@ class TestSchedule:
         lrs = []
         sgd_step = trainer.sgd_step
 
-        def step(params, features, targets, lr_head, lr_body):
+        def step(params, features, targets, lr_head, lr_body, helper=None):
             lrs.append((lr_head, lr_body))
-            return sgd_step(params, features, targets, lr_head, lr_body)
+            return sgd_step(params, features, targets, lr_head, lr_body, helper)
 
         monkeypatch.setattr(trainer, "sgd_step", step)
         train(manifest, cfg, root=root)
@@ -214,7 +215,7 @@ class TestTrain:
         # the first batch's mean loss is 1.0; the third batch returns `later` times it
         calls = []
 
-        def fake_step(params, features, labels, lr_head, lr_body):
+        def fake_step(params, features, labels, lr_head, lr_body, helper=None):
             calls.append(len(labels))
             return len(labels) * (later if len(calls) == 3 else 1.0)
 
@@ -308,7 +309,9 @@ class TestPipeline:
         users = {top for _, top, name in calls if name == "_built_ahead"}
         assert {"train", "predict"} <= users
 
-    @pytest.mark.parametrize("exit_path", ["return", "diverged", "worker-error", "interrupt"])
+    @pytest.mark.parametrize(
+        "exit_path", ["return", "diverged", "worker-error", "step-error", "interrupt"]
+    )
     def test_nothing_outlives_train(self, small_dataset, monkeypatch, exit_path):
         manifest, root = small_dataset
         cfg = small_cfg(mode="M3", batch_size=4)
@@ -336,6 +339,25 @@ class TestPipeline:
                 train(manifest, cfg, root=root)
             assert threading.main_thread() not in built
             assert len(steps) == 6 + 3
+        elif exit_path == "step-error":
+            # W1 is 3 blocks of 16 rows at hidden 4096; in step 2 the helper
+            # takes block 0, the caller fails at block 1, and block 2 is left
+            made, init_params = [], trainer.init_params
+            monkeypatch.setattr(
+                trainer, "init_params", lambda *args: made.append(init_params(*args)) or made[0]
+            )
+            owner = {(2, 0): "helper", (2, 1): "caller fails"}
+            claims_type, claims = scripted_claims(3, lambda step, k: owner.get((step, k)))
+            monkeypatch.setattr(model, "count", claims_type)
+            with pytest.raises(InjectedFault):
+                train(manifest, small_cfg(mode="M3", batch_size=4, hidden=4096), root=root)
+            w1 = made[0].W1.copy()
+            time.sleep(0.05)
+            assert made[0].W1.tobytes() == w1.tobytes()
+            assert [claim for claim in claims if claim[0] == 2] == [
+                (2, 0, "helper"), (2, 1, "caller fails"), (2, 2, "helper"), (2, None, "helper"),
+            ]
+            assert len(steps) == 3
         else:
             with pytest.raises(KeyboardInterrupt):
                 train(manifest, cfg, root=root)
