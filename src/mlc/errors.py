@@ -1,7 +1,8 @@
 """Typed errors raised at module boundaries.
 
-Every invalid construction or contract violation maps to one of these, so
-callers can catch a single base class or a precise condition.
+Every invalid construction or contract violation maps to one of these,
+one for each kind of failure, so callers can catch a single base class or
+one kind; the message names the precise condition.
 """
 
 
@@ -29,32 +30,8 @@ class PixelOutOfRange(MlcError):
 
 # -- file format errors ------------------------------------------------------
 
-class BadMagic(MlcError):
-    """Image data does not start with the P6 magic."""
-
-
-class BadHeader(MlcError):
-    """PPM header is malformed."""
-
-
-class UnsupportedMaxval(MlcError):
-    """PPM maxval is not 255."""
-
-
-class TruncatedPixelData(MlcError):
-    """PPM payload is shorter than width*height*3 bytes."""
-
-
-class RaggedRows(MlcError):
-    """CSV rows have differing lengths."""
-
-
 class ParseError(MlcError):
-    """A numeric field could not be parsed."""
-
-
-class MissingClassHeader(MlcError):
-    """Manifest lacks the leading '#classes=C' line."""
+    """A PPM, CSV, manifest or checkpoint breaks its format; the message says what broke."""
 
 
 class IndexOutOfRange(MlcError):

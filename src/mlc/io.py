@@ -26,8 +26,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import (
-    BadHeader, BadMagic, DataLoadError, IndexOutOfRange, IoError, MissingClassHeader, MlcError,
-    ParseError, PixelOutOfRange, RaggedRows, ShapeMismatch, TruncatedPixelData, UnsupportedMaxval,
+    DataLoadError, IndexOutOfRange, IoError, MlcError, ParseError, PixelOutOfRange, ShapeMismatch,
 )
 from .types import LabelMatrix, ScoreMatrix
 
@@ -72,7 +71,7 @@ def read_ppm(blob: bytes) -> np.ndarray:
     width*height*3 raw bytes.
     """
     if blob[:2] != b"P6":
-        raise BadMagic(f"expected P6 magic, got {blob[:2]!r}")
+        raise ParseError(f"expected P6 magic, got {blob[:2]!r}")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -80,25 +79,25 @@ def read_ppm(blob: bytes) -> np.ndarray:
         while pos < len(blob) and blob[pos : pos + 1] in (b" ", b"\t", b"\n", b"\r"):
             pos += 1
         if pos == start:
-            raise BadHeader("header fields are not separated by whitespace")
+            raise ParseError("header fields are not separated by whitespace")
         start = pos
         while pos < len(blob) and blob[pos : pos + 1].isdigit():
             pos += 1
         try:
             fields.append(int(blob[start:pos]))
         except ValueError:  # no digit, or past int's 4300-digit limit
-            raise BadHeader("header field is not an ASCII integer") from None
+            raise ParseError("header field is not an ASCII integer") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise BadHeader(f"non-positive dimensions {width}x{height}")
+        raise ParseError(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
-        raise UnsupportedMaxval(f"maxval {maxval} unsupported, need 255")
+        raise ParseError(f"maxval {maxval} unsupported, need 255")
     if pos >= len(blob) or blob[pos : pos + 1] not in (b" ", b"\t", b"\n", b"\r"):
-        raise BadHeader("missing whitespace after maxval")
+        raise ParseError("missing whitespace after maxval")
     pos += 1
     need = width * height * 3
     if len(blob) - pos < need:
-        raise TruncatedPixelData(f"expected {need} pixel bytes, got {len(blob) - pos}")
+        raise ParseError(f"expected {need} pixel bytes, got {len(blob) - pos}")
     return np.frombuffer(blob, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
 
 
@@ -133,9 +132,9 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
 
     The stream is read `CSV_BLOCK_ROWS` lines at a time. Lines end at b"\n"
     only, less one "\r" before it. A cell is anything Python's `float()`
-    accepts; a row whose cell count differs from the first row's is
-    RaggedRows. A non-ASCII byte anywhere is a ParseError naming the
-    stream's `name` and the byte's offset, and comes before any other error.
+    accepts. A ParseError names the first line with a cell count other than
+    the first row's or a cell `float()` rejects; a non-ASCII byte anywhere is
+    one naming the stream's `name` and the byte's offset, and comes first.
     kind="labels" returns a LabelMatrix, which rejects entries other than 0
     and 1; kind="scores" returns a ScoreMatrix, which rejects NaN and
     infinities. Matrix and errors are those of parsing the whole text at once.
@@ -194,7 +193,7 @@ def _parse_block(chunk: bytes, width: int | None, lineno: int) -> tuple[np.ndarr
         else:
             if width in (None, data.shape[1]):
                 return data, data.shape[1]
-            # else `_parse_lines` raises RaggedRows at this block's first row
+            # else `_parse_lines` raises the row-width ParseError at this block's first row
     return _parse_lines(lines, width, lineno)
 
 
@@ -208,7 +207,7 @@ def _parse_lines(lines: list[str], width: int | None, first: int) -> tuple[np.nd
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise RaggedRows(f"line {lineno} has {len(cells)} cells, expected {width}")
+            raise ParseError(f"line {lineno} has {len(cells)} cells, expected {width}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
@@ -275,11 +274,11 @@ def read_manifest(stream: BinaryIO) -> DatasetManifest:
     # `ascii_blocks` admits only ASCII, so `_digits` accepts only 0-9
     lines = b"".join(chunk for _, chunk in ascii_blocks(stream)).decode("ascii").split("\n")
     if not lines[0].startswith("#classes="):
-        raise MissingClassHeader("manifest must start with '#classes=C'")
+        raise ParseError("manifest must start with '#classes=C'")
     try:
         num_classes = _digits(lines[0][len("#classes="):])
     except ValueError:
-        raise MissingClassHeader(f"bad class count in {lines[0][:40]!r}") from None
+        raise ParseError(f"bad class count in {lines[0][:40]!r}") from None
     entries = []
     for line in lines[1:]:
         if line == "":

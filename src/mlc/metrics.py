@@ -13,8 +13,9 @@ and the scores equal to it fill the row's remaining places in class order
 (a running count, taken only on rows with more such scores than places).
 AP sorts a class's column once and finds each positive's rank by binary
 search, as 1 + the count of strictly greater scores; a class in which a
-positive's score equals another score, or which holds a NaN, takes the
-stable argsort instead. Both give the bits the stable sorts give.
+positive's score equals another score takes the stable argsort instead.
+Both give the bits the stable sorts give. Infinities rank at the ends; a NaN
+score has no rank, and is NonFinite here as in `ScoreMatrix`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
+from .errors import AllClassesEmpty, KTooLarge, NonFinite, NoPositives, ShapeMismatch
 from .types import LabelMatrix, ScoreMatrix
 
 # the top-k cutoff when none is given, here and in `mlc evaluate`
@@ -53,30 +54,19 @@ def top_k_binarize(scores: np.ndarray, k: int) -> np.ndarray:
         raise ShapeMismatch(f"expected (n, C) scores, got shape {scores.shape}")
     if not 1 <= k <= scores.shape[1]:
         raise KTooLarge(f"k={k} outside [1, {scores.shape[1]}]")
+    if np.isnan(scores).any():
+        raise NonFinite("scores contain NaN")
     # the list index copies the k-th largest out, so the partitioned copy is freed
     kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, [scores.shape[1] - k]]
     pred, tied = scores > kth, scores == kth
     # places left for the scores equal to the k-th; where they outnumber
     # the places, the lowest class indices take them
     room = k - np.count_nonzero(pred, axis=1)
-    ties = np.count_nonzero(tied, axis=1)
-    crowded = ties > room
+    crowded = np.count_nonzero(tied, axis=1) > room
     if crowded.any():
         tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
     pred |= tied
-    # a NaN sorts as the largest in the partition but ranks last, and leaves its row short
-    short = ties < room
-    if short.any():
-        pred[short] = _stable_top_k(scores[short], k)
     return pred.view(np.int8)
-
-
-def _stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable argsort on -scores keeps ascending original index among equal scores
-    order = np.argsort(-scores, axis=1, kind="stable")
-    pred = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(pred, order[:, :k], True, axis=1)
-    return pred
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -104,11 +94,12 @@ def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
     if positives == 0:
         raise NoPositives("average precision needs at least one positive")
     ascending = np.sort(s)
+    if np.isnan(ascending[-1]):  # np.sort puts any NaN last
+        raise NonFinite("scores contain NaN")
     hit_scores = s[y == 1]
     at_most = np.searchsorted(ascending, hit_scores, side="right")
     below = np.searchsorted(ascending, hit_scores, side="left")
-    # a NaN sorts last here, as the largest, but ranks last in the stable sort
-    if np.isnan(ascending[-1]) or (at_most - below > 1).any():
+    if (at_most - below > 1).any():
         return _stable_average_precision(s, y, positives)
     # untied, a positive's rank is 1 + the count of strictly greater scores
     ranks = np.sort(len(s) + 1 - at_most).astype(np.float64)
@@ -128,6 +119,8 @@ def mean_ap(scores: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
     """mAP of (n, C) arrays over classes with at least one positive; absent classes get NaN."""
     if scores.shape != truth.shape:
         raise ShapeMismatch(f"scores {scores.shape} vs truth {truth.shape}")
+    if np.isnan(scores).any():  # a class without positives is not ranked, NaN or not
+        raise NonFinite("scores contain NaN")
     per_class = np.full(scores.shape[1], np.nan)
     for j in range(scores.shape[1]):
         if truth[:, j].sum() > 0:

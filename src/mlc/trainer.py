@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -199,23 +200,38 @@ def _openblas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] 
     return None
 
 
+# the `_one_blas_thread` blocks open in this process, and the count the first found
+_blas_hold = threading.Lock()
+_blas_holders = 0
+_blas_restore = 0
+
+
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """Hold the loaded OpenBLAS to one thread inside the block; no-op without one.
 
-    The count is process-wide, so BLAS calls on other threads see it too.
+    The count is process-wide, so BLAS calls on other threads see it too, and
+    overlapping blocks share one hold: the first sets 1, and the last out
+    restores the count the first found.
     """
+    global _blas_holders, _blas_restore
     calls = _openblas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
-    old = get()
-    set_(1)
+    with _blas_hold:
+        if _blas_holders == 0:
+            _blas_restore = get()
+            set_(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        set_(old)
+        with _blas_hold:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_restore)
 
 
 @contextmanager

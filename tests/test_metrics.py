@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlc import metrics
-from mlc.errors import AllClassesEmpty, KTooLarge, NoPositives, ShapeMismatch
+from mlc.errors import AllClassesEmpty, KTooLarge, NonFinite, NoPositives, ShapeMismatch
 from mlc.metrics import (
     MetricsReport,
     average_precision,
@@ -404,17 +404,29 @@ class TestStableSortBits:
                 assert float(got).hex() == float(reference_ap(scores[:, j], truth[:, j])).hex()
 
     def test_non_finite_scores_rank_like_the_stable_sort(self, rng):
-        # NaN ranks last and infinities at the ends, as in the stable sort on -scores
+        # infinities rank at the ends, as in the stable sort on -scores; a NaN is NonFinite
+        truth = np.array([1, 0, 1, 0, 0, 1])
         for _ in range(40):
             scores = rng.integers(-1, 2, size=(6, 5)).astype(np.float64)
-            scores[rng.random(scores.shape) < 0.3] = np.nan
             scores[rng.random(scores.shape) < 0.1] = np.inf
             scores[rng.random(scores.shape) < 0.1] = -np.inf
             for k in range(1, 6):
                 np.testing.assert_array_equal(top_k_binarize(scores, k), reference_top_k(scores, k))
-            truth = np.array([1, 0, 1, 0, 0, 1])
             got = average_precision(scores[:, 0], truth)
             assert float(got).hex() == float(reference_ap(scores[:, 0], truth)).hex()
+            row, column = rng.integers(6), rng.integers(5)
+            scores[row, column] = np.nan
+            with pytest.raises(NonFinite, match="^scores contain NaN$"):
+                top_k_binarize(scores, int(rng.integers(1, 6)))
+            with pytest.raises(NonFinite, match="^scores contain NaN$"):
+                average_precision(scores[:, column], truth)
+            with pytest.raises(NonFinite, match="^scores contain NaN$"):
+                mean_ap(scores, np.tile(truth[:, None], (1, 5)))
+        # a NaN in a row whose ties fill its top 2, and one in a class without positives
+        with pytest.raises(NonFinite, match="^scores contain NaN$"):
+            top_k_binarize(np.array([[1.0, 1.0, 1.0, np.nan]]), 2)
+        with pytest.raises(NonFinite, match="^scores contain NaN$"):
+            mean_ap(np.array([[0.5, np.nan], [0.2, 0.1]]), np.array([[1, 0], [0, 0]]))
 
     def test_golden_panel(self):
         # recorded with the stable-argsort rankings

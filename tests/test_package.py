@@ -91,3 +91,17 @@ def test_benchmark_flags_are_cli_options():
         for command, flags in used.items()
     }
     assert {command: flags for command, flags in missing.items() if flags} == {}
+
+
+def test_every_error_class_is_raised():
+    # a class of mlc/errors.py that no `raise` in the package names is dead
+    src = Path(mlc.__file__).parent
+    errors = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"MlcError"}
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add((_dotted(node.exc.func) or "").rsplit(".", 1)[-1])
+    assert len(defined) >= 10
+    assert sorted(defined - raised) == []

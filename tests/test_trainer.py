@@ -289,6 +289,66 @@ class TestPipeline:
             seen.append("block")
         assert seen == (["block"] if old is None else [1, "block", old])
 
+    def test_overlapping_blas_holds_share_one(self):
+        # thread A enters, the caller enters, A leaves: the caller still runs
+        # on one thread, and leaving restores the count from before A
+        calls = trainer._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS is loaded")
+        get, set_ = calls
+        before = get()
+        a_in, a_leave = threading.Event(), threading.Event()
+
+        def hold_a():
+            with trainer._one_blas_thread():
+                a_in.set()
+                a_leave.wait()
+
+        set_(2)
+        try:
+            a = threading.Thread(target=hold_a)
+            a.start()
+            assert a_in.wait(10)
+            with trainer._one_blas_thread():
+                a_leave.set()
+                a.join(10)
+                inside = get()
+            assert not a.is_alive()
+            assert (inside, get()) == (1, 2)
+        finally:
+            a_leave.set()
+            set_(before)
+
+    def test_many_overlapping_blas_holds(self, monkeypatch):
+        # more holders than cores, switching often: a lost count update
+        # would restore the count inside a hold, or leave it at 1 after all
+        count = [3]
+        monkeypatch.setattr(
+            trainer, "_openblas_thread_calls",
+            lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)),
+        )
+        seen, start = [], threading.Barrier(4)
+
+        def hold_often():
+            start.wait(10)
+            for _ in range(2000):
+                with trainer._one_blas_thread():
+                    time.sleep(0)  # lets another holder run inside this hold
+                    seen.append(count[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold_often) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (len(seen), set(seen), count[0]) == (8000, {1}, 3)
+
     def test_one_owner_of_the_worker_and_the_blas_hold(self):
         # (file, top-level definition, callee) of every call of these names in mlc
         names = ("ThreadPoolExecutor", "_one_blas_thread", "_built_ahead")
