@@ -46,7 +46,9 @@ def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes | memoryvi
     if isinstance(data, str):
         data = data.encode("ascii")
     chunks = (data,) if isinstance(data, bytes) else data
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    tail = f".{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    # the name is cut to NAME_MAX, 255 bytes, so every target that fits has a temp file
+    tmp = path.with_name(os.fsdecode(b"." + os.fsencode(path.name)[: 254 - len(tail)]) + tail)
     try:
         # opened before the inner try: if the name clashes, "x" fails and
         # the other writer's file is left alone
@@ -278,7 +280,9 @@ def read_manifest(stream: BinaryIO) -> DatasetManifest:
     try:
         num_classes = _digits(lines[0][len("#classes="):])
     except ValueError:
-        raise ParseError(f"bad class count in {lines[0][:40]!r}") from None
+        num_classes = 0
+    if num_classes < 1:
+        raise ParseError(f"bad class count in {lines[0][:40]!r}")
     entries = []
     for line in lines[1:]:
         if line == "":

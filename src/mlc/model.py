@@ -147,30 +147,13 @@ def forward_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
 _W1_BLOCK_BYTES = 512 * 1024
 
 
-def _w1_block_buffer(params: ModelParams) -> np.ndarray:
-    """An empty buffer for one of W1's row blocks: (rows per block, hidden)."""
-    rows = max(1, _W1_BLOCK_BYTES // (8 * params.hidden))
-    return np.empty((min(rows, params.feature_dim), params.hidden), dtype=np.float64)
-
-
-class StepHelper:
-    """A second thread for `sgd_step`'s W1 row blocks: a task submitted to
-    `executor` claims blocks alongside the caller as soon as a worker takes
-    it, and `buffers` holds the caller's and that task's block buffers, made
-    once here and reused by every step."""
-
-    def __init__(self, executor: Executor, params: ModelParams):
-        self.executor = executor
-        self.buffers = (_w1_block_buffer(params), _w1_block_buffer(params))
-
-
 def sgd_step(
     params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
     lr_head: float,
     lr_body: float,
-    helper: StepHelper | None = None,
+    helper: Executor | None = None,
 ) -> float:
     """One mean-gradient SGD step on a (n, D) feature batch, in place on
     params' arrays; returns the batch's summed loss before the step.
@@ -178,14 +161,15 @@ def sgd_step(
     The model's only backward pass: dL/ds = sigmoid(s) - y at the output,
     chained through W2 and the relu, and each element is updated as
     `w -= (lr / n) * g` with g the batch's summed gradient. W1's gradient
-    is formed and applied one `_W1_BLOCK_BYTES` row block at a time, in a
-    reused buffer, and never built whole. Without a `helper` the calling
-    thread applies every block in order. With one, the caller and a task
-    on the helper's executor each claim the next unapplied block until none
-    is left (the task may start late and claim none), and the caller joins
-    the task, on every exit path, before it updates b1, W2 and b2. A block
-    is the same three calls on whichever thread claims it, and blocks share
-    no W1 row, so the bytes are those of the serial step.
+    is formed and applied one `_W1_BLOCK_BYTES` row block at a time, in
+    buffers made for this step, and never built whole. Without a `helper`
+    the calling thread applies every block in order. With one (an executor,
+    `train`'s build worker), the caller and a task on it each claim the next
+    unapplied block, in a buffer of its own, until none is left (the task
+    may start late and claim none), and the caller joins the task, on every
+    exit path, before it updates b1, W2 and b2. A block is the same three
+    calls on either thread, and blocks share no W1 row, so the bytes are
+    those of the serial step.
     """
     z1, hidden, scores = _forward(params, features)
     loss = bce_loss(scores, labels)
@@ -193,8 +177,9 @@ def sgd_step(
     d_z1 = np.where(z1 > 0.0, d_scores @ params.W2.T, 0.0)
     rows, d = features.shape
     w1, b1, w2, b2 = params.W1, params.b1, params.W2, params.b2
-    mine = _w1_block_buffer(params) if helper is None else helper.buffers[0]
-    step = len(mine)  # W1 rows per block
+    step = min(max(1, _W1_BLOCK_BYTES // (8 * params.hidden)), d)  # W1 rows per block
+    # made here, not on the helper's thread, whose allocator arena holds only its builds
+    buffers = np.empty((1 if helper is None else 2, step, params.hidden))
     claims = count(0, step)  # each block's first row, taken by one thread
 
     def apply_w1_blocks(buf: np.ndarray) -> None:
@@ -208,11 +193,11 @@ def sgd_step(
             np.subtract(w1[lo:hi], block, out=w1[lo:hi])
 
     if helper is None:
-        apply_w1_blocks(mine)
+        apply_w1_blocks(buffers[0])
     else:
-        pending = helper.executor.submit(apply_w1_blocks, helper.buffers[1])
+        pending = helper.submit(apply_w1_blocks, buffers[1])
         try:
-            apply_w1_blocks(mine)
+            apply_w1_blocks(buffers[0])
         finally:
             wait((pending,))
         pending.result()

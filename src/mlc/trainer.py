@@ -25,9 +25,9 @@ pass, updates the arrays of `init_params` in place; they are validated as
 uses an item, one worker thread makes the next, `train`'s batch
 (augmentation, mixup and pooling, across epoch boundaries too) or
 `predict`'s pooled block, and OpenBLAS is held to one thread, so no byte
-depends on OPENBLAS_NUM_THREADS. `train` also hands the worker to
-`sgd_step` as its `StepHelper`: once the next batch is built, the worker
-applies some of W1's row blocks while the caller applies the others, with
+depends on OPENBLAS_NUM_THREADS. The SGD step borrows the worker: once
+the next batch is built, it applies some of W1's row blocks while the
+caller applies the others, each in a block buffer the step makes, with
 the bytes of a serial step. A build error comes out as itself; leaving the
 block joins the worker and restores the thread count on every exit path.
 """
@@ -52,8 +52,7 @@ from .augment import (
 from .errors import DivergedLoss, EmptyInput, ShapeMismatch
 from .io import DatasetManifest, quantize, read_image, write_atomic
 from .model import (
-    ModelParams, StepHelper, check_pool_grid, forward_features, init_params, pooled_batch,
-    sgd_step,
+    ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
 )
 from .types import LabelMatrix, ScoreMatrix
 
@@ -276,14 +275,13 @@ def train(
     epoch_losses = []
     first_loss = None
     with _built_ahead(_training_batches(images, labels, cfg)) as (batches, worker):
-        helper = StepHelper(worker, params)
         for epoch in range(cfg.epochs):
             lr_head, lr_body = effective_lrs(cfg, epoch)
             loss_sum = 0.0
             row_count = 0
             for batch_no in range(num_batches):
                 features, targets = next(batches)
-                batch_loss = sgd_step(params, features, targets, lr_head, lr_body, helper)
+                batch_loss = sgd_step(params, features, targets, lr_head, lr_body, worker)
                 rows = len(targets)
                 batch_mean = batch_loss / rows
                 if first_loss is None:

@@ -166,6 +166,15 @@ class TestFuse:
         assert main(["fuse", str(a), str(b), "--out", str(out)]) == 0
         np.testing.assert_array_equal(_read_scores(out).data, [[1.0, 2.0]])
 
+    def test_out_name_of_255_bytes(self, tmp_path):
+        # the longest name a target may have; its temp file's name must fit too
+        a = tmp_path / "a.csv"
+        a.write_text("0.5,1.5\n")
+        out = tmp_path / ("f" * 251 + ".csv")
+        assert main(["fuse", str(a), "--out", str(out)]) == 0
+        np.testing.assert_array_equal(_read_scores(out).data, [[0.5, 1.5]])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", out.name]
+
     def test_shape_mismatch_is_runtime_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("0.0,4.0\n")
@@ -921,6 +930,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: bad class count in ") and len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["train", "predict", "augment"])
+    def test_zero_class_count_is_runtime_error_naming_the_header(
+        self, dataset, tmp_path, capsys, command
+    ):
+        (tmp_path / "img.ppm").write_bytes((dataset / "img_00000.ppm").read_bytes())
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("#classes=0\nimg.ppm\t\n")
+        out = str(tmp_path / "x")
+        argv = {
+            "train": ["train", "--mode", "M1", "--out", out],
+            "predict": ["predict", "--params", str(CHECKPOINT), "--out", out],
+            "augment": ["augment", "--mode", "M1", "--out-dir", out],
+        }[command]
+        assert main([*argv, "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == "error: bad class count in '#classes=0'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "manifest.tsv"]
 
     def test_bad_header_error_line_is_bounded(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.tsv"

@@ -466,6 +466,12 @@ class TestManifest:
         with pytest.raises(ParseError, match=message):
             manifest_of(text)
 
+    @pytest.mark.parametrize("count", ["0", "00"])
+    def test_zero_class_count_is_parse_error(self, count):
+        # DatasetManifest's own check would name neither the header nor its text
+        with pytest.raises(ParseError, match=f"^bad class count in '#classes={count}'$"):
+            manifest_of(f"#classes={count}\na.ppm\t\n")
+
     def test_text_round_trip_on_canonical_input(self):
         text = "#classes=4\na.ppm\t1 3\nb.ppm\t\n"
         assert write_manifest(manifest_of(text)) == text
@@ -529,6 +535,25 @@ class TestWriteAtomic:
             write_atomic(target, b"new" * 1000)
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("name", ["a" * 255, "\u00e9" * 127 + "a"], ids=["ascii", "two-byte"])
+    def test_target_name_of_255_bytes(self, tmp_path, monkeypatch, name):
+        # NAME_MAX is 255 bytes: the temp file's name is cut to fit it, in
+        # bytes, and keeps its leading "." and its pid-hex part
+        temps = []
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            temps.append(os.fsencode(os.path.basename(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        write_atomic(tmp_path / name, b"data")
+        assert (tmp_path / name).read_bytes() == b"data"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        (temp,) = temps
+        assert len(temp) == 255 and temp.startswith(b"." + os.fsencode(name)[:200])
+        assert re.fullmatch(rb"\.[^/]+\.\d+-[0-9a-f]{8}\.tmp", temp)
 
     def test_non_ascii_text_writes_nothing(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):

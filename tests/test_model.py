@@ -14,7 +14,6 @@ from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMisma
 from mlc.io import write_atomic
 from mlc.model import (
     ModelParams,
-    StepHelper,
     bce_loss,
     forward_features,
     init_params,
@@ -290,7 +289,7 @@ class TestStepHelper:
             serial_loss = sgd_step(serial, features, labels, 0.1, 0.01)
             claims_type, claims = scripted_claims(blocks, OWNERS[owner])
             monkeypatch.setattr(model, "count", claims_type)
-            loss = sgd_step(shared, features, labels, 0.1, 0.01, StepHelper(pool, shared))
+            loss = sgd_step(shared, features, labels, 0.1, 0.01, pool)
         assert [(k, who) for _, k, who in claims if k is not None] == [
             (k, OWNERS[owner](0, k)) for k in range(blocks)
         ]
@@ -315,10 +314,9 @@ class TestStepHelper:
         try:
             other.start()
             with trainer._built_ahead(iter(())) as (_, pool):
-                helper = StepHelper(pool, shared)
                 for _ in range(30):
                     want = sgd_step(serial, features, labels, 0.1, 0.01)
-                    assert sgd_step(shared, features, labels, 0.1, 0.01, helper) == want
+                    assert sgd_step(shared, features, labels, 0.1, 0.01, pool) == want
         finally:
             sys.setswitchinterval(interval)
             stop.set()
@@ -336,7 +334,7 @@ class TestStepHelper:
         monkeypatch.setattr(model, "count", claims_type)
         with trainer._built_ahead(iter(())) as (_, pool):
             with pytest.raises(InjectedFault):
-                sgd_step(params, features, labels, 0.1, 0.01, StepHelper(pool, params))
+                sgd_step(params, features, labels, 0.1, 0.01, pool)
             done = list(claims)
             w1 = params.W1.copy()
             time.sleep(0.05)
