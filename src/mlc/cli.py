@@ -47,7 +47,11 @@ def _check_writable(*targets: str | None, inputs: Sequence[str] = (), directory:
     taken = {os.path.realpath(path): "an input" for path in inputs}
     for target in filter(None, targets):
         path = Path(target)
-        if path.exists() and path.is_dir() != directory:
+        try:
+            exists = path.exists()
+        except OSError as exc:  # a name the file system cannot hold, such as one too long
+            raise IoError(f"cannot write {target}: {exc.strerror or exc}") from None
+        if exists and path.is_dir() != directory:
             reason = "Not a directory" if directory else "Is a directory"
             raise IoError(f"cannot write {target}: {reason}")
         if not path.parent.is_dir():

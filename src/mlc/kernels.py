@@ -2,10 +2,11 @@
 
 One vectorized numpy implementation per kernel, so the bytes a run writes
 depend only on its flags and seed. `adaptive_pool` works on a whole
-(n, H, W, C) batch at once; `resize_bilinear` and `paint_shapes` work on
-one float64 (H, W, C) image. Resize and pooling build their results in
-place in the arrays they allocate; each sums and interpolates in the same
-order as the per-pixel loops the tests keep as references.
+(n, H, W, C) batch at once, evenly tiled bins or not, with one accumulation
+over the in-bin offsets; `resize_bilinear` and `paint_shapes` work on one
+float64 (H, W, C) image. Resize and pooling build their results in place in
+the arrays they allocate; each sums and interpolates in the same order as
+the per-pixel loops the tests keep as references.
 
 Coordinates follow the half-pixel-center convention: source position of
 output pixel i is (i + 0.5) * (in / out) - 0.5, clamped to the image border.
@@ -57,34 +58,59 @@ def resize_bilinear(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _pool_bins(size_in: int, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat source indices of the in-bin offsets of `bins` pooling bins over
+    `size_in` pixels, a flag for each index past its bin's end, and each
+    bin's pixel count.
+
+    Bin i covers [floor(i * size_in / bins), ceil((i + 1) * size_in / bins)).
+    With bins at most `width` pixels wide, entry a * bins + i reads offset a
+    of bin i; a flagged entry, past a short bin's end, reads some valid pixel
+    that the caller zeroes. Cached per size pair; the arrays are read-only
+    because callers share them.
+    """
+    i = np.arange(bins)
+    lo = (i * size_in) // bins
+    counts = ((i + 1) * size_in + bins - 1) // bins - lo
+    offsets = np.arange(counts.max())[:, None]
+    index = np.minimum(lo + offsets, size_in - 1).ravel()
+    past = (offsets >= counts).ravel()
+    for a in (index, past, counts):
+        a.setflags(write=False)
+    return index, past, counts
+
+
 def adaptive_pool(src: np.ndarray, gh: int, gw: int) -> np.ndarray:
     """Average-pool an (n, H, W, C) batch to (n, gh, gw, C).
 
     Bin (i, j) covers rows [floor(i*H/gh), ceil((i+1)*H/gh)) and columns
-    analogously, and is summed from 0.0 row by row, left to right, then
-    divided by its size. When the bins divide the image evenly they tile
-    it, and one accumulator adds each in-bin offset, in that order, for
-    every bin at once; otherwise each bin is pooled over the whole batch in
-    turn.
+    analogously. The batch is seen as (n, bh, gh, bw, gw, C): offset (a, b)
+    of every bin of at most bh x bw pixels. That is a view when the bins
+    tile the image evenly, and otherwise a gather of the bins' rows and
+    columns with a short bin's extra offsets zeroed. One accumulator adds
+    the offsets from 0.0, row by row and left to right, for every bin at
+    once; each bin is then divided by its pixel count.
     """
     n, in_h, in_w, nc = src.shape
     if in_h % gh == 0 and in_w % gw == 0:
         bh, bw = in_h // gh, in_w // gw
-        bins = src.reshape(n, gh, bh, gw, bw, nc)
-        acc = np.zeros((n, gh, gw, nc))
-        for k in range(bh * bw):
-            acc += bins[:, :, k // bw, :, k % bw, :]
-        acc /= bh * bw
-        return acc
-    out = np.empty((n, gh, gw, nc), dtype=np.float64)
-    for i in range(gh):
-        r0 = (i * in_h) // gh
-        r1 = ((i + 1) * in_h + gh - 1) // gh
-        for j in range(gw):
-            c0 = (j * in_w) // gw
-            c1 = ((j + 1) * in_w + gw - 1) // gw
-            out[:, i, j, :] = src[:, r0:r1, c0:c1, :].mean(axis=(1, 2))
-    return out
+        bins = src.reshape(n, gh, bh, gw, bw, nc).transpose(0, 2, 1, 4, 3, 5)
+        counts = bh * bw
+    else:
+        rows, past_rows, row_counts = _pool_bins(in_h, gh)
+        cols, past_cols, col_counts = _pool_bins(in_w, gw)
+        gathered = np.take(np.take(src, rows, axis=1), cols, axis=2)
+        gathered[:, past_rows] = 0.0
+        gathered[:, :, past_cols] = 0.0
+        bh, bw = len(rows) // gh, len(cols) // gw
+        bins = gathered.reshape(n, bh, gh, bw, gw, nc)
+        counts = np.multiply.outer(row_counts, col_counts)[:, :, None]
+    acc = np.zeros((n, gh, gw, nc))
+    for k in range(bh * bw):
+        acc += bins[:, k // bw, :, k % bw]
+    acc /= counts
+    return acc
 
 
 def paint_shapes(canvas, kinds, cys, cxs, halves, colors) -> None:

@@ -59,9 +59,11 @@ from .types import LabelMatrix, ScoreMatrix
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
-# images predict and augmented_samples hold as floats, and the rows of each predict
-# forward; even, so no mixup pair is split
+# the rows of each predict forward, zero-padded after the last image
 PREDICT_CHUNK = 64
+# the images predict and augmented_samples decode to float64 at a time: training's
+# default batch, and even, so no mixup pair is split
+BUILD_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -265,11 +267,13 @@ def train(
     start = time.perf_counter()
     if len(manifest) == 0:
         raise EmptyInput("manifest lists no images to train on")
-    images = [read_image(root, path) for path, _ in manifest.entries]  # each epoch draws all
     labels = manifest.label_matrix()
-    num_batches = len(range(0, len(images), cfg.batch_size))
-    # sgd_step updates these arrays in place
+    # sgd_step updates these arrays in place. They are made before the images are read,
+    # so that in a long-lived process W1 reuses the heap block an earlier run's W1 freed;
+    # the images, read first, could split that block and add a new W1's size to the peak
     params = init_params(manifest.num_classes, cfg.pool_grid, cfg.hidden, cfg.seed)
+    images = [read_image(root, path) for path, _ in manifest.entries]  # each epoch draws all
+    num_batches = len(range(0, len(images), cfg.batch_size))
 
     log_lines = []
     epoch_losses = []
@@ -316,9 +320,10 @@ def predict(
 ) -> ScoreMatrix:
     """Raw logits per image: byte / 255, plain resize to input_size, no augmentation.
 
-    Each forward is of one PREDICT_CHUNK-row pooled block, its images read as it
-    is built and zero-padded after the last, so only one block's images are held
-    and a row depends on its image and its place in its block only.
+    Each forward is of one PREDICT_CHUNK-row pooled block, zero-padded after
+    the last image. A block is filled BUILD_CHUNK images at a time, each image
+    read as its chunk is built, so only that many are held as floats and a row
+    depends on its image and its place in its block only.
     """
     check_pool_grid(params.pool_grid, input_size)
     n = len(manifest)
@@ -326,13 +331,17 @@ def predict(
         raise EmptyInput("manifest lists no images to score")
 
     def pooled_blocks() -> Iterator[np.ndarray]:
-        pixels = _pixel_batch(min(n, PREDICT_CHUNK), input_size)
+        pixels = _pixel_batch(min(n, BUILD_CHUNK), input_size)
         for lo in range(0, n, PREDICT_CHUNK):
-            chunk = manifest.entries[lo : lo + PREDICT_CHUNK]
-            for j, (path, _) in enumerate(chunk):
-                pixels[j] = resize(read_image(root, path).astype(np.float64) / 255.0, *input_size)
-            features = pooled_batch(pixels[: len(chunk)], params.pool_grid)
-            yield np.pad(features, ((0, PREDICT_CHUNK - len(chunk)), (0, 0)))
+            block = np.zeros((PREDICT_CHUNK, params.feature_dim))
+            for at in range(lo, min(lo + PREDICT_CHUNK, n), BUILD_CHUNK):
+                chunk = manifest.entries[at : at + BUILD_CHUNK]
+                for j, (path, _) in enumerate(chunk):
+                    image = read_image(root, path).astype(np.float64) / 255.0
+                    pixels[j] = resize(image, *input_size)
+                rows = block[at - lo : at - lo + len(chunk)]
+                rows[:] = pooled_batch(pixels[: len(chunk)], params.pool_grid)
+            yield block
 
     scores = np.empty((n, params.num_classes))
     with _built_ahead(pooled_blocks()) as (blocks, _):
@@ -346,14 +355,14 @@ def augmented_samples(
     manifest: DatasetManifest, mode: str, size: tuple[int, int], seed: int, root: str | Path = "."
 ) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     """(uint8 pixels, label indices) of each epoch-0 sample of `mode`, for
-    `io.write_dataset`: training's batches of PREDICT_CHUNK images in manifest
+    `io.write_dataset`: training's batches of BUILD_CHUNK images in manifest
     order, M3 mixing consecutive pairs. Nothing is read before the first draw,
     which reads every image: `write_dataset` draws before it touches its
     directory, so a bad input image leaves that directory as it was."""
     images = [read_image(root, path) for path, _ in manifest.entries]
     labels = manifest.label_matrix()
-    for lo in range(0, len(images), PREDICT_CHUNK):
-        chunk = np.arange(lo, min(lo + PREDICT_CHUNK, len(images)))
+    for lo in range(0, len(images), BUILD_CHUNK):
+        chunk = np.arange(lo, min(lo + BUILD_CHUNK, len(images)))
         mix_order = np.arange(len(chunk)) if mode == "M3" else None
         pixels, targets = _augmented_batch(images, labels, chunk, mode, size, seed, 0, mix_order)
         yield from zip(quantize(pixels), (tuple(map(int, np.flatnonzero(t))) for t in targets))

@@ -132,6 +132,23 @@ class TestTrainPredictEvaluate:
             "848c7e3323cbf2dbe0b293277abe9d12acd38355241878bebffdb85a645643cd"
         )
 
+    def test_predict_uneven_bins_in_partial_blocks_golden(self, tmp_path):
+        # 70 images: a 64-row block and a 6-row one, whose build batch is short
+        # of 16 images; at 23x23 the checkpoint's 2x2 grid has 11.5-pixel bins
+        rng = np.random.default_rng(23)
+        samples = [
+            (rng.integers(0, 256, (24, 24, 3), dtype=np.uint8), (k % 3,)) for k in range(70)
+        ]
+        mlc.io.write_dataset(tmp_path, "img", samples, 3)
+        out = tmp_path / "scores.csv"
+        assert main([
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(tmp_path / "manifest.tsv"),
+            "--size", "23", "23", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b75c8b74fcb59baa5aa3efea77f107ad6ce568bc82861f9d4cc226f51f74a589"
+        )
+
     def test_failed_write_keeps_old_scores(self, dataset, tmp_path, monkeypatch):
         out = tmp_path / "scores.csv"
         out.write_bytes(b"old\n")
@@ -279,7 +296,7 @@ class TestAugment:
 
     @pytest.mark.parametrize("mode", ["M2", "M3"])
     def test_chunked_output_equals_one_whole_batch(self, tmp_path, mode):
-        # 130 images: chunks of 64, 64 and 2, and for M3 65 pairs
+        # 130 images: eight build batches of 16 and one of 2, and for M3 65 pairs
         rng = np.random.default_rng(4)
         samples = [
             (rng.integers(0, 256, (24, 24, 3), dtype=np.uint8), (int(k % 3), 3))
@@ -603,6 +620,23 @@ class TestExitCodes:
         assert str(paths[flag]) in err and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [paths[flag].name]
         assert list(paths[flag].iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fuse", "train"])
+    def test_output_name_over_255_bytes_is_io_error(self, dataset, tmp_path, capsys, command):
+        # Path.exists() raises for a name the file system cannot hold
+        member = tmp_path / "a.csv"
+        member.write_text("0.5,0.1\n")
+        out = tmp_path / ("b" * 256)
+        argv = {
+            "fuse": ["fuse", str(member), "--out", str(out)],
+            "train": [
+                "train", "--manifest", str(dataset / "manifest.tsv"), "--mode", "M1",
+                "--out", str(out),
+            ],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: File name too long\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
     def test_predict_directory_target_is_runtime_error(
         self, dataset, tmp_path, capsys, monkeypatch

@@ -7,6 +7,7 @@ interpolate in the obvious order.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,21 @@ def even_pool_as_before(batch, gh, gw):
     """Evenly tiled pooling as it was before the accumulator loop, kept as the oracle."""
     n, in_h, in_w, nc = batch.shape
     return batch.reshape(n, gh, in_h // gh, gw, in_w // gw, nc).mean(axis=(2, 4))
+
+
+def uneven_pool_as_before(batch, gh, gw):
+    """Pooling of bins that do not tile the image as it was before the one
+    accumulation over gathered bins: a `.mean` per bin, kept as the oracle."""
+    n, in_h, in_w, nc = batch.shape
+    out = np.empty((n, gh, gw, nc), dtype=np.float64)
+    for i in range(gh):
+        r0 = (i * in_h) // gh
+        r1 = ((i + 1) * in_h + gh - 1) // gh
+        for j in range(gw):
+            c0 = (j * in_w) // gw
+            c1 = ((j + 1) * in_w + gw - 1) // gw
+            out[:, i, j, :] = batch[:, r0:r1, c0:c1, :].mean(axis=(1, 2))
+    return out
 
 
 class TestResizeBilinear:
@@ -214,6 +230,49 @@ class TestAdaptivePool:
             pooled = kernels.adaptive_pool(batch, gh, gw)
             expected = even_pool_as_before(batch, gh, gw)
             assert pooled.tobytes() == expected.tobytes(), (gh, gw, bh, bw)
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_uneven_bins_equal_the_frozen_per_bin_mean(self, n):
+        # 72 -> 16 makes 4.5-pixel bins (5 rows each, overlapping), 37 -> 16 bins
+        # of 3 and 4 rows, a side pooled to itself 1-pixel bins; then 60 random
+        # shapes, half of them byte / 255 values as decoded images give
+        rng = np.random.default_rng(22 + n)
+        cases = [
+            (72, 72, 16, 16), (37, 37, 16, 16), (72, 37, 16, 16), (64, 72, 16, 16),
+            (37, 37, 37, 37), (23, 23, 23, 2), (37, 72, 37, 16), (23, 23, 2, 2),
+            (5, 1, 2, 1), (100, 99, 16, 16),
+        ]
+        while len(cases) < 70:
+            in_h, in_w = (int(v) for v in rng.integers(1, 101, 2))
+            gh = int(rng.integers(1, min(in_h, 16) + 1))
+            gw = int(rng.integers(1, min(in_w, 16) + 1))
+            if in_h % gh or in_w % gw:
+                cases.append((in_h, in_w, gh, gw))
+        for case, (in_h, in_w, gh, gw) in enumerate(cases):
+            if case % 2:
+                batch = rng.integers(0, 256, (n, in_h, in_w, 3)).astype(np.float64) / 255.0
+            else:
+                batch = rng.random((n, in_h, in_w, 3))
+            pooled = kernels.adaptive_pool(batch, gh, gw)
+            expected = uneven_pool_as_before(batch, gh, gw)
+            assert pooled.tobytes() == expected.tobytes(), (in_h, in_w, gh, gw)
+
+    @pytest.mark.parametrize("side", [64, 72], ids=["even-bins", "uneven-bins"])
+    def test_one_batch_equals_four_quarter_batches(self, rng, side):
+        # predict pools each 64-row block as four batches of 16 images
+        batch = rng.random((64, side, side, 3))
+        quarters = [kernels.adaptive_pool(batch[lo : lo + 16], 16, 16) for lo in range(0, 64, 16)]
+        assert kernels.adaptive_pool(batch, 16, 16).tobytes() == np.concatenate(quarters).tobytes()
+
+    def test_short_bins_read_no_neighbour(self):
+        # 5 pixels into 3 bins of 2, 3 and 2: the first bin's third offset is
+        # pixel 2, which only the middle bin holds, so a NaN there stays out of it
+        line = np.zeros((1, 5, 1, 3))
+        line[0, 2] = np.nan
+        for batch, grid in ((line, (3, 1)), (line.reshape(1, 1, 5, 3), (1, 3))):
+            pooled = kernels.adaptive_pool(batch, *grid).reshape(3, 3)
+            assert np.isnan(pooled[1]).all()
+            np.testing.assert_array_equal(pooled[[0, 2]], 0.0)
 
     def test_batch_rows_are_independent(self, rng):
         batch = rng.random((5, 9, 7, 3))

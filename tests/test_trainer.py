@@ -626,6 +626,27 @@ class TestPredict:
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 2**20, peaks
 
+    def test_predict_and_augment_hold_16_float_images(self, tmp_path, rng, monkeypatch):
+        # 70 images: predict forwards blocks of 64 and 6 rows, augment draws 5 batches
+        samples = [(rng.integers(0, 256, (20, 20, 3), dtype=np.uint8), (k % 3,)) for k in range(70)]
+        manifest = write_dataset(tmp_path, "img", samples, 3)
+        asked = []
+        pixel_batch = trainer._pixel_batch
+
+        def recorded(n, size):
+            asked.append(n)
+            return pixel_batch(n, size)
+
+        monkeypatch.setattr(trainer, "_pixel_batch", recorded)
+        predict(init_params(3, (4, 4), 8, seed=0), manifest, (20, 20), root=tmp_path)
+        assert asked == [16]
+        for mode in MODES:
+            asked.clear()
+            assert len(list(augmented_samples(manifest, mode, (20, 18), 1, root=tmp_path))) == (
+                35 if mode == "M3" else 70
+            )
+            assert asked == [16, 16, 16, 16, 6], mode
+
     def test_empty_manifest_raises(self):
         # as in train: no reader accepts the scores of no rows
         params = init_params(3, (4, 4), 8, seed=0)
@@ -636,7 +657,7 @@ class TestPredict:
 class TestAugmentedSamples:
     @pytest.mark.parametrize("mode", MODES)
     def test_chunked_samples_equal_one_whole_batch(self, tmp_path, rng, mode):
-        # 130 images: chunks of 64, 64 and 2, and for M3 65 pairs
+        # 130 images: eight build batches of 16 and one of 2, and for M3 65 pairs
         samples = [
             (rng.integers(0, 256, (24, 24, 3), dtype=np.uint8), (int(k % 3), 3))
             for k in range(130)
