@@ -65,9 +65,9 @@ def _pool_bins(size_in: int, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     bin's pixel count.
 
     Bin i covers [floor(i * size_in / bins), ceil((i + 1) * size_in / bins)).
-    With bins at most `width` pixels wide, entry a * bins + i reads offset a
-    of bin i; a flagged entry, past a short bin's end, reads some valid pixel
-    that the caller zeroes. Cached per size pair; the arrays are read-only
+    Entry a * bins + i reads offset a of bin i, for each a below the widest bin's
+    pixel count; a flagged entry, past a short bin's end, reads some valid
+    pixel that the caller zeroes. Cached per size pair; the arrays are read-only
     because callers share them.
     """
     i = np.arange(bins)
