@@ -1,7 +1,7 @@
 """Command-line entry point: gen / train / predict / evaluate / fuse / augment.
 
 Every subcommand is reproducible from its flags and seed alone. Exit codes:
-0 success, 2 usage error, 1 runtime error (message on stderr).
+0 success, 2 usage error, 1 runtime error, 130 interrupted (message on stderr).
 `_read` opens every input file and hands it, as a binary stream, to the
 library reader that owns its format.
 """
@@ -266,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MlcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

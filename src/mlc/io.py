@@ -123,6 +123,7 @@ def quantize(data: np.ndarray) -> np.ndarray:
 
 # rows per block of the CSV reader and writer: neither holds a whole file's text
 CSV_BLOCK_ROWS = 1024
+DATASET_CHUNK_BYTES = 64 * 64 * 64 * 3  # write_dataset's chunk: 64 images of 64x64 pixels
 
 # every byte a plain decimal CSV can hold; `bytes.translate` deletes them,
 # so a block made of nothing else translates to b""
@@ -323,27 +324,37 @@ def read_image(root: str | Path, rel_path: str) -> np.ndarray:
         raise DataLoadError(f"{path}: {exc}") from exc
 
 
+def _sample_chunks(samples) -> Iterator[list]:
+    """`samples` in lists, each closed once it holds DATASET_CHUNK_BYTES of pixels."""
+    chunk, size = [], 0
+    for sample in samples:
+        chunk.append(sample)
+        if (size := size + sample[0].nbytes) >= DATASET_CHUNK_BYTES:
+            yield chunk
+            chunk, size = [], 0
+    yield chunk
+
+
 def write_dataset(out_dir: str | Path, prefix: str, samples, num_classes: int) -> DatasetManifest:
     """Write (uint8 pixels, label indices) `samples` as `<prefix>_<i:05d>.ppm`,
     then manifest.tsv, into `out_dir`, which is made if missing.
 
-    The first sample is drawn before the directory is touched, so one that
-    cannot be made leaves the target as it was. The old manifest.tsv is
-    removed before the first image is written and the new one is written
-    last, so an interrupted run leaves no manifest, never one that labels
-    other images. PPMs beyond the new count are left, unlisted.
+    Samples are drawn in chunks of about DATASET_CHUNK_BYTES of pixels, each
+    written back to back, the first before the directory is touched: a failed
+    sample there leaves the target as it was. The old manifest.tsv is removed
+    before the first image is written and the new one last, so a later failure
+    or interrupt leaves no manifest. PPMs beyond the new count are left, unlisted.
     """
     out_dir = Path(out_dir)
-    samples = iter(samples)
-    head = list(itertools.islice(samples, 1))
+    head = next(chunks := _sample_chunks(samples))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     entries = []
-    for i, (pixels, labels) in enumerate(itertools.chain(head, samples)):
-        name = f"{prefix}_{i:05d}.ppm"
+    for pixels, labels in itertools.chain(head, itertools.chain.from_iterable(chunks)):
+        name = f"{prefix}_{len(entries):05d}.ppm"
         write_atomic(out_dir / name, write_ppm(pixels))
         entries.append((name, labels))
     manifest = DatasetManifest(tuple(entries), num_classes)

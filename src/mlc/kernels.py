@@ -3,10 +3,10 @@
 One vectorized numpy implementation per kernel, so the bytes a run writes
 depend only on its flags and seed. `adaptive_pool` works on a whole
 (n, H, W, C) batch at once, evenly tiled bins or not, with one accumulation
-over the in-bin offsets; `resize_bilinear` and `paint_shapes` work on one
-float64 (H, W, C) image. Resize and pooling build their results in place in
-the arrays they allocate; each sums and interpolates in the same order as
-the per-pixel loops the tests keep as references.
+over the in-bin offsets; `resize_bilinear` and `paint_shapes` (in each shape's
+bounding box) work on one float64 (H, W, C) image. Resize and pooling build
+their results in place in the arrays they allocate; each sums and interpolates
+in the same order as the per-pixel loops the tests keep as references.
 
 Coordinates follow the half-pixel-center convention: source position of
 output pixel i is (i + 0.5) * (in / out) - 0.5, clamped to the image border.
@@ -15,6 +15,7 @@ output pixel i is (i + 0.5) * (in / out) - 0.5, clamped to the image border.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -117,13 +118,18 @@ def paint_shapes(canvas, kinds, cys, cxs, halves, colors) -> None:
     """Paint filled shapes onto `canvas` in order (later shapes occlude).
 
     kind 0: axis-aligned square of half-extent h; kind 1: disk of radius h;
-    kind 2: upright isoceles triangle, apex at cy-h, base at cy+h.
+    kind 2: upright isoceles triangle, apex at cy-h, base at cy+h. A mask spans
+    the bounding box and a pixel more (a non-finite or huge shape: the full grid).
     """
     hgt, wid = canvas.shape[0], canvas.shape[1]
-    rr = np.arange(hgt, dtype=np.float64)[:, None]
-    cc = np.arange(wid, dtype=np.float64)[None, :]
     for s in range(kinds.shape[0]):
         cy, cx, h = cys[s], cxs[s], halves[s]
+        r0, r1, c0, c1 = 0, hgt, 0, wid
+        if abs(cy) + abs(cx) + abs(h) < 2.0**32:  # past it, rounding outgrows the pixel
+            r0, r1 = max(0, math.floor(cy - abs(h)) - 1), min(hgt, math.ceil(cy + abs(h)) + 2)
+            c0, c1 = max(0, math.floor(cx - abs(h)) - 1), min(wid, math.ceil(cx + abs(h)) + 2)
+        rr = np.arange(r0, r1, dtype=np.float64)[:, None]
+        cc = np.arange(c0, c1, dtype=np.float64)[None, :]
         if kinds[s] == 0:
             mask = (np.abs(rr - cy) <= h) & (np.abs(cc - cx) <= h)
         elif kinds[s] == 1:
@@ -131,4 +137,5 @@ def paint_shapes(canvas, kinds, cys, cxs, halves, colors) -> None:
         else:
             t = rr - (cy - h)
             mask = (t >= 0.0) & (t <= 2.0 * h) & (np.abs(cc - cx) <= 0.5 * t)
-        canvas[mask] = colors[s]
+        for ch in range(canvas.shape[2]):
+            canvas[r0:r1, c0:c1, ch][mask] = colors[s, ch]

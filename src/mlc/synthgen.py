@@ -10,11 +10,12 @@ background lies in [117, 138] and every palette color has a channel of 0,
 so background noise never counts as a class. Shapes may overlap in random
 z-order; a draw that would fully occlude a labeled shape is rejected and
 resampled from the next substream, keeping generation a pure function of
-(config, image index).
+(config, image index); the class colors and their byte codes are cached.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,17 +87,25 @@ def _color_codes(rgb: np.ndarray) -> np.ndarray:
     return rgb[..., 0] << 16 | rgb[..., 1] << 8 | rgb[..., 2]
 
 
+@functools.lru_cache(maxsize=MAX_CLASSES)
+def _class_colors(num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`palette(num_classes)` and a column of its packed byte codes, read-only as they are shared."""
+    colors = palette(num_classes)
+    codes = _color_codes(quantize(colors))[:, None]
+    colors.flags.writeable = codes.flags.writeable = False
+    return colors, codes
+
+
 def census(pixels: np.ndarray, num_classes: int) -> np.ndarray:
     """Per-class count of the (H, W, 3) uint8 image's pixels whose bytes are the class color's."""
-    codes = _color_codes(pixels).reshape(-1, 1)
-    return (codes == _color_codes(quantize(palette(num_classes)))).sum(axis=0)
+    codes = _color_codes(pixels).reshape(1, -1)
+    return np.count_nonzero(codes == _class_colors(num_classes)[1], axis=1)
 
 
 def render(cfg: SynthConfig, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Render image `index` of the dataset; returns (uint8 pixels, label indices)."""
     height, width = cfg.image_size
-    colors = palette(cfg.num_classes)
-    short_side = min(height, width)
+    colors = _class_colors(cfg.num_classes)[0]
     for attempt in range(_MAX_DRAW_ATTEMPTS):
         rng = rng_stream(cfg.seed, STREAM_GEN, index, attempt)
         count = int(rng.integers(cfg.min_concepts, cfg.max_concepts + 1))
@@ -108,18 +117,13 @@ def render(cfg: SynthConfig, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
         except (MemoryError, ValueError):
             raise ShapeMismatch(f"a {height}x{width} image is too large to allocate") from None
 
-        halves = rng.uniform(_MIN_EXTENT, _MAX_EXTENT, size=count) * short_side
-        cys = np.empty(count)
-        cxs = np.empty(count)
-        for s in range(count):
-            cys[s] = rng.uniform(halves[s], height - 1 - halves[s])
-            cxs[s] = rng.uniform(halves[s], width - 1 - halves[s])
-        kinds = z_order % 3
-        kernels.paint_shapes(canvas, kinds, cys, cxs, halves, colors[z_order])
+        halves = rng.uniform(_MIN_EXTENT, _MAX_EXTENT, size=count) * min(height, width)
+        centres = [(rng.uniform(h, height - 1 - h), rng.uniform(h, width - 1 - h)) for h in halves]
+        cys, cxs = np.array(centres).T
+        kernels.paint_shapes(canvas, z_order % 3, cys, cxs, halves, colors[z_order])
 
         pixels = quantize(canvas)
-        visible = census(pixels, cfg.num_classes)
-        if all(visible[j] >= _MIN_VISIBLE_PIXELS for j in classes):
+        if (census(pixels, cfg.num_classes)[classes] >= _MIN_VISIBLE_PIXELS).all():
             return pixels, tuple(int(j) for j in classes)
     raise NoVisibleArrangement(
         f"image {index}: no visible arrangement in {_MAX_DRAW_ATTEMPTS} attempts"

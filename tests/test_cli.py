@@ -3,8 +3,10 @@ import hashlib
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,15 @@ class TestGen:
         assert len(list(tmp_path.iterdir())) == 21
         assert _tree_digest(tmp_path) == (
             "9f2a74a468aedd436bb97987cb2a39708e7d211114ca641d584deeda1675bec7"
+        )
+
+    def test_default_size_output_bytes_golden(self, tmp_path):
+        # 70 64x64 images cross write_dataset's 64-image chunk; recorded
+        # before images were drawn and written a chunk at a time
+        assert main(["gen", "--out", str(tmp_path), "--num", "70", "--seed", "2"]) == 0
+        assert len(list(tmp_path.iterdir())) == 71
+        assert _tree_digest(tmp_path) == (
+            "be9e7f9d2871f6ed25a3225e388a416eaf4f0c474166bd2540c921b94c581a82"
         )
 
     def test_unmakeable_first_image_leaves_the_target_as_it_was(self, tmp_path, capsys):
@@ -361,8 +372,7 @@ class TestInterruptedDatasetWrite:
         assert gen(ds, 7) == 0
         with monkeypatch.context() as patch:
             _interrupt_at_image(patch, 4)
-            with pytest.raises(KeyboardInterrupt):
-                gen(ds, 8)
+            assert gen(ds, 8) == 130
         assert not (ds / "manifest.tsv").exists()
         assert gen(ds, 8) == 0
         assert gen(tmp_path / "fresh", 8) == 0
@@ -379,12 +389,34 @@ class TestInterruptedDatasetWrite:
         assert augment(out, 1) == 0
         with monkeypatch.context() as patch:
             _interrupt_at_image(patch, 4)
-            with pytest.raises(KeyboardInterrupt):
-                augment(out, 2)
+            assert augment(out, 2) == 130
         assert not (out / "manifest.tsv").exists()
         assert augment(out, 2) == 0
         assert augment(tmp_path / "fresh", 2) == 0
         assert _tree(out) == _tree(tmp_path / "fresh")
+
+
+def test_sigint_ends_a_command_with_one_line_and_exit_130(dataset, tmp_path):
+    # a train far longer than the 2 s it is given, then Ctrl-C's signal
+    out = tmp_path / "out"
+    out.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mlc.cli", "train", "--manifest", str(dataset / "manifest.tsv"),
+         "--mode", "M3", "--size", "24", "24", "--epochs", "1000000", "--decay-epoch", "0",
+         "--out", str(out / "m.params"), "--log", str(out / "train.log")],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(2)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert stderr == "error: interrupted\n" and stdout == ""
+    assert list(out.iterdir()) == []
 
 
 # The README's exit-code table, one row per subcommand and code: 0 success,

@@ -25,6 +25,7 @@ from mlc.errors import (
 )
 from mlc.io import (
     CSV_BLOCK_ROWS,
+    DATASET_CHUNK_BYTES,
     DatasetManifest,
     csv_blocks,
     quantize,
@@ -670,3 +671,49 @@ class TestReadersFuzz:
             manifest_of(header + body)
         except MlcError:
             pass
+
+
+class TestWriteDataset:
+    """Samples are drawn a chunk of about DATASET_CHUNK_BYTES of pixels at a
+    time, and each chunk is written back to back; the first chunk is drawn
+    before the directory is touched."""
+
+    @staticmethod
+    def _samples(n, side=64, fail_at=None, events=None):
+        rng = np.random.default_rng(n)
+        for i in range(n):
+            if i == fail_at:
+                raise ValueError(f"sample {i} cannot be made")
+            if events is not None:
+                events.append("draw")
+            yield rng.integers(0, 256, (side, side, 3), dtype=np.uint8), (i % 3,)
+
+    @staticmethod
+    def _files(root):
+        return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+    @pytest.mark.parametrize("n, side, chunks", [(130, 64, [64, 64, 2]), (3, 600, [1, 1, 1])])
+    def test_draws_and_writes_a_chunk_at_a_time(self, tmp_path, monkeypatch, n, side, chunks):
+        # a 64x64 image is 12288 bytes, so a chunk is 64 of them; one 600x600
+        # image passes the bound alone
+        assert DATASET_CHUNK_BYTES == 64 * 64 * 64 * 3
+        events, write_atomic_ = [], mlc.io.write_atomic
+        monkeypatch.setattr(mlc.io, "write_atomic", lambda *a: events.append("write") or write_atomic_(*a))
+        manifest = write_dataset(tmp_path, "img", self._samples(n, side, events=events), 3)
+        expected = [e for k in chunks for e in ["draw"] * k + ["write"] * k] + ["write"]
+        assert events == expected
+        assert len(manifest) == n
+
+    def test_failure_in_the_first_chunk_leaves_the_directory_as_it_was(self, tmp_path):
+        write_dataset(tmp_path, "img", self._samples(3), 3)
+        before = self._files(tmp_path)
+        with pytest.raises(ValueError, match="sample 10"):
+            write_dataset(tmp_path, "img", self._samples(20, fail_at=10), 3)
+        assert self._files(tmp_path) == before
+
+    def test_failure_in_a_later_chunk_leaves_no_manifest_and_no_temp_file(self, tmp_path):
+        write_dataset(tmp_path, "img", self._samples(3), 3)
+        with pytest.raises(ValueError, match="sample 70"):
+            write_dataset(tmp_path, "img", self._samples(100, fail_at=70), 3)
+        # the first chunk's 64 images were written before the failing draw
+        assert sorted(self._files(tmp_path)) == [f"img_{i:05d}.ppm" for i in range(64)]

@@ -99,6 +99,25 @@ def uneven_pool_as_before(batch, gh, gw):
     return out
 
 
+def paint_as_before(canvas, kinds, cys, cxs, halves, colors):
+    """Shape painting as it was before the bounding-box masks: each mask over
+    the full grid, each color set through an (H, W) mask of all channels,
+    kept as the oracle."""
+    hgt, wid = canvas.shape[0], canvas.shape[1]
+    rr = np.arange(hgt, dtype=np.float64)[:, None]
+    cc = np.arange(wid, dtype=np.float64)[None, :]
+    for s in range(kinds.shape[0]):
+        cy, cx, h = cys[s], cxs[s], halves[s]
+        if kinds[s] == 0:
+            mask = (np.abs(rr - cy) <= h) & (np.abs(cc - cx) <= h)
+        elif kinds[s] == 1:
+            mask = (rr - cy) ** 2 + (cc - cx) ** 2 <= h * h
+        else:
+            t = rr - (cy - h)
+            mask = (t >= 0.0) & (t <= 2.0 * h) & (np.abs(cc - cx) <= 0.5 * t)
+        canvas[mask] = colors[s]
+
+
 class TestResizeBilinear:
     def test_hand_derived_1x2_to_1x4(self):
         src = np.zeros((1, 2, 3))
@@ -317,3 +336,74 @@ class TestPaintShapes:
         widths = (canvas[:, :, 0] == 1.0).sum(axis=1)
         rows = np.flatnonzero(widths)
         assert widths[rows[0]] <= widths[rows[-1]]
+
+    @staticmethod
+    def _random_coordinate(rng, side):
+        """A centre or extent on, near or far off a canvas side of `side`
+        pixels: integral, half-integral, huge, zero, negative or non-finite."""
+        pick = rng.integers(12)
+        if pick == 0:
+            return float(rng.integers(-2, side + 3))
+        if pick == 1:
+            return rng.integers(-2, side + 3) + 0.5
+        if pick == 2:
+            return 0.0
+        if pick == 3:
+            return float(rng.choice([np.nan, np.inf, -np.inf]))
+        if pick == 4:
+            return float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(9, 20)
+        if pick == 5:
+            return rng.uniform(-3 * side, 4 * side)
+        return rng.uniform(-2.0, side + 2.0)
+
+    def test_random_shapes_equal_the_frozen_full_grid_painter(self):
+        # 2500 canvases of 1-40 px a side with 4 shapes each; extents are
+        # drawn like centres, so they include zero, negative, non-finite
+        # and larger-than-canvas values, and centre +- extent is often whole
+        rng = np.random.default_rng(26)
+        shapes = 0
+        for _ in range(2500):
+            hgt, wid = (int(v) for v in rng.integers(1, 41, size=2))
+            count = 4
+            kinds = rng.integers(0, 3, size=count)
+            cys = np.array([self._random_coordinate(rng, hgt) for _ in range(count)])
+            cxs = np.array([self._random_coordinate(rng, wid) for _ in range(count)])
+            halves = np.array([
+                self._random_coordinate(rng, rng.integers(1, 2 * max(hgt, wid)))
+                for _ in range(count)
+            ])
+            colors = rng.random((count, 3))
+            canvas = rng.random((hgt, wid, 3))
+            expected = canvas.copy()
+            with np.errstate(invalid="ignore"):  # inf - inf, met by both painters
+                kernels.paint_shapes(canvas, kinds, cys, cxs, halves, colors)
+                paint_as_before(expected, kinds, cys, cxs, halves, colors)
+            assert canvas.tobytes() == expected.tobytes(), (hgt, wid, kinds, cys, cxs, halves)
+            shapes += count
+        assert shapes >= 10_000
+
+    @pytest.mark.parametrize("kind", [0, 1, 2])
+    def test_huge_coordinates_equal_the_frozen_painter(self, kind):
+        # at 1e17 a float64 step is 16, so r - cy rounds across many rows and a
+        # box of one pixel's padding around cy - h would miss painted rows
+        args = (np.array([kind]), np.array([1e17]), np.array([20.0]), np.array([1e17 - 16]))
+        colors = np.array([[1.0, 0.5, 0.25]])
+        canvas, expected = np.zeros((40, 40, 3)), np.zeros((40, 40, 3))
+        kernels.paint_shapes(canvas, *args, colors)
+        paint_as_before(expected, *args, colors)
+        assert canvas.tobytes() == expected.tobytes()
+
+    def test_render_shapes_equal_the_frozen_painter(self):
+        # the centres and extents `synthgen.render` draws, on 64x64 canvases
+        rng = np.random.default_rng(64)
+        for _ in range(300):
+            count = int(rng.integers(1, 4))
+            halves = rng.uniform(0.20, 0.38, size=count) * 64
+            cys = np.array([rng.uniform(h, 63 - h) for h in halves])
+            cxs = np.array([rng.uniform(h, 63 - h) for h in halves])
+            kinds, colors = rng.integers(0, 3, size=count), rng.random((count, 3))
+            canvas = 0.5 + rng.uniform(-0.04, 0.04, size=(64, 64, 3))
+            expected = canvas.copy()
+            kernels.paint_shapes(canvas, kinds, cys, cxs, halves, colors)
+            paint_as_before(expected, kinds, cys, cxs, halves, colors)
+            assert canvas.tobytes() == expected.tobytes()
