@@ -3,9 +3,12 @@
 Images are (H, W, 3) uint8 arrays, the PPM's own bytes; `quantize` turns
 computed [0, 1] values into such bytes. Text readers take an open binary
 stream, split into lines by the one line reader `ascii_blocks`. CSV
-matrices go in blocks of `CSV_BLOCK_ROWS` rows, so no whole file's text is
-held: `read_csv_matrix` parses block by block, and `csv_blocks` yields the
-encoded blocks for `write_atomic` (`write_csv_matrix` is their join).
+matrices go in blocks of `CSV_BLOCK_ROWS` rows, so the caller holds no whole
+file's text: `read_csv_matrix` parses block by block, and `csv_blocks` yields
+the encoded blocks for `write_atomic` (`write_csv_matrix` is their join). From
+SPLIT_BYTES on, in a one-thread process, a forked child parses the first half
+of a regular file from a read-only map of it, or formats the second half of a
+matrix and holds that text until the caller copies it through.
 Three functions touch the filesystem: `write_atomic`, the one way the
 toolkit puts bytes on disk (str, bytes, or an iterable of buffers written
 in order unjoined, as `model.save_params` gives a checkpoint that
@@ -16,9 +19,14 @@ reader, and `write_dataset`, the one writer of a dataset directory
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
+import mmap
 import os
-from collections.abc import Iterable, Iterator
+import stat
+import threading
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path, PurePath
 from typing import BinaryIO
@@ -62,6 +70,9 @@ def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes | memoryvi
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if isinstance(chunks, Generator):  # its cleanup, such as `csv_blocks` reaping its child, runs now
+            chunks.close()
 
 
 def read_ppm(blob: bytes) -> np.ndarray:
@@ -144,6 +155,8 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
     """
     if kind not in ("scores", "labels"):
         raise ValueError(f"kind must be 'scores' or 'labels', got {kind!r}")
+    if (halves := _read_halves(stream, kind)) is not None:
+        return halves
     arrays = []
     width = None
     blocks = ascii_blocks(stream)
@@ -161,6 +174,74 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
     data = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
     del arrays  # the blocks, copied into `data`, go before the matrix checks
     return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
+
+
+def _read_halves(stream: BinaryIO, kind: str) -> ScoreMatrix | LabelMatrix | None:
+    """The matrix of a regular file cut at the first b"\n" past the middle of its
+    bytes past `tell()`; None, the stream where it was, if not cut or a half fails."""
+    try:
+        info, start = os.fstat(fd := stream.fileno()), stream.tell()
+    except (AttributeError, OSError, ValueError):  # not backed by a file descriptor
+        return None
+    if not (stat.S_ISREG(info.st_mode) and _may_fork(info.st_size - start)):
+        return None
+    stream.seek(middle := (start + info.st_size) // 2)
+    cut = middle + len(stream.readline())
+
+    def first(out: BinaryIO) -> None:  # (rows, width) as int64, then the rows' bytes
+        # each half is read serially: an iterator of lines has no file descriptor
+        with mmap.mmap(fd, cut, access=mmap.ACCESS_READ) as text:
+            text.seek(start)
+            rows = read_csv_matrix(iter(text.readline, b""), kind).data
+        out.writelines((np.array(rows.shape, dtype=np.int64).tobytes(), memoryview(rows).cast("B")))
+
+    try:
+        with _forked(first) as pipe:
+            second = read_csv_matrix(iter(stream.readline, b""), kind)
+            rows, width = np.frombuffer(pipe.read(16).ljust(16, b"\0"), dtype=np.int64)
+            data = np.empty((rows + len(second.data), second.data.shape[1]), second.data.dtype)
+            head = memoryview(data).cast("B")[: rows * data[0].nbytes]
+            if width == data.shape[1] and pipe.readinto(head) == len(head):
+                data[rows:] = second.data
+                return type(second)(data)
+    except (MlcError, OSError):  # a half's error, a failed child (IoError) or fork
+        pass
+    stream.seek(start)  # for the serial reader, which raises any error
+    return None
+
+
+SPLIT_BYTES = 1 << 20  # a fork and reap take 3-8 ms; 1.6 MB of labels read about as fast split
+
+
+def _may_fork(nbytes: int) -> bool:
+    """Whether to split: not with a second thread, whose locks a child would copy held."""
+    return nbytes >= SPLIT_BYTES and threading.active_count() == 1 and hasattr(os, "fork")
+
+
+@contextlib.contextmanager
+def _forked(work: Callable[[BinaryIO], None]) -> Iterator[BinaryIO]:
+    """The read end of a pipe that the toolkit's one forked child writes by `work`,
+    then leaves by os._exit (1 if `work` raised). Leaving the block closes the read
+    end, which ends a child blocked on a write, reaps it, and raises IoError if it failed."""
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe, open(write_end, "wb") as out:
+        if (pid := os.fork()) == 0:
+            try:
+                gc.disable()  # a collection could run finalizers of the caller's garbage
+                pipe.close()
+                work(out)
+                out.close()
+                os._exit(0)
+            finally:
+                os._exit(1)  # `work` raised, interrupts and SystemExit included
+        try:
+            out.close()
+            yield pipe
+        finally:
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        raise IoError(f"CSV child {pid} failed with wait status {status}")
 
 
 def ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
@@ -220,11 +301,22 @@ def _parse_lines(lines: list[str], width: int | None, first: int) -> tuple[np.nd
 
 def csv_blocks(matrix: ScoreMatrix | LabelMatrix) -> Iterator[bytes]:
     """The CSV bytes of a matrix, `CSV_BLOCK_ROWS` rows at a time, for
-    `write_atomic`. Scores keep full float64 precision (`repr`)."""
+    `write_atomic`. Scores keep full float64 precision (`repr`). From SPLIT_BYTES
+    on a child formats the second half: closing the generator early reaps it."""
     cell = str if isinstance(matrix, LabelMatrix) else repr
-    for lo in range(0, matrix.data.shape[0], CSV_BLOCK_ROWS):
-        rows = matrix.data[lo : lo + CSV_BLOCK_ROWS].tolist()
-        yield "".join(",".join(map(cell, row)) + "\n" for row in rows).encode("ascii")
+    rows = len(matrix.data)
+
+    def blocks(lo: int, hi: int) -> Iterator[bytes]:
+        for at in range(lo, hi, CSV_BLOCK_ROWS):
+            block = matrix.data[at : min(at + CSV_BLOCK_ROWS, hi)].tolist()
+            yield "".join(",".join(map(cell, row)) + "\n" for row in block).encode("ascii")
+
+    if not _may_fork(matrix.data.size * 8):
+        yield from blocks(0, rows)
+        return
+    with _forked(lambda out: out.writelines(list(blocks(rows // 2, rows)))) as pipe:
+        yield from blocks(0, rows // 2)
+        yield from iter(lambda: pipe.read(1 << 20), b"")
 
 
 def write_csv_matrix(matrix: ScoreMatrix | LabelMatrix) -> str:

@@ -326,6 +326,8 @@ def predict(
     depends on its image and its place in its block only.
     """
     check_pool_grid(params.pool_grid, input_size)
+    if manifest.num_classes != params.num_classes:
+        raise ShapeMismatch(f"manifest has {manifest.num_classes} classes, checkpoint {params.num_classes}")
     n = len(manifest)
     if n == 0:
         raise EmptyInput("manifest lists no images to score")

@@ -33,6 +33,20 @@ def dataset(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def dataset_c3(dataset, tmp_path_factory):
+    """The fixture dataset's images under a 3-class manifest, as the 3-class
+    CHECKPOINT scores them: each label set keeps its indices below 3. Scores
+    depend on the images alone, so they are those of the 6-class manifest."""
+    root = tmp_path_factory.mktemp("cli_data_c3")
+    manifest = manifest_of(dataset / "manifest.tsv")
+    for path, _ in manifest.entries:
+        (root / path).write_bytes((dataset / path).read_bytes())
+    entries = tuple((path, tuple(i for i in labels if i < 3)) for path, labels in manifest.entries)
+    (root / "manifest.tsv").write_text(write_manifest(DatasetManifest(entries, 3)))
+    return root
+
+
 def _read_scores(path: Path):
     with open(path, "rb") as stream:
         return read_csv_matrix(stream)
@@ -133,10 +147,10 @@ class TestTrainPredictEvaluate:
             loaded = load_params(stream)
         assert loaded.num_classes == 6
 
-    def test_predict_scores_golden(self, dataset, tmp_path):
+    def test_predict_scores_golden(self, dataset_c3, tmp_path):
         out = tmp_path / "scores.csv"
         assert main([
-            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset / "manifest.tsv"),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset_c3 / "manifest.tsv"),
             "--size", "24", "24", "--out", str(out),
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
@@ -160,7 +174,7 @@ class TestTrainPredictEvaluate:
             "b75c8b74fcb59baa5aa3efea77f107ad6ce568bc82861f9d4cc226f51f74a589"
         )
 
-    def test_failed_write_keeps_old_scores(self, dataset, tmp_path, monkeypatch):
+    def test_failed_write_keeps_old_scores(self, dataset_c3, tmp_path, capsys, monkeypatch):
         out = tmp_path / "scores.csv"
         out.write_bytes(b"old\n")
 
@@ -169,9 +183,10 @@ class TestTrainPredictEvaluate:
 
         monkeypatch.setattr(os, "replace", fail)
         assert main([
-            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset / "manifest.tsv"),
+            "predict", "--params", str(CHECKPOINT), "--manifest", str(dataset_c3 / "manifest.tsv"),
             "--size", "24", "24", "--out", str(out),
         ]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: disk full\n"
         assert out.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
 
@@ -421,10 +436,11 @@ def test_sigint_ends_a_command_with_one_line_and_exit_130(dataset, tmp_path):
 
 # The README's exit-code table, one row per subcommand and code: 0 success,
 # 2 a usage error found before any file is read (argparse's own errors
-# included), 1 any other failure. {data} is the fixture dataset and {tmp} a
-# directory holding s.csv (2x2 scores) and y.csv (2x2 labels).
+# included), 1 any other failure. {data} is the fixture dataset, {data3} its
+# 3-class copy for the 3-class {params}, and {tmp} a directory holding s.csv
+# (2x2 scores) and y.csv (2x2 labels).
 _TRAIN = "--mode M1 --size 24 24 --decay-epoch 0 --pool-grid 2 2 --hidden 4 --out {tmp}/m.params"
-_PREDICT = "--params {params} --manifest {data}/manifest.tsv --out {tmp}/p.csv"
+_PREDICT = "--params {params} --manifest {data3}/manifest.tsv --out {tmp}/p.csv"
 _EVALUATE = "--scores {tmp}/s.csv --labels {tmp}/y.csv"
 EXIT_CODE_TABLE = [
     ("gen", 0, "--out {tmp}/g --num 2 --size 16 16"),
@@ -451,10 +467,11 @@ EXIT_CODE_TABLE = [
 @pytest.mark.parametrize(
     "command, code, args", EXIT_CODE_TABLE, ids=[f"{c}-{k}" for c, k, _ in EXIT_CODE_TABLE]
 )
-def test_readme_exit_code_table(dataset, tmp_path, capsys, command, code, args):
+def test_readme_exit_code_table(dataset, dataset_c3, tmp_path, capsys, command, code, args):
     (tmp_path / "s.csv").write_text("0.5,0.1\n0.2,0.9\n")
     (tmp_path / "y.csv").write_text("1,0\n0,1\n")
-    argv = [command, *args.format(data=dataset, tmp=tmp_path, params=CHECKPOINT).split()]
+    paths = dict(data=dataset, data3=dataset_c3, tmp=tmp_path, params=CHECKPOINT)
+    argv = [command, *args.format(**paths).split()]
     try:
         got = main(argv)
     except SystemExit as exc:  # argparse's usage errors
@@ -1041,20 +1058,20 @@ class TestExitCodes:
                         "--out", str(tmp_path / "x")],
             "augment": ["augment", "--mode", "M1", "--out-dir", str(tmp_path / "x")],
         }[command]
-        if command == "predict":
-            # scoring reads the images only; the class count is the checkpoint's
-            assert main([*argv, "--manifest", str(manifest)]) == 0
-            assert _read_scores(tmp_path / "x").data.shape == (1, 3)
-            return
         assert main([*argv, "--manifest", str(manifest)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: #classes={classes} is too large to allocate\n"
+        if command == "predict":  # the 3-class checkpoint refuses the manifest first
+            assert err == f"error: manifest has {classes} classes, checkpoint 3\n"
+        else:
+            assert err == f"error: #classes={classes} is too large to allocate\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "manifest.tsv"]
 
     @pytest.mark.parametrize(
         "command", ["gen", "train", "predict", "augment", "hidden", "pool-grid"]
     )
-    def test_unallocatable_size_is_runtime_error(self, dataset, tmp_path, capsys, command):
+    def test_unallocatable_size_is_runtime_error(
+        self, dataset, dataset_c3, tmp_path, capsys, command
+    ):
         # each shape exceeds 2**63 bytes, so numpy rejects it before it
         # allocates anything: 2**31 x 2**31 pixels of 3 float64s, and the W1
         # that `init_params` draws first for `--hidden 2**62` (768 x 2**62
@@ -1065,8 +1082,8 @@ class TestExitCodes:
         argv = {
             "gen": ["gen", "--out", str(tmp_path / "x"), "--num", "1"],
             "train": [*train, "--hidden", "4"],
-            "predict": ["predict", "--params", str(CHECKPOINT), "--manifest", manifest,
-                        "--out", str(tmp_path / "x")],
+            "predict": ["predict", "--params", str(CHECKPOINT),
+                        "--manifest", str(dataset_c3 / "manifest.tsv"), "--out", str(tmp_path / "x")],
             "augment": ["augment", "--manifest", manifest, "--mode", "M1",
                         "--out-dir", str(tmp_path / "x")],
             "hidden": [*train, "--hidden", str(2**62)],

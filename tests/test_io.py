@@ -6,6 +6,9 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,34 @@ def test_read_image_is_the_one_caller_of_read_ppm():
                     if name == "read_ppm":
                         callers.append((path.name, getattr(top, "name", None)))
     assert callers == [("io.py", "read_image")]
+
+
+def test_one_fork_whose_child_ends_in_os_exit():
+    # (file, top-level definition) of every use of os.fork in mlc
+    forks = []
+    for path in sorted(Path(mlc.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and ast.unparse(node) == "os.fork":
+                    forks.append((path.name, getattr(top, "name", None), top))
+                elif isinstance(node, ast.ImportFrom | ast.Import):
+                    assert "fork" not in {alias.name for alias in node.names}, path.name
+    assert [(name, top) for name, top, _ in forks] == [("io.py", "_forked")]
+    # the child's branch, `if (pid := os.fork()) == 0:`, ends in a try whose
+    # finally ends in os._exit, and no os._exit lies outside that try
+    function = forks[0][2]
+    (branch,) = [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.If) and "os.fork()" in ast.unparse(node.test)
+    ]
+    assert ast.unparse(branch.test) == "(pid := os.fork()) == 0"
+    last = branch.body[-1]
+    assert isinstance(last, ast.Try) and ast.unparse(last.finalbody[-1]).startswith("os._exit(")
+
+    def exits(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == "os._exit"]
+
+    assert exits(function) == exits(last) and last.finalbody[-1].value in exits(last)
 
 
 def _read(text: str | bytes, kind: str = "scores") -> ScoreMatrix | LabelMatrix:
@@ -419,6 +450,218 @@ class TestCsvWriterBytes:
         assert b"".join(chunks) == per_row.encode("ascii")
 
 
+def _splitting(monkeypatch) -> list[int]:
+    """Lower SPLIT_BYTES to 1 byte, so that every non-empty CSV file or matrix
+    is split, and return the list to which each child's pid is appended."""
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(mlc.io, "SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SCORE_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["0", "-0.0", "5e-324", "1e308", "2.5", "-1.5e-3", "7"]
+)
+
+
+@st.composite
+def _split_cases(draw):
+    """(kind, CSV bytes) of 1-40 rows, valid or with a ragged row, a bad cell,
+    a non-ASCII byte or no row at all; lines end in "\n" or "\r\n", and empty
+    lines fall among them."""
+    kind = draw(st.sampled_from(["scores", "labels"]))
+    cell = st.sampled_from(["0", "1", "1.0", "0e0"]) if kind == "labels" else _SCORE_CELL
+    width = draw(st.integers(1, 4))
+    rows = [[draw(cell) for _ in range(width)] for _ in range(draw(st.integers(1, 40)))]
+    fault = draw(st.sampled_from(["none", "none", "ragged", "bad cell", "non-ASCII", "no rows"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    if fault == "ragged":
+        rows[at] = rows[at][:-1] if width > 1 and draw(st.booleans()) else rows[at] + ["1"]
+    elif fault == "bad cell":
+        bad = st.sampled_from(["x", "", " 1", "1,", "nan", "inf", "2", "1e999", "--1"])
+        rows[at][draw(st.integers(0, width - 1))] = draw(bad)
+    lines = [] if fault == "no rows" else [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    blob = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode("ascii")
+    blob += draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+    if fault == "non-ASCII":
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + "é".encode("utf-8") + blob[at:]
+    return kind, blob
+
+
+class _InterruptedRows(np.ndarray):
+    """Rows whose `tolist` raises KeyboardInterrupt in the process `pid` only."""
+
+    pid = None
+
+    def tolist(self):
+        if os.getpid() == self.pid:
+            raise KeyboardInterrupt
+        return super().tolist()
+
+
+class TestSplitCsv:
+    """A CSV matrix split by rows between the caller and one forked child: the
+    same matrix, bytes and errors as the serial path, and no child left behind."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_split_cases(), skip=st.integers(0, 6))
+    def test_read_equals_the_serial_read(self, case, skip):
+        # a BytesIO of the same bytes, which has no file descriptor, is read serially;
+        # each stream starts `skip` bytes in, and must end where the other does
+        kind, blob = case
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            forks = _splitting(patch)
+            path = Path(tmp) / "x.csv"
+            path.write_bytes(blob)
+            with open(path, "rb") as stream:
+                stream.read(skip)
+                got = _outcome(read_csv_matrix, stream, kind), stream.tell()
+            serial = io.BytesIO(blob)
+            serial.name = str(path)
+            serial.read(skip)
+            want = _outcome(read_csv_matrix, serial, kind), serial.tell()
+        assert got == want
+        assert len(forks) == (len(blob) > skip)
+        _assert_no_child_left()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["scores", "labels"]),
+        shape=st.tuples(st.integers(0, 40), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_written_bytes_equal_the_per_row_writer(self, kind, shape, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "labels":
+            matrix, cell = LabelMatrix((rng.random(shape) < 0.4).astype(np.int8)), str
+        else:
+            data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            matrix, cell = ScoreMatrix(data), repr
+        per_row = "".join(",".join(map(cell, row)) + "\n" for row in matrix.data.tolist())
+        with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+            forks = _splitting(patch)
+            assert b"".join(csv_blocks(matrix)) == per_row.encode("ascii")
+            write_atomic(Path(tmp) / "x.csv", csv_blocks(matrix))
+            assert (Path(tmp) / "x.csv").read_bytes() == per_row.encode("ascii")
+        assert len(forks) == (2 if shape[0] else 0)
+        _assert_no_child_left()
+
+    def test_nothing_forks_while_a_second_thread_is_alive(self, tmp_path, monkeypatch):
+        forks = _splitting(monkeypatch)
+        matrix = ScoreMatrix(np.arange(120.0).reshape(40, 3) / 7)
+        path = tmp_path / "x.csv"
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            write_atomic(path, csv_blocks(matrix))
+            with open(path, "rb") as stream:
+                read = read_csv_matrix(stream)
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert forks == []
+        assert read.data.tobytes() == matrix.data.tobytes()
+        # with the thread gone, each call forks one child
+        write_atomic(path, csv_blocks(matrix))
+        with open(path, "rb") as stream:
+            assert read_csv_matrix(stream).data.tobytes() == matrix.data.tobytes()
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exit_path", [
+        "return", "first half fails", "second half fails", "halves of two widths", "child exits 1",
+        "interrupt",
+    ])
+    def test_read_leaves_no_child(self, tmp_path, monkeypatch, exit_path):
+        forks = _splitting(monkeypatch)
+        lines = [",".join(map(repr, row)) for row in (np.arange(120.0).reshape(40, 3) / 7).tolist()]
+        if exit_path == "first half fails":
+            lines[2] = "1,x,2"
+        elif exit_path == "second half fails":
+            lines[35] = "1,2"
+        elif exit_path == "halves of two widths":
+            # 80 + 72 bytes: the first b"\n" past the middle ends the last 4-cell row,
+            # so each half parses alone, and only their widths differ
+            lines = ["1,2,3,4"] * 10 + ["1.5,2.5,3.5"] * 6
+        elif exit_path == "child exits 1":
+            # as perfbench's SIGTERM handler would make it: SystemExit in the child
+            forked = mlc.io._forked
+            monkeypatch.setattr(mlc.io, "_forked", lambda work: forked(lambda out: sys.exit(1)))
+        elif exit_path == "interrupt":
+            parse_block, parent = mlc.io._parse_block, os.getpid()
+
+            def interrupted(*args):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return parse_block(*args)
+
+            monkeypatch.setattr(mlc.io, "_parse_block", interrupted)
+        blob = "".join(line + "\n" for line in lines).encode("ascii")
+        path = tmp_path / "x.csv"
+        path.write_bytes(blob)
+        with open(path, "rb") as stream:
+            if exit_path == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    read_csv_matrix(stream)
+            else:
+                got = _outcome(read_csv_matrix, stream, "scores")
+                assert got == _outcome(_reference_read, blob, "scores")
+                assert stream.read() == b""
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exit_path", ["return", "child exits 1", "write fails", "interrupt"])
+    def test_write_leaves_no_child_and_a_failed_target_as_it_was(
+        self, tmp_path, monkeypatch, exit_path
+    ):
+        data = np.arange(120.0).reshape(40, 3) / 7
+        matrix, whole = ScoreMatrix(data), write_csv_matrix(ScoreMatrix(data)).encode("ascii")
+        forks = _splitting(monkeypatch)
+        target = tmp_path / "x.csv"
+        target.write_bytes(b"old\n")
+        error = {"child exits 1": IoError, "write fails": IoError, "interrupt": KeyboardInterrupt}
+        if exit_path == "child exits 1":
+            forked = mlc.io._forked
+            monkeypatch.setattr(mlc.io, "_forked", lambda work: forked(lambda out: sys.exit(1)))
+        elif exit_path == "write fails":
+            def fail(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(os, "replace", fail)
+        elif exit_path == "interrupt":
+            # a matrix-like object whose rows interrupt this process's half only
+            monkeypatch.setattr(_InterruptedRows, "pid", os.getpid())
+            matrix = types.SimpleNamespace(data=data.view(_InterruptedRows))
+        if exit_path == "return":
+            write_atomic(target, csv_blocks(matrix))
+            assert target.read_bytes() == whole
+        else:
+            with pytest.raises(error[exit_path]):
+                write_atomic(target, csv_blocks(matrix))
+            assert target.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+
 class TestManifest:
     def test_basic_entry(self):
         man = manifest_of("#classes=3\nimg0.ppm\t0 2\n")
@@ -534,6 +777,28 @@ class TestWriteAtomic:
         # an OSError is re-raised as an IoError naming the target
         with pytest.raises(IoError if isinstance(exc, OSError) else type(exc)):
             write_atomic(target, b"new" * 1000)
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("failure", ["chunk raises", "write fails"])
+    def test_closes_a_generator_of_chunks(self, tmp_path, failure):
+        # closed by write_atomic itself, while the traceback still holds the generator
+        closed = []
+
+        def chunks():
+            try:
+                yield b"first"
+                if failure == "chunk raises":
+                    raise ParseError("bad chunk")
+                yield 17  # not a buffer: the write fails while this generator waits
+            finally:
+                closed.append(True)
+
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old")
+        with pytest.raises(ParseError if failure == "chunk raises" else TypeError) as caught:
+            write_atomic(target, chunks())
+        assert caught.traceback and closed == [True]
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 

@@ -18,6 +18,7 @@ from mlc.errors import (
     EmptyInput,
     GridTooLarge,
     PixelOutOfRange,
+    ShapeMismatch,
 )
 from mlc.io import DatasetManifest, quantize, read_image, write_dataset
 from mlc.model import ModelParams, forward_features, init_params, pooled_batch, save_params
@@ -652,6 +653,20 @@ class TestPredict:
         params = init_params(3, (4, 4), 8, seed=0)
         with pytest.raises(EmptyInput):
             predict(params, DatasetManifest((), 3), (8, 8))
+
+    @pytest.mark.parametrize("manifest_classes", [3, 7])
+    def test_class_count_mismatch_raises_before_reading_an_image(
+        self, tmp_path, monkeypatch, manifest_classes
+    ):
+        def no_read(*args):
+            raise AssertionError("an image was read before the class counts were compared")
+
+        monkeypatch.setattr(trainer, "read_image", no_read)
+        params = init_params(6, (4, 4), 8, seed=0)
+        manifest = DatasetManifest((("img.ppm", (0,)),), manifest_classes)
+        message = f"^manifest has {manifest_classes} classes, checkpoint 6$"
+        with pytest.raises(ShapeMismatch, match=message):
+            predict(params, manifest, (8, 8), root=tmp_path)
 
 
 class TestAugmentedSamples:
