@@ -5,9 +5,11 @@ computed [0, 1] values into such bytes. Text readers take an open binary
 stream, split into lines by the one line reader `ascii_blocks`. CSV
 matrices go in blocks of `CSV_BLOCK_ROWS` rows, so the caller holds no whole
 file's text: `read_csv_matrix` parses block by block, and `csv_blocks` yields
-the encoded blocks for `write_atomic` (`write_csv_matrix` is their join). From
-SPLIT_BYTES on, in a one-thread process, a forked child parses the first half
-of a regular file from a read-only map of it, or formats the second half of a
+the encoded blocks for `write_atomic` (`write_csv_matrix` is their join). A
+0/1 grid block (lines of equally many single 0/1 cells joined by ",") is read
+as bytes, and labels are written as one and never split. From SPLIT_BYTES of
+scores on, in a one-thread process, a forked child parses the first half of a
+regular file from a read-only map of it, or formats the second half of a
 matrix and holds that text until the caller copies it through.
 Three functions touch the filesystem: `write_atomic`, the one way the
 toolkit puts bytes on disk (str, bytes, or an iterable of buffers written
@@ -146,7 +148,8 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
 
     The stream is read `CSV_BLOCK_ROWS` lines at a time. Lines end at b"\n"
     only, less one "\r" before it. A cell is anything Python's `float()`
-    accepts. A ParseError names the first line with a cell count other than
+    accepts; a 0/1 grid block is read from its bytes, and only scores are
+    split. A ParseError names the first line with a cell count other than
     the first row's or a cell `float()` rejects; a non-ASCII byte anywhere is
     one naming the stream's `name` and the byte's offset, and comes first.
     kind="labels" returns a LabelMatrix, which rejects entries other than 0
@@ -155,7 +158,7 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
     """
     if kind not in ("scores", "labels"):
         raise ValueError(f"kind must be 'scores' or 'labels', got {kind!r}")
-    if (halves := _read_halves(stream, kind)) is not None:
+    if kind == "scores" and (halves := _read_halves(stream)) is not None:
         return halves
     arrays = []
     width = None
@@ -176,8 +179,8 @@ def read_csv_matrix(stream: BinaryIO, kind: str = "scores") -> ScoreMatrix | Lab
     return LabelMatrix(data) if kind == "labels" else ScoreMatrix(data)
 
 
-def _read_halves(stream: BinaryIO, kind: str) -> ScoreMatrix | LabelMatrix | None:
-    """The matrix of a regular file cut at the first b"\n" past the middle of its
+def _read_halves(stream: BinaryIO) -> ScoreMatrix | None:
+    """The scores of a regular file cut at the first b"\n" past the middle of its
     bytes past `tell()`; None, the stream where it was, if not cut or a half fails."""
     try:
         info, start = os.fstat(fd := stream.fileno()), stream.tell()
@@ -192,25 +195,25 @@ def _read_halves(stream: BinaryIO, kind: str) -> ScoreMatrix | LabelMatrix | Non
         # each half is read serially: an iterator of lines has no file descriptor
         with mmap.mmap(fd, cut, access=mmap.ACCESS_READ) as text:
             text.seek(start)
-            rows = read_csv_matrix(iter(text.readline, b""), kind).data
+            rows = read_csv_matrix(iter(text.readline, b"")).data
         out.writelines((np.array(rows.shape, dtype=np.int64).tobytes(), memoryview(rows).cast("B")))
 
     try:
         with _forked(first) as pipe:
-            second = read_csv_matrix(iter(stream.readline, b""), kind)
+            second = read_csv_matrix(iter(stream.readline, b"")).data
             rows, width = np.frombuffer(pipe.read(16).ljust(16, b"\0"), dtype=np.int64)
-            data = np.empty((rows + len(second.data), second.data.shape[1]), second.data.dtype)
+            data = np.empty((rows + len(second), second.shape[1]))
             head = memoryview(data).cast("B")[: rows * data[0].nbytes]
             if width == data.shape[1] and pipe.readinto(head) == len(head):
-                data[rows:] = second.data
-                return type(second)(data)
+                data[rows:] = second
+                return ScoreMatrix(data)
     except (MlcError, OSError):  # a half's error, a failed child (IoError) or fork
         pass
     stream.seek(start)  # for the serial reader, which raises any error
     return None
 
 
-SPLIT_BYTES = 1 << 20  # a fork and reap take 3-8 ms; 1.6 MB of labels read about as fast split
+SPLIT_BYTES = 1 << 20  # a fork and reap take 3-8 ms; 1 MiB of scores parses in about 28 ms
 
 
 def _may_fork(nbytes: int) -> bool:
@@ -266,6 +269,8 @@ def ascii_blocks(stream: BinaryIO) -> Iterator[tuple[int, bytes]]:
 def _parse_block(chunk: bytes, width: int | None, lineno: int) -> tuple[np.ndarray | None, int | None]:
     """The rows of one block, whose first line is line `lineno` + 1, and the
     row width; no rows (None) for a block of empty lines."""
+    if (grid := _grid_rows(chunk)) is not None and width in (None, grid.shape[1]):
+        return grid, grid.shape[1]
     lines = chunk.decode("ascii").split("\n")
     if any(lines) and not chunk.translate(None, _PLAIN):
         # On this alphabet numpy and `float()` convert a cell with the same
@@ -279,6 +284,25 @@ def _parse_block(chunk: bytes, width: int | None, lineno: int) -> tuple[np.ndarr
                 return data, data.shape[1]
             # else `_parse_lines` raises the row-width ParseError at this block's first row
     return _parse_lines(lines, width, lineno)
+
+
+def _grid_pairs(width: int) -> np.ndarray:
+    """A 0/1 grid line of `width` zeros as little-endian uint16s: a cell's byte, then "," or "\n"."""
+    pairs = np.full(width, ord("0") | ord(",") << 8, dtype="<u2")
+    pairs[-1] = ord("0") | ord("\n") << 8
+    return pairs
+
+
+def _grid_rows(chunk: bytes) -> np.ndarray | None:
+    """The int8 rows of a block whose lines are all the same number of single
+    0/1 cells joined by ",", a cell's value the low bit of its pair; else None."""
+    line = chunk.find(b"\n") + 1
+    if line < 2 or line % 2 or len(chunk) % line:
+        return None
+    pairs = np.frombuffer(chunk, dtype="<u2").reshape(-1, line // 2)
+    if ((pairs & 0xFFFE) != _grid_pairs(line // 2)).any():
+        return None
+    return (pairs & 1).astype(np.int8)
 
 
 def _parse_lines(lines: list[str], width: int | None, first: int) -> tuple[np.ndarray | None, int | None]:
@@ -300,16 +324,20 @@ def _parse_lines(lines: list[str], width: int | None, first: int) -> tuple[np.nd
 
 
 def csv_blocks(matrix: ScoreMatrix | LabelMatrix) -> Iterator[bytes]:
-    """The CSV bytes of a matrix, `CSV_BLOCK_ROWS` rows at a time, for
-    `write_atomic`. Scores keep full float64 precision (`repr`). From SPLIT_BYTES
-    on a child formats the second half: closing the generator early reaps it."""
-    cell = str if isinstance(matrix, LabelMatrix) else repr
+    """The CSV bytes of a matrix, `CSV_BLOCK_ROWS` rows at a time, for `write_atomic`:
+    labels as a 0/1 grid, never split; scores by `repr`, at full float64 precision, a
+    child formatting the second half from SPLIT_BYTES on (closing early reaps it)."""
     rows = len(matrix.data)
+    if isinstance(matrix, LabelMatrix):
+        zeros = _grid_pairs(matrix.data.shape[1])
+        for at in range(0, rows, CSV_BLOCK_ROWS):
+            yield (zeros + matrix.data[at : at + CSV_BLOCK_ROWS].view(np.uint8)).astype("<u2").tobytes()
+        return
 
     def blocks(lo: int, hi: int) -> Iterator[bytes]:
         for at in range(lo, hi, CSV_BLOCK_ROWS):
             block = matrix.data[at : min(at + CSV_BLOCK_ROWS, hi)].tolist()
-            yield "".join(",".join(map(cell, row)) + "\n" for row in block).encode("ascii")
+            yield "".join(",".join(map(repr, row)) + "\n" for row in block).encode("ascii")
 
     if not _may_fork(matrix.data.size * 8):
         yield from blocks(0, rows)

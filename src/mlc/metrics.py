@@ -96,13 +96,13 @@ def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
     ascending = np.sort(s)
     if np.isnan(ascending[-1]):  # np.sort puts any NaN last
         raise NonFinite("scores contain NaN")
-    hit_scores = s[y == 1]
+    hit_scores = np.sort(s[y == 1])  # sorted keys search faster, and give sorted ranks
     at_most = np.searchsorted(ascending, hit_scores, side="right")
     below = np.searchsorted(ascending, hit_scores, side="left")
     if (at_most - below > 1).any():
         return _stable_average_precision(s, y, positives)
     # untied, a positive's rank is 1 + the count of strictly greater scores
-    ranks = np.sort(len(s) + 1 - at_most).astype(np.float64)
+    ranks = (len(s) + 1 - at_most)[::-1].astype(np.float64)
     hits = np.arange(1, positives + 1, dtype=np.float64)
     return float((hits / ranks).sum() / positives)
 

@@ -59,8 +59,9 @@ from .types import LabelMatrix, ScoreMatrix
 # a batch whose mean loss exceeds this multiple of the run's first batch's
 # mean loss ends training as diverged
 DIVERGENCE_FACTOR = 1000.0
-# the rows of each predict forward, zero-padded after the last image
-PREDICT_CHUNK = 64
+# the rows of each predict forward, zero-padded after the last image; at 64,
+# OpenBLAS's SkylakeX dgemm gave rows at some places in a block other bits
+PREDICT_CHUNK = 48
 # the images predict and augmented_samples decode to float64 at a time: training's
 # default batch, and even, so no mixup pair is split
 BUILD_CHUNK = 16
@@ -323,7 +324,8 @@ def predict(
     Each forward is of one PREDICT_CHUNK-row pooled block, zero-padded after
     the last image. A block is filled BUILD_CHUNK images at a time, each image
     read as its chunk is built, so only that many are held as floats and a row
-    depends on its image and its place in its block only.
+    depends on its image alone on the dgemm kernels measured, OpenBLAS 0.3.31's
+    SkylakeX, Haswell and Sandybridge: not on its place in its block.
     """
     check_pool_grid(params.pool_grid, input_size)
     if manifest.num_classes != params.num_classes:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlc
+from mlc.cli import main
 from mlc.errors import (
     IndexOutOfRange,
     IoError,
@@ -41,6 +42,7 @@ from mlc.io import (
     write_manifest,
     write_ppm,
 )
+from mlc.metrics import evaluate, machine_line
 from mlc.types import LabelMatrix, ScoreMatrix
 
 from conftest import manifest_of, traced_peak
@@ -414,6 +416,76 @@ class TestCsvBlocks:
             _read(blob)
 
 
+_GRID_FAULTS = [
+    "none", "none", "a 2", "missing comma", "doubled comma", "CRLF", "empty line",
+    "no last newline", "two widths",
+]
+
+
+@st.composite
+def _near_grids(draw):
+    """(kind, CSV bytes) of a 0/1 grid of width 1-6, as it is or with one
+    fault, and perhaps a non-ASCII byte somewhere; "two widths" widens every
+    row from the second `CSV_BLOCK_ROWS` block on, or from a drawn row."""
+    kind = draw(st.sampled_from(["scores", "labels"]))
+    fault = draw(st.sampled_from(_GRID_FAULTS))
+    sizes = [1, 2, 9, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 3]
+    rows = draw(st.sampled_from(sizes[3:] if fault == "two widths" else sizes))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2, (rows, draw(st.integers(1, 6))), dtype=np.int8)
+    lines = [",".join(map(str, row)) for row in bits.tolist()]
+    at = draw(st.integers(0, rows - 1))
+    if fault == "a 2":
+        cell = 2 * draw(st.integers(0, bits.shape[1] - 1))
+        lines[at] = lines[at][:cell] + "2" + lines[at][cell + 1 :]
+    elif fault == "missing comma":
+        lines[at] = lines[at].replace(",", "", 1)
+    elif fault == "doubled comma":
+        lines[at] = lines[at][:1] + "," + lines[at][1:]
+    elif fault == "CRLF":
+        lines[at] += "\r"
+    elif fault == "empty line":
+        lines.insert(at, "")
+    elif fault == "two widths":
+        cut = CSV_BLOCK_ROWS if draw(st.booleans()) else at
+        lines[cut:] = [line + ",1" for line in lines[cut:]]
+    blob = "".join(line + "\n" for line in lines).encode("ascii")
+    if fault == "no last newline":
+        blob = blob[:-1]
+    if draw(st.booleans()):
+        offset = draw(st.integers(0, len(blob)))
+        blob = blob[:offset] + "\u00e9".encode("utf-8") + blob[offset:]
+    return kind, blob
+
+
+class TestGridCsv:
+    """0/1 grids, read from their bytes, against the whole-text reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_near_grids())
+    def test_read_equals_the_reference(self, case):
+        kind, blob = case
+        assert _outcome(_read, blob, kind) == _outcome(_reference_read, blob, kind)
+
+    @pytest.mark.parametrize("kind", ["scores", "labels"])
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("width", [1, 2, 6])
+    def test_labels_written_and_read_without_str_or_a_float_parser(self, monkeypatch, kind, rows, width):
+        labels = LabelMatrix(np.random.default_rng(rows).integers(0, 2, (rows, width), dtype=np.int8))
+        per_cell = "".join(",".join(map(str, row)) + "\n" for row in labels.data.tolist()).encode("ascii")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a 0/1 grid went through the per-cell path")
+
+        monkeypatch.setattr(mlc.io, "_parse_lines", refused)
+        monkeypatch.setattr(np, "loadtxt", refused)
+        assert b"".join(csv_blocks(labels)) == per_cell
+        if rows:
+            assert _read(per_cell, kind).data.tobytes() == labels.data.astype(
+                np.int8 if kind == "labels" else np.float64
+            ).tobytes()
+
+
 class TestCsvWriterBytes:
     """sha256 of the CSV text, recorded from the per-cell `repr`/`str(int)` writer."""
 
@@ -537,7 +609,7 @@ class TestSplitCsv:
             serial.read(skip)
             want = _outcome(read_csv_matrix, serial, kind), serial.tell()
         assert got == want
-        assert len(forks) == (len(blob) > skip)
+        assert len(forks) == (kind == "scores" and len(blob) > skip)
         _assert_no_child_left()
 
     @settings(max_examples=100, deadline=None)
@@ -559,7 +631,35 @@ class TestSplitCsv:
             assert b"".join(csv_blocks(matrix)) == per_row.encode("ascii")
             write_atomic(Path(tmp) / "x.csv", csv_blocks(matrix))
             assert (Path(tmp) / "x.csv").read_bytes() == per_row.encode("ascii")
-        assert len(forks) == (2 if shape[0] else 0)
+        assert len(forks) == (2 if shape[0] and kind == "scores" else 0)
+        _assert_no_child_left()
+
+    def test_evaluate_forks_for_the_scores_only(self, tmp_path, monkeypatch, capsys):
+        # both files past SPLIT_BYTES, at its own value: 80 one-byte cells and their
+        # separators are 160 bytes a row, and each score cell "0.25" or "0.75" 5 bytes
+        rows = mlc.io.SPLIT_BYTES // 160 + 1
+        labels = np.random.default_rng(3).integers(0, 2, (rows, 80), dtype=np.int8)
+        write_atomic(tmp_path / "scores.csv", csv_blocks(ScoreMatrix(0.25 + 0.5 * labels)))
+        forks = []
+        fork = os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        write_atomic(tmp_path / "labels.csv", csv_blocks(LabelMatrix(labels)))
+        assert forks == []
+        assert os.path.getsize(tmp_path / "labels.csv") > mlc.io.SPLIT_BYTES
+        assert os.path.getsize(tmp_path / "scores.csv") > mlc.io.SPLIT_BYTES
+        assert main([
+            "evaluate", "--scores", str(tmp_path / "scores.csv"), "--labels", str(tmp_path / "labels.csv"),
+        ]) == 0
+        panel = evaluate(ScoreMatrix(0.25 + 0.5 * labels), LabelMatrix(labels))
+        assert capsys.readouterr().out.splitlines()[-1] == machine_line(panel)
+        assert len(forks) == 1
         _assert_no_child_left()
 
     def test_nothing_forks_while_a_second_thread_is_alive(self, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlc import metrics
 from mlc.errors import AllClassesEmpty, KTooLarge, NonFinite, NoPositives, ShapeMismatch
@@ -427,6 +429,21 @@ class TestStableSortBits:
             top_k_binarize(np.array([[1.0, 1.0, 1.0, np.nan]]), 2)
         with pytest.raises(NonFinite, match="^scores contain NaN$"):
             mean_ap(np.array([[0.5, np.nan], [0.2, 0.1]]), np.array([[1, 0], [0, 0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_average_precision_matches_the_stable_argsort(self, data):
+        # tied columns draw from a few values (-0.0 equals 0.0); untied ones are distinct
+        n = data.draw(st.integers(1, 40))
+        few = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+        scores = np.array(data.draw(
+            st.lists(few, min_size=n, max_size=n)
+            | st.lists(st.floats(allow_nan=False), min_size=n, max_size=n, unique=True)
+        ))
+        truth = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+        truth[data.draw(st.integers(0, n - 1))] = 1
+        got = average_precision(scores, truth)
+        assert float(got).hex() == float(reference_ap(scores, truth)).hex()
 
     def test_golden_panel(self):
         # recorded with the stable-argsort rankings
