@@ -1,19 +1,22 @@
 """Typed errors raised at module boundaries.
 
-Every invalid construction or contract violation maps to one of these,
-one for each kind of failure, so callers can catch a single base class or
-one kind; the message names the precise condition.
+Every invalid construction or contract violation maps to one of the ten
+MlcError subclasses, one for each kind of failure, so callers can catch the
+base class or one kind; the message names the precise condition.
+`allocating` turns an array too large to allocate into ShapeMismatch.
 """
+
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 class MlcError(Exception):
     """Base class for all toolkit errors."""
 
 
-# -- shared container errors -------------------------------------------------
-
 class ShapeMismatch(MlcError):
-    """Two containers that must agree in shape do not."""
+    """Two shapes that must agree do not, a pool grid or top-k exceeds the image
+    or class count, or an array is too large to allocate."""
 
 
 class NonFinite(MlcError):
@@ -28,39 +31,15 @@ class PixelOutOfRange(MlcError):
     """A value to be quantized to a pixel byte is not in [0, 1], or is NaN."""
 
 
-# -- file format errors ------------------------------------------------------
+class EmptyInput(MlcError):
+    """An operation that needs at least one member received none: no score
+    matrix to fuse, no image in a manifest, or no positive label for AP or mAP."""
+
 
 class ParseError(MlcError):
-    """A PPM, CSV, manifest or checkpoint breaks its format; the message says what broke."""
+    """A PPM, CSV, manifest or checkpoint breaks its format, or a manifest
+    label index is outside [0, C); the message says what broke."""
 
-
-class IndexOutOfRange(MlcError):
-    """A manifest label index is outside [0, C)."""
-
-
-# -- model / metrics errors --------------------------------------------------
-
-class GridTooLarge(MlcError):
-    """Pooling grid exceeds the image dimensions."""
-
-
-class KTooLarge(MlcError):
-    """Requested top-k exceeds the number of classes."""
-
-
-class NoPositives(MlcError):
-    """Average precision is undefined without any positive example."""
-
-
-class AllClassesEmpty(MlcError):
-    """No class has a positive example, so mAP is undefined."""
-
-
-class EmptyInput(MlcError):
-    """An operation that needs at least one member received none."""
-
-
-# -- pipeline errors ---------------------------------------------------------
 
 class DataLoadError(MlcError):
     """A dataset image is missing or unreadable, or a manifest entry leaves
@@ -77,3 +56,13 @@ class NoVisibleArrangement(MlcError):
 
 class IoError(MlcError):
     """Writing generated artifacts to disk failed."""
+
+
+@contextmanager
+def allocating(what: str) -> Iterator[None]:
+    """Raise ShapeMismatch(f"{what} too large to allocate") where the block's
+    arrays exceed numpy's size limit (ValueError) or the host's memory."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ShapeMismatch(f"{what} too large to allocate") from None

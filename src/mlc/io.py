@@ -36,7 +36,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import (
-    DataLoadError, IndexOutOfRange, IoError, MlcError, ParseError, PixelOutOfRange, ShapeMismatch,
+    DataLoadError, IoError, MlcError, ParseError, PixelOutOfRange, ShapeMismatch, allocating,
 )
 from .types import LabelMatrix, ScoreMatrix
 
@@ -375,16 +375,14 @@ class DatasetManifest:
                 raise DataLoadError(f"manifest entry {path!r} leaves the dataset root")
             for idx in indices:
                 if not 0 <= idx < self.num_classes:
-                    raise IndexOutOfRange(f"label index {idx} outside [0, {self.num_classes})")
+                    raise ParseError(f"label index {idx} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def label_matrix(self) -> LabelMatrix:
-        try:
+        with allocating(f"#classes={self.num_classes} is"):
             out = np.zeros((len(self.entries), self.num_classes), dtype=np.int8)
-        except (MemoryError, ValueError):
-            raise ShapeMismatch(f"#classes={self.num_classes} is too large to allocate") from None
         for row, (_, indices) in enumerate(self.entries):
             out[row, list(indices)] = 1
         return LabelMatrix(out)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllClassesEmpty, KTooLarge, NonFinite, NoPositives, ShapeMismatch
+from .errors import EmptyInput, NonFinite, ShapeMismatch
 from .types import LabelMatrix, ScoreMatrix
 
 # the top-k cutoff when none is given, here and in `mlc evaluate`
@@ -53,7 +53,7 @@ def top_k_binarize(scores: np.ndarray, k: int) -> np.ndarray:
     if scores.ndim != 2:
         raise ShapeMismatch(f"expected (n, C) scores, got shape {scores.shape}")
     if not 1 <= k <= scores.shape[1]:
-        raise KTooLarge(f"k={k} outside [1, {scores.shape[1]}]")
+        raise ShapeMismatch(f"k={k} outside [1, {scores.shape[1]}]")
     if np.isnan(scores).any():
         raise NonFinite("scores contain NaN")
     # the list index copies the k-th largest out, so the partitioned copy is freed
@@ -92,7 +92,7 @@ def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
         raise ShapeMismatch(f"scores {s.shape} vs truth {y.shape}")
     positives = int(y.sum())
     if positives == 0:
-        raise NoPositives("average precision needs at least one positive")
+        raise EmptyInput("average precision needs at least one positive")
     ascending = np.sort(s)
     if np.isnan(ascending[-1]):  # np.sort puts any NaN last
         raise NonFinite("scores contain NaN")
@@ -127,7 +127,7 @@ def mean_ap(scores: np.ndarray, truth: np.ndarray) -> tuple[float, np.ndarray]:
             per_class[j] = average_precision(scores[:, j], truth[:, j])
     present = ~np.isnan(per_class)
     if not present.any():
-        raise AllClassesEmpty("every class is empty; mAP undefined")
+        raise EmptyInput("every class is empty; mAP undefined")
     return float(per_class[present].mean()), per_class
 
 
@@ -143,7 +143,7 @@ def evaluate(scores: ScoreMatrix, truth: LabelMatrix, k: int = TOP_K) -> Metrics
     if s.shape != y.shape:
         raise ShapeMismatch(f"scores {s.shape} vs labels {y.shape}")
     pred = top_k_binarize(s, k).view(bool)
-    # AllClassesEmpty unless some label is 1, so below n*k and the positives are > 0
+    # mean_ap raises EmptyInput unless some label is 1, so below n*k and the positives are > 0
     map_, _ = mean_ap(s, y)
     # one-byte boolean masks, counted per column: no (n, C) integer temporaries
     y = y.astype(bool)

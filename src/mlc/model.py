@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .augment import STREAM_INIT, rng_stream
-from .errors import GridTooLarge, NonFinite, ParseError, ShapeMismatch
+from .errors import NonFinite, ParseError, ShapeMismatch, allocating
 
 CHECKPOINT_V2 = "mlc-params v2"
 
@@ -77,24 +77,22 @@ def init_params(
     d = pool_grid[0] * pool_grid[1] * 3
     bound1 = 1.0 / np.sqrt(d)
     bound2 = 1.0 / np.sqrt(hidden)
-    try:
+    with allocating(
+        f"weights for a {pool_grid[0]}x{pool_grid[1]} pool grid, {hidden} hidden units "
+        f"and {num_classes} classes are"
+    ):
         w1 = rng.uniform(-bound1, bound1, size=(d, hidden))
         b1 = rng.uniform(-bound1, bound1, size=hidden)
         w2 = rng.uniform(-bound2, bound2, size=(hidden, num_classes))
         b2 = rng.uniform(-bound2, bound2, size=num_classes)
-    except (MemoryError, ValueError):
-        raise ShapeMismatch(
-            f"weights for a {pool_grid[0]}x{pool_grid[1]} pool grid, {hidden} hidden units "
-            f"and {num_classes} classes are too large to allocate"
-        ) from None
     return ModelParams(pool_grid=pool_grid, W1=w1, b1=b1, W2=w2, b2=b2)
 
 
 def check_pool_grid(pool_grid: tuple[int, int], size: tuple[int, int]) -> None:
-    """Raise GridTooLarge unless a gh x gw grid fits an H x W image."""
+    """Raise ShapeMismatch unless a gh x gw grid fits an H x W image."""
     (gh, gw), (height, width) = pool_grid, size
     if gh < 1 or gw < 1 or gh > height or gw > width:
-        raise GridTooLarge(f"pool grid {gh}x{gw} invalid for {height}x{width} image")
+        raise ShapeMismatch(f"pool grid {gh}x{gw} invalid for {height}x{width} image")
 
 
 def pooled_batch(pixels: np.ndarray, pool_grid: tuple[int, int]) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .augment import STREAM_GEN, rng_stream
-from .errors import NoVisibleArrangement, ShapeMismatch
+from .errors import NoVisibleArrangement, allocating
 from .io import DatasetManifest, quantize, write_dataset
 
 # saturated RGB corners, then half-intensity corners; all byte-exact
@@ -111,11 +111,9 @@ def render(cfg: SynthConfig, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
         count = int(rng.integers(cfg.min_concepts, cfg.max_concepts + 1))
         classes = np.sort(rng.choice(cfg.num_classes, size=count, replace=False))
         z_order = rng.permutation(classes)
-        try:
+        with allocating(f"a {height}x{width} image is"):
             noise = rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE, size=(height, width, 3))
             canvas = _BACKGROUND + noise
-        except (MemoryError, ValueError):
-            raise ShapeMismatch(f"a {height}x{width} image is too large to allocate") from None
 
         halves = rng.uniform(_MIN_EXTENT, _MAX_EXTENT, size=count) * min(height, width)
         centres = [(rng.uniform(h, height - 1 - h), rng.uniform(h, width - 1 - h)) for h in halves]

@@ -49,7 +49,7 @@ import numpy as np
 from .augment import (
     MODES, STREAM_AUG, STREAM_MIX, STREAM_SHUFFLE, apply_mode, mixup, resize, rng_stream,
 )
-from .errors import DivergedLoss, EmptyInput, ShapeMismatch
+from .errors import DivergedLoss, EmptyInput, ShapeMismatch, allocating
 from .io import DatasetManifest, quantize, read_image, write_atomic
 from .model import (
     ModelParams, check_pool_grid, forward_features, init_params, pooled_batch, sgd_step,
@@ -120,10 +120,8 @@ def mixup_active(cfg: TrainConfig, epoch: int) -> bool:
 
 def _pixel_batch(n: int, size: tuple[int, int]) -> np.ndarray:
     """An empty (n, h, w, 3) float64 batch; one too large to allocate is ShapeMismatch."""
-    try:
+    with allocating(f"{n} images of {size[0]}x{size[1]} are"):
         return np.empty((n, *size, 3), dtype=np.float64)
-    except (MemoryError, ValueError):
-        raise ShapeMismatch(f"{n} images of {size[0]}x{size[1]} are too large to allocate") from None
 
 
 def _augmented_batch(

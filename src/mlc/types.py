@@ -30,7 +30,7 @@ class LabelMatrix:
         raw = np.asarray(self.data)
         if raw.ndim != 2 or raw.shape[1] < 1:
             raise ShapeMismatch(f"expected (n, C) label matrix, got shape {raw.shape}")
-        if not np.isin(raw, (0, 1)).all():
+        if not ((raw == 0) | (raw == 1)).all():
             raise NonBinaryLabel("label entries must be 0 or 1")
         object.__setattr__(self, "data", _frozen(raw, np.int8))
 

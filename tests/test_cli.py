@@ -486,6 +486,34 @@ def test_readme_exit_code_table(dataset, dataset_c3, tmp_path, capsys, command, 
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+# one failure for each condition that shares its error class with others,
+# with the exact line it prints; {tmp}/z.csv holds 2x2 all-zero labels and
+# {tmp}/bad.tsv a 3-class manifest that lists label index 3
+SHARED_CLASS_FAILURES = [
+    ("evaluate", _EVALUATE + " --k 3", "k=3 outside [1, 2]"),
+    ("predict", _PREDICT + " --size 1 1", "pool grid 2x2 invalid for 1x1 image"),
+    ("train", "--manifest {tmp}/bad.tsv --epochs 1 " + _TRAIN, "label index 3 outside [0, 3)"),
+    ("evaluate", "--scores {tmp}/s.csv --labels {tmp}/z.csv --k 1",
+     "every class is empty; mAP undefined"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, args, message", SHARED_CLASS_FAILURES,
+    ids=["k-above-classes", "size-below-pool-grid", "label-index-too-large", "no-positive-label"],
+)
+def test_shared_class_failure_prints_its_own_line(
+    dataset_c3, tmp_path, capsys, command, args, message
+):
+    (tmp_path / "s.csv").write_text("0.5,0.1\n0.2,0.9\n")
+    (tmp_path / "y.csv").write_text("1,0\n0,1\n")
+    (tmp_path / "z.csv").write_text("0,0\n0,0\n")
+    (tmp_path / "bad.tsv").write_text("#classes=3\nimg_00000.ppm\t0 3\n")
+    paths = dict(data3=dataset_c3, tmp=tmp_path, params=CHECKPOINT)
+    assert main([command, *args.format(**paths).split()]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestExitCodes:
     def test_unknown_mode_is_usage_error(self, dataset, tmp_path):
         with pytest.raises(SystemExit) as exc:

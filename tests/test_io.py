@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import mlc
 from mlc.cli import main
 from mlc.errors import (
-    IndexOutOfRange,
     IoError,
     MlcError,
     NonBinaryLabel,
@@ -769,7 +768,7 @@ class TestManifest:
         assert man.entries == (("img0.ppm", (0, 2)),)
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParseError, match=r"^label index 3 outside \[0, 3\)$"):
             manifest_of("#classes=3\nimg0.ppm\t0 3\n")
 
     def test_empty_label_list(self):

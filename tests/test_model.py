@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlc import model, trainer
-from mlc.errors import GridTooLarge, MlcError, NonFinite, ParseError, ShapeMismatch
+from mlc.errors import MlcError, NonFinite, ParseError, ShapeMismatch
 from mlc.io import write_atomic
 from mlc.model import (
     ModelParams,
@@ -80,7 +80,7 @@ class TestAdaptivePool:
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
     def test_grid_too_large(self, rng):
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(ShapeMismatch, match="^pool grid 5x2 invalid for 4x4 image$"):
             pool(random_image(rng, 4, 4), 5, 2)
 
 

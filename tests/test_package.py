@@ -105,3 +105,14 @@ def test_every_error_class_is_raised():
                 raised.add((_dotted(node.exc.func) or "").rsplit(".", 1)[-1])
     assert len(defined) >= 10
     assert sorted(defined - raised) == []
+
+
+def test_readme_lists_each_error_class():
+    # the README's error-class list names exactly the subclasses errors.py defines
+    src = Path(mlc.__file__).parent
+    errors = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"MlcError"}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("\nError classes: ", 1)[1].split("\n\n", 2)[1]
+    listed = [line.split("`")[1] for line in listing.splitlines()]
+    assert sorted(listed) == sorted(defined)

@@ -16,7 +16,6 @@ from mlc.errors import (
     DataLoadError,
     DivergedLoss,
     EmptyInput,
-    GridTooLarge,
     PixelOutOfRange,
     ShapeMismatch,
 )
@@ -546,7 +545,7 @@ class TestPredict:
         params = ModelParams(
             (8, 8), np.zeros((192, 4)), np.zeros(4), np.zeros((4, 6)), np.zeros(6)
         )
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(ShapeMismatch, match="^pool grid 8x8 invalid for 6x24 image$"):
             predict(params, manifest, (6, 24), root=root)
 
     def test_zero_weights_give_bias_rows(self, small_dataset):
@@ -564,7 +563,7 @@ class TestPredict:
         full = write_dataset(tmp_path, "img", samples, 3)
         params = init_params(3, (4, 4), 16, seed=2)
         assert PREDICT_CHUNK == 48
-        for n in (1, 63, 64, 65, 130):
+        for n in (1, 15, 16, 17, 47, 48, 49, 63, 64, 65, 96, 97, 130):
             stack = np.stack([resize(pixels / 255.0, *size) for pixels, _ in samples[:n]])
             # every forward is of one pooled block, zero-padded to PREDICT_CHUNK rows
             padded = np.zeros((-(-n // PREDICT_CHUNK) * PREDICT_CHUNK, params.feature_dim))

@@ -10,6 +10,26 @@ class TestLabels:
         with pytest.raises(NonBinaryLabel):
             LabelMatrix(np.array([[1, 0], [0, 2]]))
 
+    @pytest.mark.parametrize(
+        "entry, accepted",
+        [
+            (np.int8(0), True), (np.int8(1), True), (np.int8(2), False), (np.int8(-1), False),
+            (np.int64(1), True), (np.int64(256), False), (np.int64(-255), False),
+            (True, True), (False, True),
+            (0.0, True), (-0.0, True), (1.0, True), (0.5, False), (2.0, False), (-1.0, False),
+            (np.nan, False), (1e300, False),
+        ],
+        ids=repr,
+    )
+    def test_accepts_exactly_zero_and_one(self, entry, accepted):
+        # int64 256 and -255 would wrap to 0 and 1 in int8, so they are checked before the cast
+        raw = np.array([[entry, 1]], dtype=np.asarray(entry).dtype)
+        if accepted:
+            np.testing.assert_array_equal(LabelMatrix(raw).data, [[int(entry), 1]])
+        else:
+            with pytest.raises(NonBinaryLabel):
+                LabelMatrix(raw)
+
 
 class TestScoreMatrix:
     def test_rejects_nan(self):
